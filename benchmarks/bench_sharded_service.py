@@ -43,7 +43,7 @@ from repro.graph.generators import erdos_renyi_graph  # noqa: E402
 from repro.workloads import generate_workload, run_workload  # noqa: E402
 
 SEED = 2017
-METHOD = "probesim-batched"
+METHOD = "probesim-native"
 
 #: (num_nodes, num_edges, num_ops) presets; smoke finishes in seconds.
 PRESETS = {

@@ -1,15 +1,14 @@
-"""Batched trie-sharing engine: the serving hot path, demonstrated.
+"""Native engine: the serving hot path, demonstrated.
 
 One ProbeSim configuration, two execution engines:
 
 - ``engine="loop"``   — the paper's per-prefix probe loop (oracle path);
-- ``engine="batched"`` — all sampled walks enter a prefix trie and every
-  trie level advances with one sparse matmul; a whole query batch shares
-  the sweep as a forest.
+- ``engine="native"`` — all sampled walks enter a prefix trie and every
+  trie level advances as one array operation over its distinct prefixes.
 
-The demo checks three things end to end: identical fixed-seed answers to
-float round-off, a single-query speedup, and a service batch flowing
-through ``SimRankService.topk_many`` into one forest sweep.
+The demo checks three things end to end: the two engines agree within the
+error guarantee, a single-query speedup, and a service batch flowing
+through ``SimRankService.topk_many`` with duplicate queries answered once.
 
 Run:  python examples/batched_throughput.py
 """
@@ -29,30 +28,30 @@ QUERY = 17
 
 # -- same answers, different execution ------------------------------------
 loop_engine = ProbeSim(graph, engine="loop", **CONFIG)
-batched_engine = ProbeSim(graph, engine="batched", **CONFIG)
+native_engine = ProbeSim(graph, engine="native", **CONFIG)
 
 with Timer() as t_loop:
     loop_result = loop_engine.single_source(QUERY)
-with Timer() as t_batched:
-    batched_result = batched_engine.single_source(QUERY)
+with Timer() as t_native:
+    native_result = native_engine.single_source(QUERY)
 
-gap = float(np.abs(loop_result.scores - batched_result.scores).max())
+gap = float(np.abs(loop_result.scores - native_result.scores).max())
 print(f"\nsingle-source from node {QUERY} ({loop_result.num_walks} walks)")
-print(f"  loop engine:    {t_loop.elapsed:.3f}s")
-print(f"  batched engine: {t_batched.elapsed:.3f}s "
-      f"({t_loop.elapsed / t_batched.elapsed:.1f}x)")
-print(f"  max |loop - batched| = {gap:.2e} (same walks, shared probes)")
-assert gap <= loop_engine.config.eps_a  # bounded by the pruning budget
-assert batched_engine.capabilities().vectorized
+print(f"  loop engine:   {t_loop.elapsed:.3f}s")
+print(f"  native engine: {t_native.elapsed:.3f}s "
+      f"({t_loop.elapsed / t_native.elapsed:.1f}x)")
+print(f"  max |loop - native| = {gap:.2e} (independent walk sets)")
+assert gap <= 2 * loop_engine.config.eps_a  # each is within eps_a of truth
+assert native_engine.capabilities().vectorized
 
-# -- a service batch rides one forest sweep -------------------------------
+# -- a service batch: duplicates share one answer -------------------------
 service = SimRankService(
     graph,
-    methods=("probesim-batched",),
-    configs={"probesim-batched": dict(eps_a=0.1, delta=0.1,
+    methods=("probesim-native",),
+    configs={"probesim-native": dict(eps_a=0.1, delta=0.1,
                                       num_walks=800, seed=7)},
 )
-hot_queries = [17, 3, 17, 250, 3, 17, 99]  # hot-key mix: dedup + forest
+hot_queries = [17, 3, 17, 250, 3, 17, 99]  # hot-key mix: dedup
 with Timer() as t_batch:
     tops = service.topk_many(hot_queries, k=5)
 print(f"\nservice batch of {len(hot_queries)} top-5 queries "
@@ -64,4 +63,4 @@ for query, top in zip(hot_queries[:3], tops[:3]):
 
 # duplicates inside the batch share one answer object
 assert tops[0].as_pairs() == tops[2].as_pairs()
-print("\nbatched engine = same guarantee, shared work — done.")
+print("\nnative engine = same guarantee, shared work — done.")

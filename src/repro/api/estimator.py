@@ -76,9 +76,9 @@ class Capabilities:
         True when :meth:`SimRankEstimator.apply_updates` patches state
         per-edge instead of falling back to a full :meth:`~SimRankEstimator.sync`.
     vectorized:
-        True when queries execute through a batched, level-synchronous
-        kernel (one C-level sweep per walk batch — ProbeSim's trie-sharing
-        engine, :mod:`repro.core.batch_engine`) rather than per-walk
+        True when queries execute through a level-synchronous array sweep
+        (one pass per trie level over the whole walk batch — ProbeSim's
+        native engine, :mod:`repro.core.native`) rather than per-walk
         interpreter loops.  Serving layers prefer vectorized methods for
         high-throughput batches.
     parallel_safe:
@@ -91,12 +91,9 @@ class Capabilities:
         indexes (SLING) and dense exact solvers (Power Method), whose
         per-worker-per-epoch rebuild would dominate serving.
     native:
-        True when queries run through the native kernel engine
-        (:mod:`repro.core.native`): compiled numba kernels where available,
-        with a byte-identical numpy fallback otherwise.  This flag describes
-        the *engine selection*, which is environment-independent; which
-        backend actually executes (``"numba"``/``"numpy"``) is runtime
-        information reported by :func:`repro.core.native.native_backend`.
+        True when queries run through the native engine
+        (:mod:`repro.core.native`), whose counter RNG makes every answer a
+        pure function of ``(config, graph, seed, query)``.
     """
 
     method: str

@@ -185,12 +185,12 @@ def _register_builtins() -> None:
             return ProbeSim(graph, **config)
         return factory
 
-    def probesim_caps(strategy: str, vectorized: bool = False) -> Capabilities:
+    def probesim_caps(strategy: str, native: bool = False) -> Capabilities:
         """ProbeSim's capability profile (index-free, O(m) sync)."""
         return Capabilities(
             method=f"probesim-{strategy}", exact=False, index_based=False,
             supports_dynamic=True, incremental_updates=False,
-            vectorized=vectorized, parallel_safe=True, native=False,
+            vectorized=native, parallel_safe=True, native=native,
         )
 
     register(
@@ -209,37 +209,19 @@ def _register_builtins() -> None:
             config_keys=_PROBESIM_KEYS,
             probe_config=_PROBESIM_PROBE,
             # engine="auto" routes the deterministic dedup strategy through
-            # the batched trie-sharing kernel (repro.core.batch_engine)
-            capabilities=probesim_caps(strategy, vectorized=strategy == "batch"),
+            # the native engine (repro.core.native)
+            capabilities=probesim_caps(strategy, native=strategy == "batch"),
         )
 
-    def probesim_batched_factory(graph, **config):
-        """ProbeSim pinned to the batched trie-sharing execution engine."""
-        config.setdefault("strategy", "batch")
-        return ProbeSim(graph, engine="batched", **config)
-
-    register(
-        "probesim-batched",
-        probesim_batched_factory,
-        summary="ProbeSim on the batched trie-sharing engine (serving hot path)",
-        config_keys=tuple(k for k in _PROBESIM_KEYS if k != "engine") + ("strategy",),
-        probe_config=_PROBESIM_PROBE,
-        capabilities=Capabilities(
-            method="probesim-batched", exact=False, index_based=False,
-            supports_dynamic=True, incremental_updates=False, vectorized=True,
-            parallel_safe=True, native=False,
-        ),
-    )
-
     def probesim_native_factory(graph, **config):
-        """ProbeSim pinned to the native (numba/numpy) kernel engine."""
+        """ProbeSim pinned to the native engine (serving hot path)."""
         config.setdefault("strategy", "batch")
         return ProbeSim(graph, engine="native", **config)
 
     register(
         "probesim-native",
         probesim_native_factory,
-        summary="ProbeSim on native kernels (numba, numpy fallback); "
+        summary="ProbeSim on the native engine (serving hot path); "
                 "bit-reproducible per (seed, query)",
         config_keys=tuple(k for k in _PROBESIM_KEYS if k != "engine") + ("strategy",),
         probe_config=_PROBESIM_PROBE,

@@ -12,10 +12,9 @@ Batching
     √c-walk sampling per hot query per batch instead of re-sampling per
     request.  Per-estimator batches then flow through the protocol's
     :meth:`~repro.api.estimator.SimRankEstimator.single_source_many` hot path;
-    methods advertising ``capabilities().vectorized`` (ProbeSim's batched
-    trie-sharing engine, e.g. registry name ``"probesim-batched"``) execute
-    the whole deduplicated batch as one forest sweep — every query in the
-    batch shares the same level-synchronous sparse matmuls.
+    methods advertising ``capabilities().vectorized`` (ProbeSim's native
+    engine, e.g. registry name ``"probesim-native"``) answer each query with
+    one level-synchronous array sweep over its walk trie.
 
 Updates
     :meth:`apply_edges` applies edge insertions/deletions to the owned graph

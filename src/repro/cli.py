@@ -50,16 +50,16 @@ Examples
     python -m repro methods
     python -m repro topk /tmp/wv.txt --query 5 --k 10 --eps-a 0.1 --seed 7
     python -m repro single-source /tmp/wv.txt --query 5 --method mc --num-walks 500
-    python -m repro workload /tmp/wv.txt --methods probesim-batched,tsf \\
+    python -m repro workload /tmp/wv.txt --methods probesim-native,tsf \\
         --ops 400 --read-fraction 0.9 --workers 2 --seed 7 --json /tmp/wl.json
     python -m repro workload /tmp/wv.txt --methods tsf --read-fraction 0.5 \\
         --executor process --maintenance delta --cache-size 512 --seed 7
     python -m repro serve --dataset wiki-vote --scale tiny --port 8080 \\
-        --methods probesim-batched --seed 7 --query-seeded
+        --methods probesim-native --seed 7
     python -m repro loadgen --dataset wiki-vote --scale tiny --port 8080 \\
         --rate 200 --ops 400 --seed 3
     python -m repro ingest /tmp/wv.txt --out /tmp/wv.csr
-    python -m repro workload --snapshot /tmp/wv.csr --methods probesim-batched \\
+    python -m repro workload --snapshot /tmp/wv.csr --methods probesim-native \\
         --read-fraction 1 --executor process --workers 2 --seed 7
     python -m repro serve --snapshot /tmp/wv.csr --port 8080 --workers 2
     python -m repro recover /tmp/wv-store
@@ -71,6 +71,7 @@ import argparse
 import sys
 
 from repro.api.registry import capability_rows, create, get_entry, method_names
+from repro.core.config import ENGINES
 from repro.datasets import DATASETS, load_dataset
 from repro.errors import ConfigurationError, ReproError
 from repro.eval.reporting import format_table, markdown_table, write_json_report
@@ -125,14 +126,11 @@ def _add_query_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--strategy", default=None,
                         choices=("basic", "batch", "randomized", "hybrid"),
                         help="probesim strategy (default: the engine's hybrid)")
-    parser.add_argument("--engine", default=None,
-                        choices=("auto", "loop", "batched", "native"),
-                        help="probesim probe execution: per-prefix 'loop', "
-                             "the vectorized trie-sharing 'batched' kernel, "
-                             "or the compiled 'native' kernels (numba when "
-                             "installed, numpy fallback otherwise; "
-                             "bit-reproducible per seed+query) "
-                             "(default auto: batched for --strategy batch)")
+    parser.add_argument("--engine", default=None, choices=ENGINES,
+                        help="probesim probe execution: per-prefix 'loop' "
+                             "or the vectorized 'native' trie sweep "
+                             "(bit-reproducible per seed+query) "
+                             "(default auto: native for --strategy batch)")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--num-walks", type=int, default=None, dest="num_walks",
                         help="override the theoretical walk count (probesim/mc)")
@@ -232,17 +230,9 @@ def methods_table_rows(markdown: bool = False) -> list[dict[str, str]]:
 
 
 def methods_json_payload() -> dict[str, object]:
-    """The ``methods --json`` document: raw rows plus runtime engine info.
-
-    The rows are :func:`methods_rows` verbatim (the same source as both
-    table renderings).  ``native_backend`` reports which native backend
-    this environment selected (``"numba"``/``"numpy"``) — runtime
-    information that the environment-independent ``native`` column
-    deliberately excludes.
-    """
-    from repro.core.native import native_backend
-
-    return {"methods": methods_rows(), "native_backend": native_backend()}
+    """The ``methods --json`` document: the raw rows of :func:`methods_rows`
+    (the same source as both table renderings)."""
+    return {"methods": methods_rows()}
 
 
 def _cmd_methods(args) -> int:
@@ -593,8 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the table as GitHub markdown (README format)")
     methods.add_argument("--json", action="store_true",
                          help="emit the registry as JSON (raw capability "
-                              "flags, config keys, and the runtime "
-                              "native_backend selection)")
+                              "flags and config keys)")
     methods.set_defaults(func=_cmd_methods)
 
     workload = sub.add_parser(
@@ -611,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "trace must be update-free "
                                "(--read-fraction 1) and the executor "
                                "process or sequential")
-    workload.add_argument("--methods", default="probesim-batched",
+    workload.add_argument("--methods", default="probesim-native",
                           help="comma-separated registry names to compare")
     workload.add_argument("--ops", type=int, default=400,
                           help="total operations (queries + updates) in the trace")
@@ -695,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080,
                        help="bind port (0 = OS-assigned)")
-    serve.add_argument("--methods", default="probesim-batched",
+    serve.add_argument("--methods", default="probesim-native",
                        help="comma-separated registry names to mount")
     serve.add_argument("--workers", type=int, default=0,
                        help="worker processes (0 = in-process sequential "

@@ -23,6 +23,7 @@ execution strategy knobs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 from repro.errors import BudgetError, ConfigurationError
@@ -34,9 +35,8 @@ STRATEGIES = ("basic", "batch", "randomized", "hybrid")
 #: deterministic-probe backends.
 BACKENDS = ("vectorized", "python")
 
-#: probe-execution engines (see repro.core.batch_engine for "batched" and
-#: repro.core.native for "native").
-ENGINES = ("auto", "loop", "batched", "native")
+#: probe-execution engines (see repro.core.native for "native").
+ENGINES = ("auto", "loop", "native")
 
 
 @dataclass(frozen=True)
@@ -138,25 +138,17 @@ class ProbeSimConfig:
     engine:
         How probes are *executed*: ``"loop"`` runs one probe per distinct
         prefix through the per-walk code path (the oracle engine);
-        ``"batched"`` runs the whole walk batch as one level-synchronous
-        sweep over the prefix trie (:mod:`repro.core.batch_engine`) — one
-        sparse matmul per trie level instead of one Python probe per prefix;
-        ``"native"`` (:mod:`repro.core.native`) fuses walk sampling, trie
-        construction, and a hybrid sparse/dense level sweep into compiled
-        kernels (numba when installed, a byte-identical numpy fallback
-        otherwise) driven by a counter-based RNG keyed on
+        ``"native"`` (:mod:`repro.core.native`) runs walk sampling, trie
+        construction and a hybrid sparse/dense level sweep as array
+        operations, driven by a counter-based RNG keyed on
         ``(seed, query, walk, step)`` — every query's bits depend only on
         ``(config, graph, seed, query)``, never on batch composition.
-        The default ``"auto"`` picks ``"batched"`` for the deterministic
-        dedup strategy (``strategy="batch"`` on the vectorized backend,
-        whose results it reproduces to float round-off) and ``"loop"``
-        everywhere else (``basic`` is the per-walk ablation baseline;
-        ``randomized``/``hybrid`` draw RNG inside individual probes).
-        ``"auto"`` never resolves to ``"native"``: the native RNG is a
-        different (counter-based) stream, so its scores are statistically
-        equivalent but not bit-equal to the other engines' — selecting it
-        is an explicit choice.  Both ``"batched"`` and ``"native"`` require
-        a deterministic strategy and the vectorized backend.
+        The default ``"auto"`` picks ``"native"`` for the deterministic
+        dedup strategy (``strategy="batch"`` on the vectorized backend) and
+        ``"loop"`` everywhere else (``basic`` is the per-walk ablation
+        baseline; ``randomized``/``hybrid`` draw RNG inside individual
+        probes).  ``"native"`` requires the ``batch`` or ``basic`` strategy
+        and the vectorized backend.
     sampling_fraction / truncation_fraction / pruning_fraction:
         Theorem 2 budget split, see :class:`ErrorBudget`.
     compensate_truncation:
@@ -224,7 +216,7 @@ class ProbeSimConfig:
             raise ConfigurationError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
-        if self.engine in ("batched", "native"):
+        if self.engine == "native":
             if self.strategy in ("randomized", "hybrid"):
                 raise ConfigurationError(
                     f"engine={self.engine!r} shares deterministic probes across "
@@ -244,7 +236,7 @@ class ProbeSimConfig:
             raise ConfigurationError(
                 f"hybrid_switch_constant must be positive, got {self.hybrid_switch_constant!r}"
             )
-        if self.query_seeded and not isinstance(self.seed, int):
+        if self.query_seeded and not _is_int_seed(self.seed):
             raise ConfigurationError(
                 "query_seeded=True derives one RNG stream per (seed, query) "
                 "and therefore needs an explicit integer seed; got "
@@ -275,19 +267,17 @@ class ProbeSimConfig:
         return math.sqrt(self.c)
 
     def resolved_engine(self) -> str:
-        """The engine a query will actually run on
-        (``"loop"``/``"batched"``/``"native"``).
+        """The engine a query will actually run on (``"loop"``/``"native"``).
 
-        ``"auto"`` resolves to the batched trie-sharing engine exactly when
-        its results are interchangeable with the loop engine's: the
-        deterministic dedup strategy (``"batch"``) on the vectorized backend.
-        It never resolves to ``"native"`` — the native engine's counter RNG
-        is a different stream, so it must be opted into explicitly.
+        ``"auto"`` resolves to the native engine for the deterministic dedup
+        strategy (``"batch"``) on the vectorized backend, where it estimates
+        the same Algorithm 3 quantity with no per-prefix interpreter loop,
+        and to the loop engine everywhere else.
         """
         if self.engine != "auto":
             return self.engine
         if self.strategy == "batch" and self.backend == "vectorized":
-            return "batched"
+            return "native"
         return "loop"
 
     def walk_count(self, num_nodes: int) -> int:
@@ -317,3 +307,8 @@ class ProbeSimConfig:
     def with_overrides(self, **overrides) -> "ProbeSimConfig":
         """A copy of this config with ``overrides`` applied."""
         return replace(self, **overrides)
+
+
+def _is_int_seed(seed) -> bool:
+    """True for integer seeds (python or numpy), never for ``bool``."""
+    return isinstance(seed, numbers.Integral) and not isinstance(seed, bool)

@@ -25,16 +25,13 @@ Strategies (``ProbeSimConfig.strategy``):
     ``c0 * weight * n`` out-degree mass.
 
 Orthogonal to the strategy, ``ProbeSimConfig.engine`` selects how probes are
-*executed*: ``"loop"`` is the per-prefix code path below, ``"batched"`` runs
-the whole walk batch (and whole query batches via :meth:`single_source_many`)
-as one level-synchronous sweep over the prefix trie — see
-:mod:`repro.core.batch_engine` — and ``"native"`` runs walk sampling, trie
-construction, and a hybrid sparse/dense sweep through the compiled kernels
-of :mod:`repro.core.native`, with a counter RNG keyed on ``(seed, query)``
-that makes every query's bits independent of batch composition.  ``"auto"``
-(the default) picks ``batched`` for the deterministic ``batch`` strategy and
-``loop`` otherwise; ``native`` is always an explicit opt-in because its RNG
-stream differs from the shared ``numpy.random`` one.
+*executed*: ``"loop"`` is the per-prefix code path below, and ``"native"``
+runs walk sampling, trie construction and a hybrid sparse/dense level sweep
+as array operations (:mod:`repro.core.native`), with a counter RNG keyed on
+``(seed, query)`` that makes every query's bits independent of call order
+and batch composition.  ``"auto"`` (the default) picks ``native`` for the
+deterministic ``batch`` strategy on the vectorized backend and ``loop``
+otherwise.
 """
 
 from __future__ import annotations
@@ -44,9 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.api.estimator import Capabilities, SimRankEstimator
-from repro.core.batch_engine import probe_trie_forest
-from repro.core.config import ProbeSimConfig
-from repro.core.native.rng import stream_base
+from repro.core import native
+from repro.core.config import ProbeSimConfig, _is_int_seed
 from repro.core.probe import (
     frontier_edge_budget,
     probe_deterministic,
@@ -59,8 +55,7 @@ from repro.core.randomized_probe import (
 )
 from repro.core.results import SimRankResult
 from repro.core.tree import ReachabilityTree
-from repro.core.walk_trie import WalkTrie
-from repro.core.walks import sample_walk_arrays, sample_walk_batch
+from repro.core.walks import sample_walk_batch
 from repro.errors import QueryError
 from repro.graph.csr import CSRGraph, as_csr
 from repro.utils.rng import as_generator, derive_stream
@@ -128,16 +123,16 @@ class ProbeSim(SimRankEstimator):
 
     def capabilities(self) -> Capabilities:
         """Approximate, index-free, dynamic-friendly (O(m) sync)."""
-        resolved = self.config.resolved_engine()
+        native = self.config.resolved_engine() == "native"
         return Capabilities(
             method=self._method_label(),
             exact=False,
             index_based=False,
             supports_dynamic=True,
             incremental_updates=False,
-            vectorized=resolved in ("batched", "native"),
+            vectorized=native,
             parallel_safe=True,
-            native=resolved == "native",
+            native=native,
         )
 
     def single_source(self, query: int) -> SimRankResult:
@@ -157,24 +152,9 @@ class ProbeSim(SimRankEstimator):
             method=self._method_label(),
         )
 
-    def single_source_many(self, queries) -> list[SimRankResult]:
-        """Batch single-source queries; the batched engine shares one sweep.
-
-        On the loop engine this is the protocol's query loop.  On the
-        batched engine all queries' walks are sampled first (consuming the
-        RNG stream in the same order a loop would) and their prefix tries
-        are probed as one *forest* in a single level-synchronous sweep —
-        every trie level transition of every query shares the same sparse
-        matmul.  Results are bit-identical to looping :meth:`single_source`
-        because forest columns never mix across queries.
-        """
-        queries = list(queries)
-        if self.config.resolved_engine() != "batched" or len(queries) <= 1:
-            return super().single_source_many(queries)
-        return self._run_batched_many(queries)
-
-    # topk() is inherited from SimRankEstimator: it sorts the single-source
-    # estimates (Definition 2), so batched top-k rides the same hot path.
+    # topk() and single_source_many() are inherited from SimRankEstimator:
+    # top-k sorts the single-source estimates (Definition 2), and a batch is
+    # the query loop.
 
     # ------------------------------------------------------------------ #
     # strategy dispatch
@@ -182,8 +162,6 @@ class ProbeSim(SimRankEstimator):
 
     def _method_label(self) -> str:
         """Result/capability label: strategy, or the explicit execution engine."""
-        if self.config.engine == "batched":
-            return "probesim-batched"
         if self.config.engine == "native":
             return "probesim-native"
         return f"probesim-{self.config.strategy}"
@@ -200,10 +178,7 @@ class ProbeSim(SimRankEstimator):
         return estimates
 
     def _run(self, query: int, stats: QueryStats) -> np.ndarray:
-        resolved = self.config.resolved_engine()
-        if resolved == "batched":
-            return self._run_batched_engine(query, stats)
-        if resolved == "native":
+        if self.config.resolved_engine() == "native":
             return self._run_native_engine(query, stats)
         strategy = self.config.strategy
         walks = self._sample_walks(query, stats)
@@ -218,7 +193,45 @@ class ProbeSim(SimRankEstimator):
         raise QueryError(f"unknown strategy {strategy!r}")  # pragma: no cover
 
     # ------------------------------------------------------------------ #
-    # batched trie-sharing engine (repro.core.batch_engine)
+    # native engine (repro.core.native)
+    # ------------------------------------------------------------------ #
+
+    def _native_base(self, query: int) -> int:
+        """The counter-RNG stream origin for one native query.
+
+        With an integer seed the origin is a pure function of
+        ``(seed, query)`` — the bit-reproducibility contract: the same query
+        returns the same bytes no matter when it runs, what ran before it,
+        or how a serving tier batched it.  Without one there is nothing to
+        reproduce, so the origin is drawn from the engine's shared RNG.
+        """
+        seed = self.config.seed
+        if _is_int_seed(seed):
+            return native.stream_base(int(seed), query)
+        return native.stream_base(int(self._rng.integers(1 << 63)), query)
+
+    def _run_native_engine(self, query: int, stats: QueryStats) -> np.ndarray:
+        cfg = self.config
+        ctx = native.context_for(self._csr, cfg.sqrt_c)
+        scores, trie = native.run_query(
+            ctx,
+            query,
+            cfg.walk_count(self._csr.num_nodes),
+            cfg.sqrt_c,
+            cfg.walk_truncation(),
+            self._native_base(query),
+            native.resolve_impl(),
+        )
+        stats.num_walks = trie.num_walks
+        # every walk contributes its root step plus one per surviving level
+        stats.walk_length_total = trie.num_walks + sum(trie.level_weight_sums())
+        stats.num_tree_nodes = trie.num_tree_nodes
+        stats.num_probes = trie.num_tree_nodes
+        scores /= trie.num_walks
+        return scores
+
+    # ------------------------------------------------------------------ #
+    # loop engine (per-prefix probes)
     # ------------------------------------------------------------------ #
 
     def _begin_query(self, query: int) -> None:
@@ -232,135 +245,6 @@ class ProbeSim(SimRankEstimator):
         """
         if self.config.query_seeded:
             self._rng = derive_stream(self.config.seed, query)
-
-    def _sample_trie(self, query: int, stats: QueryStats) -> WalkTrie:
-        """Sample this query's walk batch straight into a prefix trie."""
-        self._begin_query(query)
-        cfg = self.config
-        nodes, lengths = sample_walk_arrays(
-            self._csr,
-            query,
-            cfg.walk_count(self._csr.num_nodes),
-            cfg.sqrt_c,
-            self._rng,
-            max_length=cfg.walk_truncation(),
-        )
-        trie = WalkTrie.from_walk_arrays(nodes, lengths)
-        stats.num_walks += trie.num_walks
-        stats.walk_length_total += int(lengths.sum())
-        stats.num_tree_nodes += trie.num_tree_nodes
-        stats.num_probes += trie.num_tree_nodes  # one shared probe per prefix
-        return trie
-
-    def _run_batched_engine(self, query: int, stats: QueryStats) -> np.ndarray:
-        # eps_p stays 0: Pruning rule 2 exists to save per-probe work, and
-        # the dense level sweep has none to save — skipping it is strictly
-        # more accurate at identical cost (rule 1 truncation still applies).
-        trie = self._sample_trie(query, stats)
-        acc = probe_trie_forest(self._csr, [trie], self.config.sqrt_c)[:, 0]
-        acc /= trie.num_walks
-        return acc
-
-    # ------------------------------------------------------------------ #
-    # native kernel engine (repro.core.native)
-    # ------------------------------------------------------------------ #
-
-    def _native_base(self, query: int) -> int:
-        """The counter-RNG stream origin for one native query.
-
-        With an integer seed the origin is a pure function of
-        ``(seed, query)`` — the bit-reproducibility contract: the same query
-        returns the same bytes no matter when it runs, what ran before it,
-        or how a serving tier batched it.  Without one there is nothing to
-        reproduce, so the origin is drawn from the engine's shared RNG.
-        """
-        seed = self.config.seed
-        if isinstance(seed, int) and not isinstance(seed, bool):
-            return stream_base(seed, query)
-        return stream_base(int(self._rng.integers(1 << 63)), query)
-
-    def _run_native_engine(self, query: int, stats: QueryStats) -> np.ndarray:
-        from repro.core import native
-
-        cfg = self.config
-        ctx = native.context_for(self._csr, cfg.sqrt_c)
-        scores, trie = native.run_query(
-            ctx,
-            query,
-            cfg.walk_count(self._csr.num_nodes),
-            cfg.sqrt_c,
-            cfg.walk_truncation(),
-            self._native_base(query),
-            native.resolve_impl(),
-            kernel_trie=native.native_backend() == "numba",
-        )
-        stats.num_walks = trie.num_walks
-        # every walk contributes its root step plus one per surviving level
-        stats.walk_length_total = trie.num_walks + sum(trie.level_weight_sums())
-        stats.num_tree_nodes = trie.num_tree_nodes
-        stats.num_probes = trie.num_tree_nodes
-        scores /= trie.num_walks
-        return scores
-
-    #: dense cells (n x columns) a single forest sweep may hold in flight;
-    #: ~32 MB of float64 — big enough to fuse whole service batches on small
-    #: graphs, small enough that wide levels never thrash memory on large ones.
-    FOREST_CELL_BUDGET = 4_000_000
-
-    def _forest_chunks(self, tries) -> list[tuple[int, int]]:
-        """Split a forest into contiguous chunks bounded by the cell budget.
-
-        Kernel columns never interact across tries, so chunking changes
-        nothing but peak memory: results are bit-identical for any split.
-        """
-        max_columns = max(1, self.FOREST_CELL_BUDGET // max(self._csr.num_nodes, 1))
-        chunks: list[tuple[int, int]] = []
-        begin, width = 0, 0
-        for i, trie in enumerate(tries):
-            trie_width = max((len(level) for level in trie.levels), default=1)
-            if i > begin and width + trie_width > max_columns:
-                chunks.append((begin, i))
-                begin, width = i, 0
-            width += trie_width
-        chunks.append((begin, len(tries)))
-        return chunks
-
-    def _run_batched_many(self, queries: list[int]) -> list[SimRankResult]:
-        """One forest sweep over every query's trie (the serving hot path)."""
-        for query in queries:
-            self._check_query(query)
-        cfg = self.config
-        timer = Timer()
-        with timer:
-            per_query_stats = [QueryStats() for _ in queries]
-            tries = [
-                self._sample_trie(query, stats)
-                for query, stats in zip(queries, per_query_stats)
-            ]
-            accumulators = np.empty((self._csr.num_nodes, len(tries)))
-            for begin, end in self._forest_chunks(tries):
-                accumulators[:, begin:end] = probe_trie_forest(
-                    self._csr, tries[begin:end], cfg.sqrt_c
-                )
-        elapsed_each = timer.elapsed / len(queries)  # amortized batch cost
-        results = []
-        for column, (query, trie, stats) in enumerate(
-            zip(queries, tries, per_query_stats)
-        ):
-            estimates = accumulators[:, column] / trie.num_walks
-            estimates = self._finalize(estimates, query)
-            stats.elapsed = elapsed_each
-            results.append(
-                SimRankResult(
-                    query=query,
-                    scores=estimates,
-                    num_walks=stats.num_walks,
-                    elapsed=elapsed_each,
-                    method=self._method_label(),
-                )
-            )
-        self.last_stats = per_query_stats[-1]
-        return results
 
     def _sample_walks(self, query: int, stats: QueryStats) -> list[list[int]]:
         self._begin_query(query)

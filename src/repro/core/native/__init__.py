@@ -1,38 +1,30 @@
-"""Native ProbeSim hot path: numba kernels with a pure-numpy fallback.
+"""Native ProbeSim hot path: vectorized walks, prefix trie, hybrid sweep.
 
-The backend is selected once at import: ``"numba"`` when numba imports
-cleanly (kernels are ``@njit(cache=True)``-compiled, so worker processes
-of the parallel/sharded services reuse one on-disk compilation), else
-``"numpy"`` — the vectorized fallback in :mod:`.fallback`, which is
-byte-identical to the kernels per ``(seed, query)`` (held by the parity
-suite).  ``REPRO_NATIVE_BACKEND=numpy`` forces the fallback on a numba
-install; forcing ``numba`` without numba silently stays on ``numpy``
-(there is nothing to force).
+``engine="native"`` answers a deterministic-strategy query in three
+array-at-a-time stages: counter-RNG walk sampling (:mod:`.rng`), the
+prefix trie (:class:`~repro.core.walk_trie.WalkTrie`), and a hybrid
+sparse/dense level sweep (:mod:`.engine`) whose per-level primitives live
+in :mod:`.fallback` — numpy/scipy code with no compiler dependency.
 
-The selected backend is reported through ``Capabilities`` /
-``repro methods --json`` as ``native_backend``.
+:func:`resolve_impl` returns that primitive namespace and is the seam the
+sweep takes it through, so instrumentation can wrap it (count or time
+level transitions) without touching the engine.
 """
 
 from __future__ import annotations
 
-import os
-
+from repro.core.native import fallback
 from repro.core.native.engine import (
     NativeContext,
-    build_trie_kernel,
     context_for,
     make_context,
     probe_trie,
     run_query,
 )
-from repro.core.native.kernels import HAVE_NUMBA
 from repro.core.native.rng import stream_base, walk_bases
 
 __all__ = [
-    "HAVE_NUMBA",
-    "NATIVE_BACKEND",
     "NativeContext",
-    "build_trie_kernel",
     "context_for",
     "make_context",
     "native_backend",
@@ -43,26 +35,12 @@ __all__ = [
     "walk_bases",
 ]
 
-_forced = os.environ.get("REPRO_NATIVE_BACKEND", "").strip().lower()
-if _forced == "numpy":
-    NATIVE_BACKEND = "numpy"
-else:
-    NATIVE_BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
 
 def native_backend() -> str:
-    """The backend the native engine selected at import: numba or numpy."""
-    return NATIVE_BACKEND
+    """Name of the primitive implementation the native engine runs on."""
+    return "numpy"
 
 
-def resolve_impl(backend: str | None = None):
-    """The kernel namespace for ``backend`` (default: the selected one)."""
-    if backend is None:
-        backend = NATIVE_BACKEND
-    if backend == "numba":
-        from repro.core.native import kernels
-
-        return kernels
-    from repro.core.native import fallback
-
+def resolve_impl():
+    """The primitive namespace :func:`probe_trie` and :func:`run_query` take."""
     return fallback

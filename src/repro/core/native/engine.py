@@ -1,10 +1,10 @@
 """Native-engine orchestration: context, trie build, and the hybrid sweep.
 
 The per-level control flow (which levels run sparse, which dense) lives
-here, *outside* both backends: the switch is a deterministic integer cost
-model over ``(graph, trie)``, so the numba kernels and the numpy fallback
-always execute the same step sequence and differ only in how each step is
-computed — which the parity suite pins down to byte-identical scores.
+here; the per-level arithmetic lives in :mod:`.fallback`, passed in as
+``impl``.  The switch is a deterministic integer cost model over
+``(graph, trie)``, so one trie always takes the same step sequence and a
+query's scores are a pure function of its walks.
 
 Cost model: a sparse level transition costs roughly its matmat flops
 (bounded by ``sum(out_degree[row] * row_nnz)``) plus a handful of full
@@ -22,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from repro.core.walk_trie import TrieLevel, WalkTrie
+from repro.core.native.rng import walk_bases
+from repro.core.walk_trie import WalkTrie
 
 #: weights of the sparse-cost proxy (flops, per-entry passes) against the
-#: dense cost ``m * k_next``; tuned on the bench_batched_engine preset.
+#: dense cost ``m * k_next``; tuned on the bench_native_engine preset.
 SWITCH_FLOP_WEIGHT = 9
 SWITCH_PASS_WEIGHT = 10
 
@@ -36,8 +37,7 @@ class NativeContext:
 
     ``op`` is the probe operator ``sqrt_c * B`` (``B[v, x] = 1/|I(v)|``
     for every edge ``x -> v``) materialized once as a CSR whose rows are
-    the in-adjacency slices — both backends iterate these exact arrays,
-    which is what anchors their float accumulation orders to each other.
+    the in-adjacency slices.
     """
 
     graph: object
@@ -96,38 +96,6 @@ def context_for(csr, sqrt_c: float) -> NativeContext:
     if ctx is None:
         ctx = cache[sqrt_c] = make_context(csr, sqrt_c)
     return ctx
-
-
-def build_trie_kernel(nodes: np.ndarray, lengths: np.ndarray) -> WalkTrie:
-    """Kernel-backed twin of :meth:`WalkTrie.from_walk_arrays`.
-
-    The canonical trie is integer-valued and per-level sorted, so parity
-    only needs the same *spec* — sorted distinct ``(parent, node)`` keys
-    with multiplicities — which :func:`kernels.unique_counts` reproduces.
-    """
-    from repro.core.native import kernels
-
-    count = len(nodes)
-    root = int(nodes[0, 0])
-    levels: list[TrieLevel] = []
-    stride = int(nodes.max()) + 2
-    parent_of_walk = np.zeros(count, dtype=np.int64)
-    for depth in range(2, int(lengths.max()) + 1):
-        alive = lengths >= depth
-        if not np.any(alive):
-            break
-        keys = parent_of_walk[alive] * stride + nodes[alive, depth - 1]
-        distinct, inverse, counts = kernels.unique_counts(keys)
-        levels.append(
-            TrieLevel(
-                nodes=distinct % stride,
-                parents=distinct // stride,
-                weights=counts.astype(np.int64),
-            )
-        )
-        parent_of_walk = np.full(count, -1, dtype=np.int64)
-        parent_of_walk[alive] = inverse
-    return WalkTrie(root=root, num_walks=count, levels=levels)
 
 
 def probe_trie(ctx: NativeContext, trie: WalkTrie, impl) -> np.ndarray:
@@ -204,18 +172,12 @@ def run_query(
     max_len: int,
     base: int,
     impl,
-    kernel_trie: bool,
 ) -> tuple[np.ndarray, WalkTrie]:
     """Walks -> trie -> sweep for one query; returns unnormalized scores."""
-    from repro.core.native.rng import walk_bases
-
     bases = walk_bases(base, num_walks)
     nodes, lengths = impl.sample_walks(
         ctx.in_indptr, ctx.in_indices, ctx.in_degrees,
         bases, query, sqrt_c, max_len,
     )
-    if kernel_trie:
-        trie = build_trie_kernel(nodes, lengths)
-    else:
-        trie = WalkTrie.from_walk_arrays(nodes, lengths)
+    trie = WalkTrie.from_walk_arrays(nodes, lengths)
     return probe_trie(ctx, trie, impl), trie

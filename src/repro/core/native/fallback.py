@@ -1,31 +1,22 @@
-"""Pure numpy/scipy implementation of the native-engine kernels.
+"""numpy/scipy primitives of the native engine's walk sampler and sweep.
 
-This is the backend the native engine runs on when numba is not
-installed.  Every function here has a loop twin in
-:mod:`repro.core.native.kernels` that produces **byte-identical** output;
-the pairing works because each vectorized primitive used below has a
-well-defined sequential accumulation order that the loop twin replays:
+:func:`repro.core.native.engine.probe_trie` drives these one trie level
+at a time.  Every primitive has a fixed floating-point accumulation order,
+so a query's scores are a pure function of the graph and its walks —
+never of batch composition or call history:
 
 - ``np.bincount`` with weights adds every input element to its bin in
-  input order, exactly like a loop (``np.add.reduceat`` does NOT qualify:
-  its runs re-associate via pairwise summation once a run reaches 8
-  elements, so it is never used here);
-- the sibling merge adds one sibling *round* at a time (first children of
-  every parent, then second children, ...), which per output cell is the
-  same left-to-right child order as the twins' flat loop;
-- ``scipy`` ``csr @ csr`` accumulates each output cell in the order the
-  operand rows are stored (a per-row sparse accumulator), and
-  ``csr @ dense`` accumulates in row-entry-major order — both identical
-  to the twins' double loops;
-- sorting (``sort_indices``) happens only *after* a row's sums are final,
-  so it permutes entries without re-associating any addition.
+  input order (``np.add.reduceat`` does NOT qualify: its runs
+  re-associate via pairwise summation once a run reaches 8 elements, so
+  it is never used here);
+- the sibling merge adds children into their parent in child order;
+- ``scipy`` ``csr @ dense`` accumulates in row-entry-major order.
 
 The level sweep is a sparse/dense *hybrid*: deep trie levels touch a few
 hundred nodes (column supports are tiny — entry-level sparse propagation
 wins), while shallow levels are dense ball unions (one compiled
 ``csr @ dense`` product wins).  The switch is a deterministic integer
-cost model evaluated before each level, so both backends always take the
-same branch for the same ``(graph, trie)``.
+cost model evaluated before each level (see :mod:`.engine`).
 """
 
 from __future__ import annotations
@@ -58,8 +49,8 @@ def sample_walks(
 
     Because every draw is keyed by ``(walk, step, lane)``, drawing a full
     vector per step (including lanes that already stopped) wastes a few
-    mixes but changes no walk — the loop twin draws lazily, one walk at a
-    time, and still lands on the same node sequences.
+    mixes but changes no walk: walk ``i`` is the same node sequence however
+    many walks are drawn beside it.
     """
     count = len(bases)
     nodes = np.full((count, max_len), -1, dtype=np.int32)
@@ -102,10 +93,9 @@ def sparse_merge_seed(
     column to its parent keeps keys sorted (``parents`` is non-decreasing
     in child order), so sibling entries form adjacent runs that one
     ``bincount`` over run ids collapses — ``bincount`` adds in input
-    order, the twins' order (``np.add.reduceat`` would not: it
-    re-associates runs of 8+ via pairwise summation).  Seeds — unique,
-    sorted ``row * k_next + parent`` keys — are spliced in at the *end* of
-    their run, which is the twins' merge order too.
+    order (``np.add.reduceat`` would not: it re-associates runs of 8+ via
+    pairwise summation).  Seeds — unique, sorted ``row * k_next + parent``
+    keys — are spliced in at the *end* of their run.
     """
     if cur is None or len(cur[0]) == 0:
         return seed_keys.copy(), seed_weights.copy()
@@ -133,11 +123,10 @@ def sparse_propagate_zero(
     contributes ``target_weights[t] * v`` to ``(t, c)`` for every out-edge
     ``r -> t`` (``target_weights[t] = sqrt_c / |I(t)|``).  The expanded
     contributions are grouped by flat key via ``np.unique`` + ``bincount``,
-    whose per-cell accumulation order is the expansion order — which the
-    loop twin replays with a flat accumulator.  The avoided entry of every
-    column — ``(next_nodes[j], j)``, the trie node the column now
-    represents — is then zeroed in place, keeping the explicit zero so
-    both backends agree on the pattern as well as the values.
+    whose per-cell accumulation order is the expansion order.  The avoided
+    entry of every column — ``(next_nodes[j], j)``, the trie node the
+    column now represents — is then zeroed in place, keeping the explicit
+    zero in the entry pattern.
     """
     keys, data = merged
     rows = keys // k_next
@@ -209,9 +198,9 @@ def dense_level(
     The sibling merge is one flat ``np.bincount`` scatter-add: cell
     ``(row, j)`` of ``acc`` lands in flat bin ``row * k_next + parents[j]``,
     and ``bincount`` adds its inputs *in input order* — C order, i.e. per
-    ``(row, parent)`` cell the additions land in child order, the twins'
-    loop order — without the re-association ``np.add.reduceat`` would
-    introduce on runs of 8+ siblings.
+    ``(row, parent)`` cell the additions land in child order — without the
+    re-association ``np.add.reduceat`` would introduce on runs of 8+
+    siblings.
     """
     n, k = acc.shape
     acc[lev_nodes, np.arange(k)] += weights

@@ -1,19 +1,17 @@
 """Counter-based RNG for the native engine (splitmix64 streams).
 
-The loop/batched engines thread one ``numpy.random.Generator`` through a
-whole walk batch, so a walk's randomness depends on every draw made before
-it — correct, but inherently sequential and batch-shaped.  The native
-engine instead derives every random draw from a *counter*: a 64-bit key
-built from ``(seed, query, walk_id, step, lane)`` and pushed through the
+The loop engine threads one ``numpy.random.Generator`` through a whole
+walk batch, so a walk's randomness depends on every draw made before it —
+correct, but inherently sequential and batch-shaped.  The native engine
+instead derives every random draw from a *counter*: a 64-bit key built
+from ``(seed, query, walk_id, step, lane)`` and pushed through the
 splitmix64 finalizer.  Consequences:
 
 - bit-reproducible per ``(seed, query)`` — a query's walks are a pure
-  function of the key material, independent of batch composition, call
-  order, and of whether the walks were sampled by the vectorized fallback
-  or the numba kernels;
+  function of the key material, independent of batch composition and
+  call order;
 - embarrassingly parallel — any walk or step can be drawn in isolation,
-  which is what lets the numba kernel and the vectorized fallback consume
-  keys in different iteration orders yet emit identical walks.
+  so the sampler draws one whole step for every walk at once.
 
 Key schedule (all arithmetic mod 2^64)::
 
@@ -56,7 +54,7 @@ def stream_base(seed: int, query: int) -> int:
 
 
 def walk_bases(base: int, count: int) -> np.ndarray:
-    """Per-walk sub-stream bases as a uint64 array (shared by both backends)."""
+    """Per-walk sub-stream bases as a uint64 array."""
     steps = (np.arange(1, count + 1, dtype=np.uint64)) * np.uint64(GOLDEN)
     return np.uint64(base) + steps
 

@@ -90,13 +90,13 @@ def sample_walk_arrays(
     and ``lengths[i]`` is the node count of walk ``i`` (at least 1 — every
     walk contains ``start``).  Walk ``i`` is ``nodes[i, :lengths[i]]``.
 
-    This is the canonical sampler: :func:`sample_walk_batch` and the batched
-    trie-sharing engine both draw through it, consuming the RNG stream in
-    exactly the same order, so a fixed seed yields bit-identical walk sets no
-    matter which engine runs the probes.  The caller owns the generator —
-    pass one ``Generator`` and thread it through the whole batch; re-seeding
-    per walk would correlate walks and break the variance analysis behind
-    Theorem 1's walk budget.
+    This is the canonical sampler: :func:`sample_walk_batch` draws through
+    it, so a fixed seed yields bit-identical walk sets whether they are
+    consumed as lists (the loop engine) or as arrays
+    (:meth:`repro.core.walk_trie.WalkTrie.from_walk_arrays`).  The caller
+    owns the generator — pass one ``Generator`` and thread it through the
+    whole batch; re-seeding per walk would correlate walks and break the
+    variance analysis behind Theorem 1's walk budget.
     """
     rng = as_generator(rng)
     if count <= 0:

@@ -1,9 +1,9 @@
 """Micro-batching: coalesce concurrent single-query requests into batches.
 
 The engines behind the service answer a *batch* of queries far cheaper
-than the same queries one by one — the batched trie-sharing engine runs
-every query in a batch through shared level-synchronous sweeps, and the
-service deduplicates repeated hot keys within a batch.  Individual HTTP
+than the same queries one by one — a batch crosses the dispatch and IPC
+layers once, and the service deduplicates repeated hot keys within a
+batch.  Individual HTTP
 requests arrive one query at a time, so the front door re-creates the
 batch shape here: the first request for a bucket opens a collection
 window (``window`` seconds); every concurrent request that lands inside

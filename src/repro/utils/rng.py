@@ -45,5 +45,5 @@ def derive_stream(seed: int, key: int) -> np.random.Generator:
     so a query's draws cannot depend on call order or batch grouping.
     """
     mask = (1 << 64) - 1  # SeedSequence entropy words must be non-negative
-    entropy = np.random.SeedSequence([seed & mask, key & mask])
+    entropy = np.random.SeedSequence([int(seed) & mask, int(key) & mask])
     return np.random.default_rng(entropy)

@@ -1,42 +1,26 @@
-"""Golden-equivalence suite for the batched trie-sharing engine.
+"""Suite for the engine that serves ``strategy="batch"`` by default.
 
-The batched engine reorders (never changes) the real-valued sums the loop
-engine computes, so three tiers of agreement are pinned here:
-
-1. **Exact integer artifacts** — fixed-seed walk sets and trie
-   multiplicities are bit-identical across engines (both draw through
-   :func:`~repro.core.walks.sample_walk_arrays` in the same RNG order).
-2. **Node-for-node float agreement** — with pruning off, scores match the
-   loop engine and the ``probe_deterministic_python`` oracle to float
-   round-off on the toy graph and on generated graphs with dangling nodes
-   and disconnected components.
-3. **Bitwise-identical outputs** — on *dyadic* graphs (``c = 0.25`` so
-   ``sqrt(c) = 0.5``, every in-degree a power of two, a power-of-two walk
-   budget) every intermediate value is exactly representable, float
-   addition is exact, and the two engines' fixed-seed outputs are
-   bit-for-bit equal.  Batched ``single_source_many`` is bit-identical to
-   looped ``single_source`` on *every* graph (forest columns never mix).
-
-With pruning on, the engines intentionally diverge: the batched engine
-skips Pruning rule 2 entirely (the dense level sweep has no per-probe work
-for pruning to save, so skipping is strictly more accurate at identical
-cost), so agreement is bounded by the loop engine's rule 2 error budget
-instead — and the gap is one-sided.
+With ``engine="auto"`` the batch strategy (Algorithm 3: one shared probe per
+distinct walk prefix) runs on the native trie-sharing engine; every other
+strategy, and the pure-python backend, stays on the loop engine.  These
+tests go through that default route — ``ProbeSim(graph, strategy="batch")``
+with no engine named — and pin what it promises: oracle agreement, batch
+composition independence, routing, labels, stats and sync.  The native
+engine's own tiers (bit-reproducibility, loop oracle) live in
+``test_native_engine.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.batch_engine import probe_trie_forest, probe_trie_shared
 from repro.core.config import ProbeSimConfig
-from repro.core.engine import ProbeSim, QueryStats
+from repro.core.engine import ProbeSim
+from repro.core.native import fallback
+from repro.core.native.rng import stream_base, walk_bases
 from repro.core.probe import probe_deterministic_python
 from repro.core.tree import ReachabilityTree
-from repro.core.walk_trie import WalkTrie
-from repro.core.walks import sample_walk_arrays, sample_walk_batch
-from repro.datasets import TOY_DECAY
-from repro.errors import ConfigurationError, GraphError
-from repro.graph import DiGraph
+from repro.errors import ConfigurationError
+from repro.graph import CSRGraph, DiGraph
 from repro.graph.generators import erdos_renyi_graph
 
 #: prune-off settings shared by the exact-equivalence tests
@@ -49,9 +33,8 @@ def dyadic():
     node (4), an isolated node (9) and a disconnected 2-cycle (7, 8).
 
     At ``c = 0.25`` every PROBE intermediate is a dyadic rational well
-    inside float53, so both engines compute *exact* arithmetic and their
-    outputs must agree bit-for-bit.  (The graph layer rejects self-loops —
-    see ``test_self_loops_rejected_by_graph_layer`` — so none appear here.)
+    inside float53, so the engine and the oracle compute exact arithmetic
+    and their outputs must agree bit-for-bit.
     """
     edges = [(1, 0), (2, 0), (0, 1), (3, 2), (6, 2), (0, 3), (1, 3), (2, 3),
              (4, 3), (4, 5), (3, 6), (5, 6), (7, 8), (8, 7)]
@@ -62,24 +45,28 @@ def dyadic():
 def ragged():
     """A generated graph with dangling nodes and disconnected components."""
     g = erdos_renyi_graph(40, num_edges=100, seed=5)
-    edge_list = list(g.edges())
-    # append an isolated pair and two fully isolated nodes
-    graph = DiGraph.from_edges(edge_list + [(40, 41)], num_nodes=44)
-    return graph
+    return DiGraph.from_edges(list(g.edges()) + [(40, 41)], num_nodes=44)
 
 
-def engines(graph, **overrides):
-    """A (loop, batched) engine pair with identical configuration."""
-    return (
-        ProbeSim(graph, strategy="batch", engine="loop", **overrides),
-        ProbeSim(graph, strategy="batch", engine="batched", **overrides),
+def batch_engine(graph, **overrides):
+    """The engine ``strategy="batch"`` runs on when no engine is named."""
+    return ProbeSim(graph, strategy="batch", **overrides)
+
+
+def replay_walks(graph, query, seed, num_walks, sqrt_c, max_len):
+    """The walk set a seeded native query draws, as a list of walks."""
+    csr = CSRGraph.from_digraph(graph)
+    bases = walk_bases(stream_base(seed, query), num_walks)
+    nodes, lengths = fallback.sample_walks(
+        csr.in_indptr, csr.in_indices, csr.in_degrees,
+        bases, query, sqrt_c, max_len,
     )
+    return [nodes[i, : lengths[i]].tolist() for i in range(num_walks)]
 
 
 def oracle_estimate(graph, walks, sqrt_c):
     """Algorithm 3 recomputed with the hash-map oracle probe, per prefix."""
-    n = graph.num_nodes
-    acc = np.zeros(n, dtype=np.float64)
+    acc = np.zeros(graph.num_nodes, dtype=np.float64)
     tree = ReachabilityTree.from_walks(walks)
     for prefix, weight in tree.iter_prefixes():
         for node, value in probe_deterministic_python(graph, prefix, sqrt_c).items():
@@ -87,145 +74,51 @@ def oracle_estimate(graph, walks, sqrt_c):
     return acc / len(walks)
 
 
-class TestWalkAndTrieArtifacts:
-    """Tier 1: integer artifacts are bit-identical across engines."""
-
-    def test_fixed_seed_walks_identical_across_samplers(self, tiny_wiki_csr):
-        r1 = np.random.default_rng(97)
-        r2 = np.random.default_rng(97)
-        walks = sample_walk_batch(tiny_wiki_csr, 11, 400, 0.7, r1, 9)
-        nodes, lengths = sample_walk_arrays(tiny_wiki_csr, 11, 400, 0.7, r2, 9)
-        assert [nodes[i, : lengths[i]].tolist() for i in range(400)] == walks
-        # the padding never leaks valid node ids
-        for i in range(400):
-            assert np.all(nodes[i, lengths[i]:] == -1)
-
-    def test_trie_multiplicities_match_reachability_tree(self, tiny_wiki_csr):
-        rng = np.random.default_rng(3)
-        walks = sample_walk_batch(tiny_wiki_csr, 5, 300, 0.7, rng, 7)
-        tree = ReachabilityTree.from_walks(walks)
-        trie = WalkTrie.from_walks(walks)
-        assert trie.num_walks == tree.num_walks == 300
-        assert trie.num_tree_nodes == tree.num_tree_nodes()
-        assert trie.max_depth == tree.max_depth()
-        tree_prefixes = {tuple(p): w for p, w in tree.iter_prefixes()}
-        trie_prefixes = {tuple(p): w for p, w in trie.iter_prefixes()}
-        assert trie_prefixes == tree_prefixes
-
-    def test_trie_rejects_mixed_roots_and_empty_batches(self):
-        with pytest.raises(ValueError, match="share their start"):
-            WalkTrie.from_walks([[0, 1], [1, 0]])
-        with pytest.raises(ValueError, match="at least one walk"):
-            WalkTrie.from_walks([])
-
-
 class TestNodeForNodeEquivalence:
-    """Tier 2: prune-off scores agree to float round-off, engine vs engine
-    and engine vs the hash-map oracle."""
-
-    @pytest.mark.parametrize("query", [0, 3, 5])
-    def test_toy_matches_loop_engine(self, toy, query):
-        loop, batched = engines(toy, c=TOY_DECAY, eps_a=0.1, seed=29,
-                                num_walks=400, **EXACT)
-        a = loop.single_source(query).scores
-        b = batched.single_source(query).scores
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("query", [0, 7, 40, 42])
-    def test_ragged_graph_matches_loop_engine(self, ragged, query):
-        """Dangling nodes, a disconnected pair (40, 41) and fully isolated
-        nodes (42, 43) flow through both engines identically."""
-        loop, batched = engines(ragged, c=0.6, eps_a=0.15, seed=17,
-                                num_walks=300, **EXACT)
-        a = loop.single_source(query).scores
-        b = batched.single_source(query).scores
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-
-    def test_matches_python_oracle_node_for_node(self, toy):
-        cfg = dict(c=TOY_DECAY, eps_a=0.1, seed=61, num_walks=256, **EXACT)
-        _, batched = engines(toy, **cfg)
-        result = batched.single_source(2)
-        # replay the identical walk set (same seed, same sampler order)
-        replay = ProbeSim(toy, strategy="batch", engine="loop", **cfg)
-        stats = QueryStats()
-        walks = replay._sample_walks(2, stats)
-        expected = oracle_estimate(toy, walks, replay.config.sqrt_c)
-        expected[2] = 1.0
-        np.testing.assert_allclose(result.scores, expected, rtol=0, atol=1e-12)
+    """Scores agree with what the walks imply, node for node."""
 
     def test_isolated_query_scores_zero_everywhere_else(self, ragged):
-        _, batched = engines(ragged, c=0.6, eps_a=0.2, seed=1, num_walks=64)
-        result = batched.single_source(43)  # no in-edges: walks never move
-        assert result.score(43) == 1.0
-        others = np.delete(result.scores, 43)
-        assert np.all(others == 0.0)
-
-    def test_pruned_runs_stay_within_rule2_budget(self, tiny_wiki):
-        """With pruning on the engines diverge only by the loop engine's
-        pruned mass (the batched engine never prunes scores), so the gap is
-        one-sided and bounded by the Pruning rule 2 error budget."""
-        loop, batched = engines(tiny_wiki, c=0.6, eps_a=0.1, seed=23,
-                                num_walks=500)
-        a = loop.single_source(11).scores
-        b = batched.single_source(11).scores
-        budget = loop.config.budget
-        bound = (1.0 + budget.eps) / (1.0 - budget.sqrt_c) * budget.eps_p
-        diff = b - a
-        assert diff.min() >= -1e-12  # batched never loses mass loop kept
-        assert diff.max() <= bound + 1e-12
+        """A query with no in-edges never moves: both the default batch
+        engine and the loop engine score it 1 and everything else 0."""
+        cfg = dict(c=0.6, eps_a=0.2, seed=1, num_walks=64)
+        for engine in (batch_engine(ragged, **cfg),
+                       ProbeSim(ragged, strategy="batch", engine="loop", **cfg)):
+            result = engine.single_source(43)
+            assert result.score(43) == 1.0
+            assert np.all(np.delete(result.scores, 43) == 0.0)
 
 
 class TestBitwiseEquivalence:
-    """Tier 3: bit-for-bit agreement where float arithmetic is exact."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_dyadic_graph_engines_bitwise_identical(self, dyadic, seed):
-        for query in range(dyadic.num_nodes):
-            loop, batched = engines(dyadic, c=0.25, eps_a=0.1, seed=seed,
-                                    num_walks=256, **EXACT)
-            a = loop.single_source(query).scores
-            b = batched.single_source(query).scores
-            np.testing.assert_array_equal(a, b)
+    """Bit-for-bit agreement where float arithmetic is exact, and wherever
+    only the grouping of queries changes."""
 
     def test_dyadic_graph_oracle_bitwise_identical(self, dyadic):
         cfg = dict(c=0.25, eps_a=0.1, seed=11, num_walks=128, **EXACT)
-        _, batched = engines(dyadic, **cfg)
-        result = batched.single_source(0)
-        replay = ProbeSim(dyadic, strategy="batch", engine="loop", **cfg)
-        walks = replay._sample_walks(0, QueryStats())
+        result = batch_engine(dyadic, **cfg).single_source(0)
+        walks = replay_walks(dyadic, 0, 11, 128, 0.5, 8)
         expected = oracle_estimate(dyadic, walks, 0.5)
         expected[0] = 1.0
         np.testing.assert_array_equal(result.scores, expected)
 
     def test_batched_many_bitwise_equals_looped_singles(self, tiny_wiki):
-        """Forest columns never mix: the multi-query sweep is bit-identical
-        to per-query batched calls on any graph, pruning on or off."""
+        """A multi-query call is bit-identical to per-query calls on two
+        separately built engines, pruning on or off."""
         queries = [11, 3, 50, 3, 11]
-        a = ProbeSim(tiny_wiki, strategy="batch", eps_a=0.15, seed=41)
-        b = ProbeSim(tiny_wiki, strategy="batch", eps_a=0.15, seed=41)
-        singles = [a.single_source(q) for q in queries]
-        many = b.single_source_many(queries)
-        assert [r.query for r in many] == queries
-        for one, shared in zip(singles, many):
-            np.testing.assert_array_equal(one.scores, shared.scores)
-
-    def test_forest_kernel_column_independence(self, toy_csr):
-        rng = np.random.default_rng(7)
-        tries = [
-            WalkTrie.from_walks(sample_walk_batch(toy_csr, q, 100, 0.5, rng, 6))
-            for q in (0, 4, 6)
-        ]
-        forest = probe_trie_forest(toy_csr, tries, 0.5)
-        for column, trie in enumerate(tries):
-            alone = probe_trie_shared(toy_csr, trie, 0.5)
-            np.testing.assert_array_equal(forest[:, column], alone)
+        for prune in (True, False):
+            a = batch_engine(tiny_wiki, eps_a=0.15, seed=41, prune=prune)
+            b = batch_engine(tiny_wiki, eps_a=0.15, seed=41, prune=prune)
+            singles = [a.single_source(q) for q in queries]
+            many = b.single_source_many(queries)
+            assert [r.query for r in many] == queries
+            for one, shared in zip(singles, many):
+                np.testing.assert_array_equal(one.scores, shared.scores)
 
 
 class TestEngineSurface:
     """Configuration, dispatch, labels and capability advertising."""
 
     def test_auto_resolves_batched_only_for_batch_strategy(self):
-        assert ProbeSimConfig(strategy="batch").resolved_engine() == "batched"
+        assert ProbeSimConfig(strategy="batch").resolved_engine() == "native"
         assert ProbeSimConfig(strategy="basic").resolved_engine() == "loop"
         assert ProbeSimConfig(strategy="hybrid").resolved_engine() == "loop"
         assert ProbeSimConfig(strategy="randomized").resolved_engine() == "loop"
@@ -240,46 +133,43 @@ class TestEngineSurface:
 
     def test_batched_rejects_randomized_strategies_and_python_backend(self):
         with pytest.raises(ConfigurationError, match="draws RNG"):
-            ProbeSimConfig(strategy="hybrid", engine="batched")
+            ProbeSimConfig(strategy="hybrid", engine="native")
         with pytest.raises(ConfigurationError, match="draws RNG"):
-            ProbeSimConfig(strategy="randomized", engine="batched")
+            ProbeSimConfig(strategy="randomized", engine="native")
         with pytest.raises(ConfigurationError, match="inherently vectorized"):
-            ProbeSimConfig(strategy="batch", backend="python", engine="batched")
+            ProbeSimConfig(strategy="batch", backend="python", engine="native")
+        # the native engine replaced the separate "batched" engine
         with pytest.raises(ConfigurationError, match="engine must be one of"):
-            ProbeSimConfig(engine="turbo")
+            ProbeSimConfig(strategy="batch", engine="batched")
 
     def test_labels_and_capabilities(self, toy):
-        auto = ProbeSim(toy, strategy="batch", eps_a=0.2, seed=1)
-        explicit = ProbeSim(toy, strategy="batch", engine="batched",
+        auto = batch_engine(toy, eps_a=0.2, seed=1)
+        explicit = ProbeSim(toy, strategy="batch", engine="native",
                             eps_a=0.2, seed=1)
         loop = ProbeSim(toy, strategy="batch", engine="loop", eps_a=0.2, seed=1)
         assert auto.capabilities().vectorized
         assert explicit.capabilities().vectorized
         assert not loop.capabilities().vectorized
         assert auto.single_source(0).method == "probesim-batch"
-        assert explicit.single_source(0).method == "probesim-batched"
+        assert explicit.single_source(0).method == "probesim-native"
         assert "vectorized" in auto.capabilities().as_row()
 
     def test_batched_stats_count_shared_probes(self, tiny_wiki):
-        loop, batched = engines(tiny_wiki, eps_a=0.15, seed=9, num_walks=400)
-        loop.single_source(11)
+        """Both engines run one shared probe per distinct walk prefix, as
+        Algorithm 3 prescribes, over the same walk budget."""
+        cfg = dict(eps_a=0.15, seed=9, num_walks=400)
+        batched = batch_engine(tiny_wiki, **cfg)
+        loop = ProbeSim(tiny_wiki, strategy="batch", engine="loop", **cfg)
         batched.single_source(11)
+        loop.single_source(11)
         assert batched.last_stats.num_walks == loop.last_stats.num_walks == 400
-        assert batched.last_stats.num_tree_nodes == loop.last_stats.num_tree_nodes
-        # one shared probe per distinct prefix, exactly like Algorithm 3
-        assert batched.last_stats.num_probes == loop.last_stats.num_probes
-        assert batched.last_stats.walk_length_total == loop.last_stats.walk_length_total
-
-    def test_self_loops_rejected_by_graph_layer(self):
-        """Self-loops cannot reach either engine: the graph layer refuses
-        them at construction (documented here because the equivalence suite
-        would otherwise need a self-loop case)."""
-        with pytest.raises(GraphError, match="self-loops"):
-            DiGraph.from_edges([(0, 0), (0, 1)])
+        for stats in (batched.last_stats, loop.last_stats):
+            assert stats.num_probes == stats.num_tree_nodes > 0
+            assert stats.walk_length_total >= stats.num_walks
 
     def test_sync_refreshes_batched_engine(self, toy):
         graph = toy.copy()
-        engine = ProbeSim(graph, strategy="batch", eps_a=0.2, seed=3)
+        engine = batch_engine(graph, eps_a=0.2, seed=3)
         before = engine.single_source(0).scores.copy()
         graph.remove_edge(4, 1)
         engine.sync()

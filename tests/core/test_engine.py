@@ -50,9 +50,9 @@ class TestAccuracyGuarantee:
 
         Pinned to ``engine="loop"``: only the per-prefix engine prunes each
         probe individually, which is what makes dedup bit-compatible with
-        per-walk probing under Pruning rule 2.  (The batched trie-sharing
-        engine prunes merged columns — strictly less — and has its own
-        equivalence suite in tests/core/test_batch_engine.py.)"""
+        per-walk probing under Pruning rule 2.  (The native engine never
+        prunes scores; its link to the loop engine is the loop-oracle suite
+        in tests/core/test_native_engine.py.)"""
         basic = ProbeSim(
             toy, c=TOY_DECAY, eps_a=0.1, strategy="basic", seed=123, num_walks=500
         ).single_source(0)
@@ -223,7 +223,7 @@ class TestQuerySeeded:
     independent of call order and batch grouping — the contract the HTTP
     coalescer (repro.server.coalesce) relies on for bit-exact micro-batching."""
 
-    @pytest.mark.parametrize("engine_kind", ["loop", "batched"])
+    @pytest.mark.parametrize("engine_kind", ["loop", "native"])
     def test_grouping_invariant(self, tiny_wiki, engine_kind):
         kwargs = dict(
             c=0.6, eps_a=0.15, delta=0.1, strategy="batch", engine=engine_kind,
@@ -261,6 +261,17 @@ class TestQuerySeeded:
             ProbeSimConfig(query_seeded=True)
         with pytest.raises(ConfigurationError, match="query_seeded"):
             ProbeSimConfig(query_seeded=True, seed=np.random.default_rng(3))
+        with pytest.raises(ConfigurationError, match="query_seeded"):
+            ProbeSimConfig(query_seeded=True, seed=True)
+
+    def test_numpy_integer_seed_matches_python_int(self, toy):
+        kwargs = dict(c=TOY_DECAY, eps_a=0.2, strategy="hybrid", num_walks=80,
+                      query_seeded=True)
+        numpy_seeded = ProbeSim(toy, seed=np.int64(5), **kwargs)
+        numpy_seeded.single_source(1)
+        plain = ProbeSim(toy, seed=5, **kwargs)
+        np.testing.assert_array_equal(
+            numpy_seeded.single_source(0).scores, plain.single_source(0).scores)
 
     def test_default_stream_still_sequential(self, toy):
         """Off by default: the shared-stream behaviour (answers depend on the

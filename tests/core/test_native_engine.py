@@ -1,24 +1,24 @@
-"""Correctness suite for the native kernel engine (``engine="native"``).
+"""Correctness suite for the native engine (``engine="native"``).
 
 Four tiers of guarantees are pinned here:
 
-1. **Bit-reproducibility** — with an integer seed, a native answer is a
-   pure function of ``(config, graph, query)``: repeated calls, fresh
-   engines, different call orders, and every ``single_source_many`` batch
-   composition return byte-identical scores (the counter RNG is keyed by
-   ``(seed, query, walk, step)``, so no call shares stream state).
-2. **Backend parity** — the numba loop kernels and the numpy fallback
-   produce byte-identical walks, tries, and scores.  Without numba the
-   kernels run as plain Python (the same code ``NUMBA_DISABLE_JIT=1``
-   executes on a numba install — the parity CI job runs this suite both
-   ways), so the twin pairing is exercised everywhere.
+1. **Bit-reproducibility** — with an integer seed (python or numpy), a
+   native answer is a pure function of ``(config, graph, query)``:
+   repeated calls, fresh engines, different call orders, and every
+   ``single_source_many`` batch composition return byte-identical scores
+   (the counter RNG is keyed by ``(seed, query, walk, step)``, so no call
+   shares stream state).
+2. **Loop oracle** — fed the loop engine's own walks, the native sweep
+   (:func:`repro.core.native.probe_trie`) reproduces the loop engine's
+   Algorithm 3 estimate (:meth:`ProbeSim.estimate_from_tree`) to float
+   round-off, and bit-for-bit on dyadic graphs.
 3. **Oracle agreement** — on dyadic graphs (``c = 0.25``, power-of-two
    in-degrees and walk budget) every probe intermediate is exactly
    representable, so native scores are bit-for-bit equal to the hash-map
    oracle replaying the same walk set; on general graphs they agree to
    float round-off.
-4. **Surface** — config validation, ``auto`` never resolving to native,
-   capabilities/labels, registry construction, stats, and sync.
+4. **Surface** — config validation, ``auto`` routing, capabilities and
+   labels, registry construction, stats, and sync.
 """
 
 import numpy as np
@@ -27,14 +27,16 @@ import pytest
 from repro.api.registry import create
 from repro.core import native
 from repro.core.config import ProbeSimConfig
-from repro.core.engine import ProbeSim
-from repro.core.native import fallback, kernels
+from repro.core.engine import ProbeSim, QueryStats
+from repro.core.native import fallback
 from repro.core.native.rng import stream_base, walk_bases
 from repro.core.probe import probe_deterministic_python
 from repro.core.tree import ReachabilityTree
 from repro.core.walk_trie import WalkTrie
+from repro.datasets import TOY_DECAY
 from repro.errors import ConfigurationError
 from repro.graph import CSRGraph, DiGraph
+from repro.graph.csr import as_csr
 from repro.graph.generators import erdos_renyi_graph
 
 #: compensation off so scores are the raw walk average (oracle-comparable)
@@ -84,6 +86,26 @@ def oracle_estimate(graph, walks, sqrt_c):
     return acc / len(walks)
 
 
+def loop_engine(graph, **overrides):
+    """The loop engine running Algorithm 3 (``strategy="batch"``)."""
+    return ProbeSim(graph, strategy="batch", engine="loop", **overrides)
+
+
+def native_on_walks(graph, walks, sqrt_c):
+    """The native sweep over a given walk set, normalized like the loop's."""
+    ctx = native.make_context(as_csr(graph), sqrt_c)
+    trie = WalkTrie.from_walks(walks)
+    return native.probe_trie(ctx, trie, native.resolve_impl()) / len(walks)
+
+
+def loop_oracle_pair(graph, query, **cfg):
+    """(native, loop) Algorithm 3 estimates on one loop-sampled walk set."""
+    engine = loop_engine(graph, prune=False, **cfg)
+    walks = engine._sample_walks(query, QueryStats())
+    expected = engine.estimate_from_tree(ReachabilityTree.from_walks(walks))
+    return native_on_walks(graph, walks, engine.config.sqrt_c), expected
+
+
 class TestBitReproducibility:
     """Tier 1: one (seed, query) -> one byte pattern, however it is asked."""
 
@@ -125,56 +147,72 @@ class TestBitReproducibility:
         assert not np.array_equal(a.scores, b.scores)
         assert not np.array_equal(a.scores, c.scores)
 
+    def test_numpy_integer_seed_keeps_answers_pure(self, tiny_wiki):
+        """``seed=np.int64(7)`` keys the stream like ``seed=7``: the answer
+        to query 3 does not depend on what the engine answered before."""
+        warmed = native_engine(tiny_wiki, eps_a=0.15, seed=np.int64(7))
+        warmed.single_source(9)
+        after_history = warmed.single_source(3).scores
+        fresh = native_engine(tiny_wiki, eps_a=0.15, seed=np.int64(7))
+        plain = native_engine(tiny_wiki, eps_a=0.15, seed=7)
+        np.testing.assert_array_equal(after_history, fresh.single_source(3).scores)
+        np.testing.assert_array_equal(after_history, plain.single_source(3).scores)
+
     def test_unseeded_engine_still_answers(self, toy):
         result = native_engine(toy, c=0.25, eps_a=0.2, num_walks=64).single_source(0)
         assert result.score(0) == 1.0
         assert np.all(result.scores >= 0.0)
 
 
-class TestBackendParity:
-    """Tier 2: the loop kernels and the numpy fallback are byte twins."""
+class TestLoopOracle:
+    """Tier 2: on the loop engine's walks, the native sweep reproduces the
+    loop engine's per-prefix Algorithm 3 estimate."""
 
-    def test_walks_byte_identical(self, tiny_wiki_csr):
-        bases = walk_bases(stream_base(5, 11), 300)
-        args = (tiny_wiki_csr.in_indptr, tiny_wiki_csr.in_indices,
-                tiny_wiki_csr.in_degrees, bases, 11, 0.7, 9)
-        nodes_f, lengths_f = fallback.sample_walks(*args)
-        nodes_k, lengths_k = kernels.sample_walks(*args)
-        np.testing.assert_array_equal(lengths_f, lengths_k)
-        np.testing.assert_array_equal(nodes_f, nodes_k)
+    @pytest.mark.parametrize("query", [0, 3, 5])
+    def test_toy_matches_loop_engine(self, toy, query):
+        got, expected = loop_oracle_pair(
+            toy, query, c=TOY_DECAY, eps_a=0.1, seed=29, num_walks=400, **EXACT)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
-    def test_trie_kernel_matches_canonical_trie(self, tiny_wiki_csr):
-        bases = walk_bases(stream_base(5, 11), 300)
-        nodes, lengths = fallback.sample_walks(
-            tiny_wiki_csr.in_indptr, tiny_wiki_csr.in_indices,
-            tiny_wiki_csr.in_degrees, bases, 11, 0.7, 9,
-        )
-        canonical = WalkTrie.from_walk_arrays(nodes, lengths)
-        kernel = native.build_trie_kernel(nodes, lengths)
-        assert kernel.root == canonical.root
-        assert kernel.num_walks == canonical.num_walks
-        assert len(kernel.levels) == len(canonical.levels)
-        for a, b in zip(kernel.levels, canonical.levels):
-            np.testing.assert_array_equal(a.nodes, b.nodes)
-            np.testing.assert_array_equal(a.parents, b.parents)
-            np.testing.assert_array_equal(a.weights, b.weights)
+    @pytest.mark.parametrize("query", [0, 7, 40, 42])
+    def test_ragged_graph_matches_loop_engine(self, ragged, query):
+        """Dangling nodes, a disconnected pair (40, 41) and fully isolated
+        nodes (42, 43) flow through both engines identically."""
+        got, expected = loop_oracle_pair(
+            ragged, query, c=0.6, eps_a=0.15, seed=17, num_walks=300, **EXACT)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("query", [0, 3, 11, 50])
-    def test_scores_byte_identical(self, tiny_wiki_csr, query):
-        ctx = native.make_context(tiny_wiki_csr, 0.7)
-        base = stream_base(17, query)
-        scores_f, trie_f = native.run_query(
-            ctx, query, 400, 0.7, 9, base, fallback, kernel_trie=False)
-        scores_k, trie_k = native.run_query(
-            ctx, query, 400, 0.7, 9, base, kernels, kernel_trie=True)
-        assert trie_f.num_walks == trie_k.num_walks
-        assert trie_f.num_tree_nodes == trie_k.num_tree_nodes
-        np.testing.assert_array_equal(scores_f, scores_k)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_dyadic_graph_engines_bitwise_identical(self, dyadic, seed):
+        for query in range(dyadic.num_nodes):
+            got, expected = loop_oracle_pair(
+                dyadic, query, c=0.25, eps_a=0.1, seed=seed, num_walks=256,
+                **EXACT)
+            np.testing.assert_array_equal(got, expected)
 
-    def test_resolve_impl_selects_both_namespaces(self):
-        assert native.resolve_impl("numpy") is fallback
-        assert native.resolve_impl("numba") is kernels
-        assert native.resolve_impl() is native.resolve_impl(native.native_backend())
+    def test_matches_python_oracle_node_for_node(self, toy):
+        engine = loop_engine(toy, c=TOY_DECAY, eps_a=0.1, seed=61,
+                             num_walks=256, prune=False, **EXACT)
+        walks = engine._sample_walks(2, QueryStats())
+        got = native_on_walks(toy, walks, engine.config.sqrt_c)
+        expected = oracle_estimate(toy, walks, engine.config.sqrt_c)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_pruned_runs_stay_within_rule2_budget(self, tiny_wiki):
+        """With pruning on the engines diverge only by the loop engine's
+        pruned mass (the native sweep never prunes scores), so the gap is
+        one-sided and bounded by the Pruning rule 2 error budget."""
+        cfg = dict(c=0.6, eps_a=0.1, seed=23, num_walks=500)
+        loop = loop_engine(tiny_wiki, **cfg).single_source(11).scores
+        replay = loop_engine(tiny_wiki, **cfg)
+        walks = replay._sample_walks(11, QueryStats())
+        got = native_on_walks(tiny_wiki, walks, replay.config.sqrt_c)
+        got[11] = 1.0
+        budget = replay.config.budget
+        bound = (1.0 + budget.eps) / (1.0 - budget.sqrt_c) * budget.eps_p
+        diff = got - loop
+        assert diff.min() >= -1e-12  # native never loses mass loop kept
+        assert diff.max() <= bound + 1e-12
 
 
 class TestOracleAgreement:
@@ -209,10 +247,14 @@ class TestOracleAgreement:
 class TestEngineSurface:
     """Tier 4: config, routing, capabilities, registry, stats, sync."""
 
-    def test_auto_never_resolves_to_native(self):
-        for strategy in ("basic", "batch", "randomized", "hybrid"):
-            assert ProbeSimConfig(strategy=strategy).resolved_engine() != "native"
-        assert ProbeSimConfig(strategy="batch", engine="native").resolved_engine() == "native"
+    def test_auto_resolves_to_native_for_batch_strategy(self):
+        """The full ``auto`` routing table is pinned in test_batch_engine.py."""
+        assert ProbeSimConfig(strategy="batch").resolved_engine() == "native"
+        for strategy in ("basic", "batch"):
+            assert (
+                ProbeSimConfig(strategy=strategy, engine="native").resolved_engine()
+                == "native"
+            )
 
     def test_native_rejects_randomized_strategies_and_python_backend(self):
         with pytest.raises(ConfigurationError, match="draws RNG"):
@@ -221,6 +263,12 @@ class TestEngineSurface:
             ProbeSimConfig(strategy="randomized", engine="native")
         with pytest.raises(ConfigurationError, match="inherently vectorized"):
             ProbeSimConfig(strategy="batch", backend="python", engine="native")
+        with pytest.raises(ConfigurationError, match="engine must be one of"):
+            ProbeSimConfig(engine="turbo")
+
+    def test_resolve_impl_returns_the_numpy_primitives(self):
+        assert native.resolve_impl() is fallback
+        assert native.native_backend() == "numpy"
 
     def test_label_and_capabilities(self, toy):
         engine = native_engine(toy, c=0.25, eps_a=0.2, seed=1)
@@ -229,7 +277,11 @@ class TestEngineSurface:
         assert caps.native and caps.vectorized and caps.parallel_safe
         assert caps.as_row()["native"] is True
         assert engine.single_source(0).method == "probesim-native"
-        assert not ProbeSim(toy, strategy="batch", seed=1).capabilities().native
+        auto = ProbeSim(toy, strategy="batch", seed=1)
+        assert auto.capabilities().native and auto.capabilities().vectorized
+        assert auto.single_source(0).method == "probesim-batch"
+        assert not ProbeSim(toy, strategy="batch", engine="loop",
+                            seed=1).capabilities().vectorized
 
     def test_registry_constructs_the_native_engine(self, toy):
         est = create("probesim-native", toy, c=0.25, eps_a=0.2, seed=3)

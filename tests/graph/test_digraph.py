@@ -71,6 +71,10 @@ class TestEdges:
         with pytest.raises(GraphError):
             g.add_edge(1, 1)
 
+    def test_from_edges_rejects_self_loops(self):
+        with pytest.raises(GraphError, match="self-loops"):
+            DiGraph.from_edges([(0, 0), (0, 1)])
+
     def test_unknown_endpoint_rejected(self):
         g = DiGraph(2)
         with pytest.raises(NodeNotFoundError):

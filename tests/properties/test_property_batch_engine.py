@@ -1,23 +1,30 @@
-"""Property-based tests for walk/probe invariants of the batched engine.
+"""Property-based tests for the walk-trie invariants the native sweep relies on.
 
 Hypothesis drives random graphs and walk batches through the prefix trie
-and the level-synchronous kernel, pinning the invariants the batched engine
-relies on: trie multiplicities partition the walk budget, first-meeting
-mass is a (sub-)probability, truncation is monotone in its tolerance, and
-the kernel agrees with per-prefix probing on every generated instance.
+and the native level sweep (:func:`repro.core.native.probe_trie`), pinning
+its invariants: trie multiplicities partition the walk budget,
+first-meeting mass is a (sub-)probability, truncation is monotone in its
+tolerance, and the sweep agrees with per-prefix probing on every
+generated instance.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch_engine import probe_trie_shared
+from repro.core import native
 from repro.core.probe import probe_deterministic_vectorized
 from repro.core.walk_trie import WalkTrie
 from repro.core.walks import sample_walk_batch, truncation_length
 from repro.graph import CSRGraph, DiGraph
 
 SQRT_C = 0.7
+
+
+def probe_trie(csr, trie):
+    """The native sweep's unnormalized accumulator for one trie."""
+    ctx = native.make_context(csr, SQRT_C)
+    return native.probe_trie(ctx, trie, native.resolve_impl())
 
 
 @st.composite
@@ -86,7 +93,7 @@ class TestProbeInvariants:
         """The level-synchronous sweep equals weighted per-prefix probes."""
         csr, _, walks = data
         trie = WalkTrie.from_walks(walks)
-        shared = probe_trie_shared(csr, trie, SQRT_C)
+        shared = probe_trie(csr, trie)
         expected = np.zeros(csr.num_nodes)
         for prefix, weight in trie.iter_prefixes():
             expected += weight * probe_deterministic_vectorized(csr, prefix, SQRT_C)
@@ -103,11 +110,11 @@ class TestProbeInvariants:
             if len(walk) < 2:
                 continue
             trie = WalkTrie.from_walks([walk])
-            acc = probe_trie_shared(csr, trie, SQRT_C)
+            acc = probe_trie(csr, trie)
             assert acc.min() >= 0.0
             assert acc.max() <= 1.0 + 1e-12
         trie = WalkTrie.from_walks(walks)
-        estimates = probe_trie_shared(csr, trie, SQRT_C) / len(walks)
+        estimates = probe_trie(csr, trie) / len(walks)
         assert estimates.min() >= 0.0
         assert estimates.max() <= 1.0 + 1e-12
 

@@ -26,7 +26,7 @@ from repro.parallel.sharded import (
 from repro.storage import PersistentGraphStore, recover, write_snapshot
 from repro.workloads import generate_workload, run_workload
 
-METHOD = "probesim-batched"
+METHOD = "probesim-native"
 CONFIG = {METHOD: {"eps_a": 0.3, "num_walks": 40, "seed": 11}}
 QUERIES = [3, 1, 4, 15, 92, 65, 7]
 

@@ -5,9 +5,9 @@ import pytest
 from repro.errors import ConfigurationError, EvaluationError
 from repro.workloads import LatencyHistogram, generate_workload, run_workload
 
-METHODS = ["probesim-batched", "tsf"]
+METHODS = ["probesim-native", "tsf"]
 CONFIGS = {
-    "probesim-batched": {"eps_a": 0.3, "num_walks": 40, "seed": 11},
+    "probesim-native": {"eps_a": 0.3, "num_walks": 40, "seed": 11},
     "tsf": {"rg": 12, "rq": 3, "depth": 5, "seed": 11},
 }
 
@@ -77,8 +77,8 @@ class TestAccounting:
     def test_deferred_sync_records_staleness(self, tiny_wiki, trace):
         assert trace.num_updates > 0  # precondition for a meaningful test
         result = run(
-            tiny_wiki, trace, methods=["probesim-batched"],
-            configs={"probesim-batched": CONFIGS["probesim-batched"]},
+            tiny_wiki, trace, methods=["probesim-native"],
+            configs={"probesim-native": CONFIGS["probesim-native"]},
             sync_every=1000,  # never sync mid-trace
         )
         report = result.reports[0]
@@ -87,8 +87,8 @@ class TestAccounting:
         assert report.staleness_max <= trace.num_updates
 
     def test_fresh_sync_means_zero_staleness(self, tiny_wiki, trace):
-        result = run(tiny_wiki, trace, methods=["probesim-batched"],
-                     configs={"probesim-batched": CONFIGS["probesim-batched"]})
+        result = run(tiny_wiki, trace, methods=["probesim-native"],
+                     configs={"probesim-native": CONFIGS["probesim-native"]})
         assert result.reports[0].staleness_max == 0
 
     def test_graph_not_mutated(self, tiny_wiki, trace):
@@ -323,16 +323,16 @@ class TestResultCache:
     def test_updates_invalidate_thread_cache(self, tiny_wiki, trace):
         assert trace.num_updates > 0
         result = run(
-            tiny_wiki, trace, methods=["probesim-batched"],
-            configs={"probesim-batched": CONFIGS["probesim-batched"]},
+            tiny_wiki, trace, methods=["probesim-native"],
+            configs={"probesim-native": CONFIGS["probesim-native"]},
             cache_size=256,
         )
         assert result.reports[0].cache["invalidations"] > 0
 
     def test_process_executor_caches_too(self, tiny_wiki, hot_trace):
         result = run(
-            tiny_wiki, hot_trace, methods=["probesim-batched"],
-            configs={"probesim-batched": CONFIGS["probesim-batched"]},
+            tiny_wiki, hot_trace, methods=["probesim-native"],
+            configs={"probesim-native": CONFIGS["probesim-native"]},
             workers=2, executor="process", cache_size=256,
         )
         report = result.reports[0]

@@ -2,7 +2,7 @@
 """Fail CI when a benchmark's gate metrics regress past a threshold.
 
 Each perf bench (``benchmarks/bench_parallel_service.py``,
-``benchmarks/bench_batched_engine.py``) writes a JSON report with a flat
+``benchmarks/bench_native_engine.py``) writes a JSON report with a flat
 ``gate`` block of named scalar metrics.  This tool compares a fresh report
 against the committed baseline under ``benchmarks/baselines/`` and exits
 non-zero when any metric regresses by more than ``--threshold`` (default
@@ -72,8 +72,8 @@ def comparable(current: dict, baseline: dict) -> str | None:
     against the full-preset baseline, or a baseline blessed on a laptop
     gating CI runners) must not produce confident pass/fail verdicts.
     ``backend`` extends the same rule to reports that record an execution
-    backend (the native bench: numba vs the numpy fallback have different
-    performance envelopes, so one's baseline must not gate the other).
+    backend (the native bench), since different backends have different
+    performance envelopes and one's baseline must not gate the other.
     """
     for field in ("preset", "cores", "backend"):
         mine, theirs = current.get(field), baseline.get(field)
