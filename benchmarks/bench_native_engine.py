@@ -44,6 +44,9 @@ else:
     HEADLINE_N = 10_000
 HEADLINE_SPEEDUP = 5.0
 BATCH_QUERIES = 16
+#: cores the standalone run pins itself to; the report records the pinned
+#: count as ``cores``, so any box with at least this many cores can gate.
+CORE_BUDGET = 1
 
 _graphs: dict[tuple[int, int], CSRGraph] = {}
 
@@ -181,11 +184,20 @@ def test_query_batch_throughput():
         assert row["native_speedup"] > 1.0, row
 
 
+def pin_cores(budget: int = CORE_BUDGET) -> int:
+    """Pin this process to ``budget`` of its allowed cores; returns how many
+    it runs on (all of them where the platform cannot pin)."""
+    if not hasattr(os, "sched_setaffinity"):
+        return os.cpu_count() or 1
+    allowed = sorted(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, allowed[:budget])
+    return len(os.sched_getaffinity(0))
+
+
 def main(argv=None) -> int:
     """Standalone entry point; ``--json`` feeds the perf-regression gate."""
     import argparse
     import json
-    import multiprocessing
     from pathlib import Path
 
     from repro.core.native import native_backend
@@ -196,6 +208,7 @@ def main(argv=None) -> int:
                              "(baseline: benchmarks/baselines/BENCH_native.json)")
     args = parser.parse_args(argv)
 
+    cores = pin_cores()
     test_native_answers_are_bit_reproducible()
     single_rows = run_single_query_rows()
     batch_rows = run_query_batch_rows()
@@ -221,7 +234,7 @@ def main(argv=None) -> int:
         payload = {
             "bench": "native_engine",
             "preset": "smoke" if SMOKE else "full",
-            "cores": multiprocessing.cpu_count(),
+            "cores": cores,
             "backend": native_backend(),
             "walks": NUM_WALKS,
             "single_query": single_rows,

@@ -4,15 +4,14 @@ The per-level control flow (which levels run sparse, which dense) lives
 here; the per-level arithmetic lives in :mod:`.fallback`, passed in as
 ``impl``.  The switch is a deterministic integer cost model over
 ``(graph, trie)``, so one trie always takes the same step sequence and a
-query's scores are a pure function of its walks.
+query's scores are a pure function of its walks; either choice gives the
+same scores up to float round-off.
 
-Cost model: a sparse level transition costs roughly its matmat flops
-(bounded by ``sum(out_degree[row] * row_nnz)``) plus a handful of full
-passes over the level's entries; a dense one costs ``m * k_next`` fused
-multiply-adds in one compiled ``csr @ dense`` product.  Once column
-supports grow past a few percent of ``n`` (shallow levels — ball unions),
-dense wins decisively; before that (deep levels — a few hundred touched
-nodes across all columns), sparse wins by orders of magnitude.
+Cost model: a sparse level costs roughly its expansion flops (the
+out-degree sum over its entries) plus a pass over the entries; a dense
+one costs ``m * k_next`` multiply-adds in one ``csr @ dense`` product.
+Deep levels (a few hundred touched nodes) run sparse, shallow ones (ball
+unions) dense.
 """
 
 from __future__ import annotations
@@ -22,13 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from repro.core.native.fallback import SparseRows
 from repro.core.native.rng import walk_bases
 from repro.core.walk_trie import WalkTrie
 
-#: weights of the sparse-cost proxy (flops, per-entry passes) against the
-#: dense cost ``m * k_next``; tuned on the bench_native_engine preset.
-SWITCH_FLOP_WEIGHT = 9
-SWITCH_PASS_WEIGHT = 10
+#: weights of the sparse-cost proxy (flops, entry passes) against the dense
+#: cost ``m * k_next``; tuned on wiki-vote/hepph and bench_native_engine.
+SWITCH_FLOP_WEIGHT = 8
+SWITCH_PASS_WEIGHT = 16
 
 
 @dataclass
@@ -37,20 +37,19 @@ class NativeContext:
 
     ``op`` is the probe operator ``sqrt_c * B`` (``B[v, x] = 1/|I(v)|``
     for every edge ``x -> v``) materialized once as a CSR whose rows are
-    the in-adjacency slices.
+    the in-adjacency slices; dense levels propagate with ``op @ acc``.
+    ``op_t`` is its transpose, whose rows are the out-adjacency slices;
+    sparse levels expand with ``merged @ op_t``.
     """
 
-    graph: object
     n: int
     m: int
     in_indptr: np.ndarray
     in_indices: np.ndarray
     in_degrees: np.ndarray
-    out_indptr: np.ndarray
-    out_indices: np.ndarray
     out_degrees: np.ndarray
-    target_weights: np.ndarray
     op: sparse.csr_matrix
+    op_t: SparseRows
 
 
 def make_context(csr, sqrt_c: float) -> NativeContext:
@@ -66,17 +65,18 @@ def make_context(csr, sqrt_c: float) -> NativeContext:
         shape=(n, n),
     )
     return NativeContext(
-        graph=csr,
         n=n,
         m=csr.num_edges,
         in_indptr=csr.in_indptr,
         in_indices=csr.in_indices,
         in_degrees=csr.in_degrees,
-        out_indptr=csr.out_indptr,
-        out_indices=csr.out_indices,
         out_degrees=csr.out_degrees,
-        target_weights=target_weights,
         op=op,
+        op_t=SparseRows(
+            csr.out_indptr.astype(np.int64),
+            csr.out_indices.astype(np.int64),
+            target_weights[csr.out_indices],
+        ),
     )
 
 
@@ -87,6 +87,9 @@ def context_for(csr, sqrt_c: float) -> NativeContext:
     snapshot's whole lifetime — mirroring how the snapshot caches its
     ``backward_operator``.  Caching here means short-lived engines (one per
     benchmark round, one per service worker epoch) share the operator build.
+    The context keeps no reference back to the snapshot, so both are freed
+    by refcount when a worker drops an epoch, not at the next full cycle
+    collection.
     """
     cache = getattr(csr, "_native_contexts", None)
     if cache is None:
@@ -104,12 +107,11 @@ def probe_trie(ctx: NativeContext, trie: WalkTrie, impl) -> np.ndarray:
     if trie.max_depth < 2:
         return np.zeros(n, dtype=np.float64)
     levels = trie.levels
-    cur = None  # sparse phase state: (keys, data), key = row * k + col
+    cur = None  # sparse phase state: k x n SparseRows, row c = column c
     acc = None  # dense phase state: (n, k) float64
     dense = False
     for depth in range(trie.max_depth, 1, -1):
         level = levels[depth - 2]
-        k = len(level)
         parents = level.parents
         if depth == 2:
             k_next = 1
@@ -118,49 +120,38 @@ def probe_trie(ctx: NativeContext, trie: WalkTrie, impl) -> np.ndarray:
             nxt = levels[depth - 3]
             k_next = len(nxt)
             next_nodes = nxt.nodes
-        switching = False
-        if not dense and cur is not None:
-            flops = int(ctx.out_degrees[cur[0] // k].sum())
-            passes = len(cur[0])
-            if (
-                SWITCH_FLOP_WEIGHT * flops + SWITCH_PASS_WEIGHT * passes
-                >= ctx.m * k_next
-            ):
-                dense = True
-                switching = True
         weights = level.weights.astype(np.float64)
-        if dense and not switching:
+        if dense:
             acc = impl.dense_level(
                 acc, level.nodes, weights, parents, ctx.op, next_nodes, k_next
             )
-        else:
-            # seeds, sorted by flat (row, parent-column) key; trie nodes are
-            # unique per (parent, node) so the keys are strictly increasing.
-            seed_keys = level.nodes * k_next + parents
-            order = np.argsort(seed_keys, kind="stable")
-            merged = impl.sparse_merge_seed(
-                cur, k, parents, seed_keys[order], weights[order], k_next
+            continue
+        # the level's entries: its scores so far plus one seed a column
+        flops = int(ctx.out_degrees[level.nodes].sum())
+        passes = len(level)
+        if cur is not None:
+            flops += int(ctx.out_degrees[cur.indices].sum())
+            passes += len(cur.indices)
+        # trie levels are sorted by parent: children of p are a row range
+        child_ptr = np.searchsorted(parents, np.arange(k_next + 1))
+        merged = impl.sparse_merge_seed(cur, child_ptr, level.nodes, weights, n)
+        if (
+            SWITCH_FLOP_WEIGHT * flops + SWITCH_PASS_WEIGHT * passes
+            >= ctx.m * k_next
+        ):
+            # merge while still sparse (cheap), densify the narrower
+            # merged matrix, and only propagate dense from here on.
+            dense = True
+            acc = impl.dense_propagate(
+                impl.sparse_to_dense(merged, n), ctx.op, next_nodes
             )
-            if switching:
-                # merge while still sparse (cheap), densify the narrower
-                # merged matrix, and only propagate dense from here on.
-                acc = impl.sparse_to_dense(merged, n, k_next)
-                acc = impl.dense_propagate(acc, ctx.op, next_nodes)
-                cur = None
-            else:
-                cur = impl.sparse_propagate_zero(
-                    ctx.out_indptr,
-                    ctx.out_indices,
-                    ctx.target_weights,
-                    merged,
-                    k_next,
-                    next_nodes,
-                )
+            cur = None
+        else:
+            cur = impl.sparse_propagate_zero(ctx.op_t, merged, next_nodes, n)
     if dense:
         return np.ascontiguousarray(acc[:, 0])
     scores = np.zeros(n, dtype=np.float64)
-    keys, data = cur
-    scores[keys] = data  # k_next == 1 at the last level: key == row
+    scores[cur.indices] = cur.data  # one row left: the root's column
     return scores
 
 

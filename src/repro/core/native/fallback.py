@@ -1,32 +1,37 @@
 """numpy/scipy primitives of the native engine's walk sampler and sweep.
 
 :func:`repro.core.native.engine.probe_trie` drives these one trie level
-at a time.  Every primitive has a fixed floating-point accumulation order,
-so a query's scores are a pure function of the graph and its walks —
-never of batch composition or call history:
+at a time, sparse on deep levels and dense on wide ones (see
+:mod:`.engine`).  Sparse levels hold the scores as a ``k x n`` CSR
+(:class:`SparseRows`; row ``c`` is trie column ``c``'s score vector):
+the sibling merge with seeds is one indicator product and the expansion
+is ``merged @ op_t``, both compiled CSR x CSR products costing O(flops).
+Dense levels hold ``(n, k)`` arrays: a flat ``bincount`` merges
+siblings and one ``op @ merged`` product propagates.
 
-- ``np.bincount`` with weights adds every input element to its bin in
-  input order (``np.add.reduceat`` does NOT qualify: its runs
-  re-associate via pairwise summation once a run reaches 8 elements, so
-  it is never used here);
-- the sibling merge adds children into their parent in child order;
-- ``scipy`` ``csr @ dense`` accumulates in row-entry-major order.
+Every answer is a pure function of (graph, walks): each product's
+operands come from the graph and the trie alone, and a compiled
+product's accumulation order is fixed by its operands' entry order.
 
-The level sweep is a sparse/dense *hybrid*: deep trie levels touch a few
-hundred nodes (column supports are tiny — entry-level sparse propagation
-wins), while shallow levels are dense ball unions (one compiled
-``csr @ dense`` product wins).  The switch is a deterministic integer
-cost model evaluated before each level (see :mod:`.engine`).
+Sparse products call scipy's CSR x CSR kernel
+(``scipy.sparse._sparsetools.csr_matmat``) on the index arrays directly:
+``csr_matrix.__matmul__`` runs the same kernel behind tens of
+microseconds of checks and object construction per product, more than
+a whole deep level costs.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from repro.core.native.rng import draw_keys, uniform_array
 
 __all__ = [
+    "SparseRows",
     "sample_walks",
     "sparse_merge_seed",
     "sparse_propagate_zero",
@@ -34,6 +39,37 @@ __all__ = [
     "dense_propagate",
     "dense_level",
 ]
+
+
+class SparseRows(NamedTuple):
+    """A CSR matrix as its three arrays, all indices ``int64``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def csr_product(a: SparseRows, b: SparseRows, n_cols: int) -> SparseRows:
+    """``a @ b`` through scipy's compiled CSR x CSR kernel.
+
+    Row ``i`` accumulates ``a[i, j] * b[j, :]`` in ``a``'s entry order;
+    exact zeros are dropped and column indices come out unsorted.  The
+    output is sized by the multiply-add count, which bounds its entries:
+    counting it is one gather, where scipy's sizing pass walks every
+    multiply-add a second time.
+    """
+    rows = len(a.indptr) - 1
+    flops = int((b.indptr[a.indices + 1] - b.indptr[a.indices]).sum())
+    cap = min(flops, rows * n_cols)
+    indptr = np.empty(rows + 1, dtype=np.int64)
+    indices = np.empty(cap, dtype=np.int64)
+    data = np.empty(cap, dtype=np.float64)
+    _sparsetools.csr_matmat(
+        rows, n_cols, a.indptr, a.indices, a.data,
+        b.indptr, b.indices, b.data, indptr, indices, data,
+    )
+    nnz = indptr[-1]
+    return SparseRows(indptr, indices[:nnz], data[:nnz])
 
 
 def sample_walks(
@@ -79,93 +115,63 @@ def sample_walks(
 
 
 def sparse_merge_seed(
-    cur: tuple[np.ndarray, np.ndarray] | None,
-    k: int,
-    parents: np.ndarray,
-    seed_keys: np.ndarray,
-    seed_weights: np.ndarray,
-    k_next: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge child columns into parents and fold in this level's seeds.
+    cur: SparseRows | None,
+    child_ptr: np.ndarray,
+    nodes: np.ndarray,
+    weights: np.ndarray,
+    n: int,
+) -> SparseRows:
+    """Seed every column and merge children into parents: ``P^T @ (S + E)``.
 
-    ``cur`` is the level's scores in entry-keys form ``(keys, data)`` with
-    ``key = row * k + col``, keys strictly increasing.  Relabelling each
-    column to its parent keeps keys sorted (``parents`` is non-decreasing
-    in child order), so sibling entries form adjacent runs that one
-    ``bincount`` over run ids collapses — ``bincount`` adds in input
-    order (``np.add.reduceat`` would not: it re-associates runs of 8+ via
-    pairwise summation).  Seeds — unique, sorted ``row * k_next + parent``
-    keys — are spliced in at the *end* of their run.
+    ``cur`` (``S``) holds the level's ``k`` score rows and the seeds
+    ``E`` put ``weights[j]`` at ``(j, nodes[j])``; stacked into one
+    operand, ``[P^T | P^T]`` sums both in one product.  Parent ``p``'s
+    children are rows ``child_ptr[p]:child_ptr[p + 1]``.  Without scores
+    the seeds are already merged: one entry per distinct (parent, node).
     """
-    if cur is None or len(cur[0]) == 0:
-        return seed_keys.copy(), seed_weights.copy()
-    keys, data = cur
-    mapped = (keys // k) * k_next + parents[keys % k]
-    pos = np.searchsorted(mapped, seed_keys, side="right")
-    mapped = np.insert(mapped, pos, seed_keys)
-    data = np.insert(data, pos, seed_weights)
-    new_run = np.r_[True, mapped[1:] != mapped[:-1]]
-    run_ids = np.cumsum(new_run) - 1
-    return mapped[new_run], np.bincount(run_ids, weights=data)
+    if cur is None:
+        return SparseRows(child_ptr, nodes, weights)
+    k = len(nodes)
+    stacked = SparseRows(
+        np.concatenate([cur.indptr, cur.indptr[-1] + np.arange(1, k + 1)]),
+        np.concatenate([cur.indices, nodes]),
+        np.concatenate([cur.data, weights]),
+    )
+    cols = np.arange(k, dtype=np.int64)
+    pick = SparseRows(
+        2 * child_ptr,
+        np.column_stack([cols, cols + k]).ravel(),
+        np.ones(2 * k, dtype=np.float64),
+    )
+    return csr_product(pick, stacked, n)
 
 
 def sparse_propagate_zero(
-    out_indptr: np.ndarray,
-    out_indices: np.ndarray,
-    target_weights: np.ndarray,
-    merged: tuple[np.ndarray, np.ndarray],
-    k_next: int,
+    op_t: SparseRows,
+    merged: SparseRows,
     next_nodes: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One sparse level transition in entry-keys form, then first-meeting zeros.
+    n: int,
+) -> SparseRows:
+    """One sparse level transition ``merged @ op_t``, then first-meeting zeros.
 
-    The probe operator is applied by *expansion*: entry ``(r, c, v)``
-    contributes ``target_weights[t] * v`` to ``(t, c)`` for every out-edge
-    ``r -> t`` (``target_weights[t] = sqrt_c / |I(t)|``).  The expanded
-    contributions are grouped by flat key via ``np.unique`` + ``bincount``,
-    whose per-cell accumulation order is the expansion order.  The avoided
-    entry of every column — ``(next_nodes[j], j)``, the trie node the
-    column now represents — is then zeroed in place, keeping the explicit
-    zero in the entry pattern.
+    Row ``x`` of ``op_t`` holds ``sqrt_c / |I(t)|`` at every out-neighbour
+    ``t`` of ``x``.  The avoided entry of row ``j`` (column
+    ``next_nodes[j]``, the trie node the row now represents) is zeroed by
+    one masked write, keeping the explicit zero in the pattern.
     """
-    keys, data = merged
-    rows = keys // k_next
-    cols = keys % k_next
-    degrees = (out_indptr[rows + 1] - out_indptr[rows]).astype(np.int64)
-    total = int(degrees.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    # expand each entry's out-edge range: starts[e] .. starts[e]+deg[e]
-    starts = out_indptr[rows]
-    offsets = np.repeat(
-        np.cumsum(np.r_[np.int64(0), degrees[:-1]]) - starts, degrees
-    )
-    targets = out_indices[np.arange(total, dtype=np.int64) - offsets].astype(
-        np.int64
-    )
-    exp_keys = targets * k_next + np.repeat(cols, degrees)
-    exp_vals = np.repeat(data, degrees) * target_weights[targets]
-    out_keys, inverse = np.unique(exp_keys, return_inverse=True)
-    out_data = np.bincount(inverse, weights=exp_vals)
-    zero_at = np.searchsorted(
-        out_keys, next_nodes * k_next + np.arange(k_next, dtype=np.int64)
-    )
-    found = zero_at < len(out_keys)
-    found[found] = (
-        out_keys[zero_at[found]]
-        == (next_nodes * k_next + np.arange(k_next, dtype=np.int64))[found]
-    )
-    out_data[zero_at[found]] = 0.0
-    return out_keys, out_data
+    out = csr_product(merged, op_t, n)
+    first = np.repeat(next_nodes, np.diff(out.indptr))
+    out.data[out.indices == first] = 0.0
+    return out
 
 
-def sparse_to_dense(
-    cur: tuple[np.ndarray, np.ndarray], n: int, k: int
-) -> np.ndarray:
-    """Densify entry-keys level scores (pure scatter, no sums)."""
-    keys, data = cur
+def sparse_to_dense(merged: SparseRows, n: int) -> np.ndarray:
+    """Densify sparse level scores to ``(n, k)`` (pure scatter, no sums)."""
+    k = len(merged.indptr) - 1
     acc = np.zeros((n, k), dtype=np.float64)
-    acc[keys // k, keys % k] = data
+    acc[merged.indices, np.repeat(np.arange(k), np.diff(merged.indptr))] = (
+        merged.data
+    )
     return acc
 
 
@@ -196,11 +202,10 @@ def dense_level(
     """One dense level transition: seed, merge siblings, propagate, zero.
 
     The sibling merge is one flat ``np.bincount`` scatter-add: cell
-    ``(row, j)`` of ``acc`` lands in flat bin ``row * k_next + parents[j]``,
-    and ``bincount`` adds its inputs *in input order* — C order, i.e. per
-    ``(row, parent)`` cell the additions land in child order — without the
-    re-association ``np.add.reduceat`` would introduce on runs of 8+
-    siblings.
+    ``(row, j)`` of ``acc`` lands in bin ``row * k_next + parents[j]``.
+    It reads ``acc`` once in C order and writes the merged matrix in the
+    C order ``op @ merged`` wants, where the indicator product ``acc @ P``
+    would copy a transpose on each side.
     """
     n, k = acc.shape
     acc[lev_nodes, np.arange(k)] += weights
@@ -210,6 +215,4 @@ def dense_level(
     merged = np.bincount(
         targets, weights=acc.ravel(), minlength=n * k_next
     ).reshape(n, k_next)
-    out = op @ merged
-    out[next_nodes, np.arange(k_next)] = 0.0
-    return out
+    return dense_propagate(merged, op, next_nodes)

@@ -1,6 +1,6 @@
 """Correctness suite for the native engine (``engine="native"``).
 
-Four tiers of guarantees are pinned here:
+Five tiers of guarantees are pinned here:
 
 1. **Bit-reproducibility** — with an integer seed (python or numpy), a
    native answer is a pure function of ``(config, graph, query)``:
@@ -17,18 +17,27 @@ Four tiers of guarantees are pinned here:
    representable, so native scores are bit-for-bit equal to the hash-map
    oracle replaying the same walk set; on general graphs they agree to
    float round-off.
-4. **Surface** — config validation, ``auto`` routing, capabilities and
+4. **Sweep shape** — the sparse/dense switch is a speed choice only:
+   forcing every level sparse or every level dense gives the hybrid's
+   scores, and every level makes exactly one call through the primitive
+   seam that instrumentation (``perfbench/replay.py``) counts.
+5. **Surface** — config validation, ``auto`` routing, capabilities and
    labels, registry construction, stats, and sync.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.api.registry import create
 from repro.core import native
 from repro.core.config import ProbeSimConfig
 from repro.core.engine import ProbeSim, QueryStats
 from repro.core.native import fallback
+from repro.core.native import engine as native_engine_module
 from repro.core.native.rng import stream_base, walk_bases
 from repro.core.probe import probe_deterministic_python
 from repro.core.tree import ReachabilityTree
@@ -244,8 +253,115 @@ class TestOracleAgreement:
         assert np.all(np.delete(result.scores, 43) == 0.0)
 
 
+class LevelCounter:
+    """The primitive namespace, counting each level's kind of transition
+    the way ``perfbench/replay.py`` does (a switch level counts dense)."""
+
+    def __init__(self, impl) -> None:
+        self._impl = impl
+        self.dense = 0
+        self.sparse = 0
+
+    def __getattr__(self, name):
+        return getattr(self._impl, name)
+
+    def dense_level(self, *args):
+        self.dense += 1
+        return self._impl.dense_level(*args)
+
+    def dense_propagate(self, *args):
+        self.dense += 1
+        return self._impl.dense_propagate(*args)
+
+    def sparse_propagate_zero(self, *args):
+        self.sparse += 1
+        return self._impl.sparse_propagate_zero(*args)
+
+
+def native_trie(graph, query, seed, num_walks, sqrt_c, max_len=10):
+    """The native walk trie of one query, with its context."""
+    ctx = native.make_context(as_csr(graph), sqrt_c)
+    nodes, lengths = fallback.sample_walks(
+        ctx.in_indptr, ctx.in_indices, ctx.in_degrees,
+        walk_bases(stream_base(seed, query), num_walks), query, sqrt_c, max_len,
+    )
+    return ctx, WalkTrie.from_walk_arrays(nodes, lengths)
+
+
+def swept(ctx, trie, monkeypatch, mode):
+    """``(scores, counter)`` of one sweep, hybrid or forced one way."""
+    weight = {"hybrid": None, "sparse": 0, "dense": 10**15}[mode]
+    if weight is not None:
+        monkeypatch.setattr(native_engine_module, "SWITCH_FLOP_WEIGHT", weight)
+        monkeypatch.setattr(native_engine_module, "SWITCH_PASS_WEIGHT", weight)
+    counter = LevelCounter(native.resolve_impl())
+    scores = native.probe_trie(ctx, trie, counter)
+    monkeypatch.undo()
+    return scores / trie.num_walks, counter
+
+
+class TestSweepShape:
+    """Tier 4: the switch only picks a speed; the seam sees every level."""
+
+    @pytest.mark.parametrize("graph_seed", [1, 2, 3])
+    def test_forced_sweeps_match_hybrid_on_random_graphs(
+        self, graph_seed, monkeypatch
+    ):
+        graph = erdos_renyi_graph(80, num_edges=320, seed=graph_seed)
+        for query in (0, 17, 55):
+            ctx, trie = native_trie(graph, query, graph_seed, 600, np.sqrt(0.6))
+            hybrid, _ = swept(ctx, trie, monkeypatch, "hybrid")
+            all_sparse, sparse_count = swept(ctx, trie, monkeypatch, "sparse")
+            all_dense, dense_count = swept(ctx, trie, monkeypatch, "dense")
+            assert sparse_count.dense == 0
+            assert dense_count.sparse == 0
+            np.testing.assert_allclose(all_sparse, hybrid, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(all_dense, hybrid, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_forced_sweeps_bitwise_on_dyadic_graph(
+        self, dyadic, seed, monkeypatch
+    ):
+        for query in range(dyadic.num_nodes):
+            ctx, trie = native_trie(dyadic, query, seed, 256, 0.5, max_len=8)
+            hybrid, _ = swept(ctx, trie, monkeypatch, "hybrid")
+            for mode in ("sparse", "dense"):
+                forced, _ = swept(ctx, trie, monkeypatch, mode)
+                np.testing.assert_array_equal(forced, hybrid)
+
+    def test_seam_sees_one_call_per_level(self, tiny_wiki, monkeypatch):
+        """Wrapping ``resolve_impl()`` counts every level exactly once, on a
+        sweep that runs both kinds of level, and changes no score."""
+        ctx, trie = native_trie(tiny_wiki, 5, 7, 200, np.sqrt(0.6))
+        scores, counter = swept(ctx, trie, monkeypatch, "hybrid")
+        assert counter.sparse > 0 and counter.dense > 0
+        assert counter.sparse + counter.dense == trie.max_depth - 1
+        plain = native.probe_trie(ctx, trie, native.resolve_impl())
+        np.testing.assert_array_equal(scores, plain / trie.num_walks)
+
+    def test_csr_product_matches_dense_product(self):
+        """The direct kernel call computes ``a @ b``, also when ``a``'s rows
+        hold unsorted and duplicate column indices."""
+        rng = np.random.default_rng(4)
+        indptr = np.r_[0, np.cumsum(rng.integers(0, 12, 30))].astype(np.int64)
+        a = fallback.SparseRows(
+            indptr, rng.integers(0, 50, indptr[-1]), rng.random(indptr[-1]))
+        b = sparse.random(50, 40, density=0.1, format="csr", random_state=2)
+        b_rows = fallback.SparseRows(
+            b.indptr.astype(np.int64), b.indices.astype(np.int64), b.data)
+        got = fallback.csr_product(a, b_rows, 40)
+        dense_a = np.zeros((30, 50))
+        np.add.at(dense_a, (np.repeat(np.arange(30), np.diff(indptr)),
+                            a.indices), a.data)
+        product = np.zeros((30, 40))
+        product[np.repeat(np.arange(30), np.diff(got.indptr)),
+                got.indices] = got.data
+        np.testing.assert_allclose(
+            product, dense_a @ b.toarray(), rtol=0, atol=1e-14)
+
+
 class TestEngineSurface:
-    """Tier 4: config, routing, capabilities, registry, stats, sync."""
+    """Tier 5: config, routing, capabilities, registry, stats, sync."""
 
     def test_auto_resolves_to_native_for_batch_strategy(self):
         """The full ``auto`` routing table is pinned in test_batch_engine.py."""
@@ -317,6 +433,23 @@ class TestEngineSurface:
         after = engine.single_source(0).scores
         assert engine.graph.num_edges == graph.num_edges
         assert not np.array_equal(before, after)
+
+    def test_synced_away_context_is_freed_at_once(self, toy):
+        """A context holds no reference back to its snapshot, so the old
+        snapshot's context is freed on sync without the cycle collector
+        (a serving pool syncs once per epoch)."""
+        graph = toy.copy()
+        engine = native_engine(graph, c=0.25, eps_a=0.2, seed=3)
+        engine.single_source(0)
+        old = weakref.ref(native.context_for(engine.graph, engine.config.sqrt_c))
+        gc.disable()
+        try:
+            graph.remove_edge(4, 1)
+            engine.sync()
+            engine.single_source(0)
+            assert old() is None
+        finally:
+            gc.enable()
 
     def test_walk_budget_matches_other_engines(self, toy):
         shared = dict(c=0.25, eps_a=0.1, delta=0.2, strategy="batch", seed=0)
