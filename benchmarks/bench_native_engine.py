@@ -23,7 +23,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from conftest import emit_table  # noqa: E402
+from conftest import emit_table, pin_cores  # noqa: E402
 
 from repro.core.engine import ProbeSim  # noqa: E402
 from repro.graph import CSRGraph  # noqa: E402
@@ -184,16 +184,6 @@ def test_query_batch_throughput():
         assert row["native_speedup"] > 1.0, row
 
 
-def pin_cores(budget: int = CORE_BUDGET) -> int:
-    """Pin this process to ``budget`` of its allowed cores; returns how many
-    it runs on (all of them where the platform cannot pin)."""
-    if not hasattr(os, "sched_setaffinity"):
-        return os.cpu_count() or 1
-    allowed = sorted(os.sched_getaffinity(0))
-    os.sched_setaffinity(0, allowed[:budget])
-    return len(os.sched_getaffinity(0))
-
-
 def main(argv=None) -> int:
     """Standalone entry point; ``--json`` feeds the perf-regression gate."""
     import argparse
@@ -208,7 +198,7 @@ def main(argv=None) -> int:
                              "(baseline: benchmarks/baselines/BENCH_native.json)")
     args = parser.parse_args(argv)
 
-    cores = pin_cores()
+    cores = pin_cores(CORE_BUDGET)
     test_native_answers_are_bit_reproducible()
     single_rows = run_single_query_rows()
     batch_rows = run_query_batch_rows()

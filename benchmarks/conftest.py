@@ -153,6 +153,20 @@ def standard_methods(name: str) -> dict[str, object]:
     }
 
 
+def pin_cores(budget: int) -> int:
+    """Pin this process to ``budget`` of its allowed cores; returns how many
+    it runs on (all of them where the platform cannot pin).
+
+    Standalone perf scripts record the result as ``cores``, so a baseline
+    gates on any box with at least that many cores.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return os.cpu_count() or 1
+    allowed = sorted(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, allowed[:budget])
+    return len(os.sched_getaffinity(0))
+
+
 # --------------------------------------------------------------------- #
 # result recording
 # --------------------------------------------------------------------- #

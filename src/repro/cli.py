@@ -411,7 +411,6 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         coalesce=not args.no_coalesce,
-        coalesce_window=args.coalesce_window,
         coalesce_max_batch=args.coalesce_max_batch,
         admission_capacity=args.admission_capacity,
         retry_after=args.retry_after,
@@ -701,12 +700,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "0 disables)")
     serve.add_argument("--no-coalesce", action="store_true", dest="no_coalesce",
                        help="dispatch each request individually (micro-batching off)")
-    serve.add_argument("--coalesce-window", type=float, default=0.002,
-                       dest="coalesce_window",
-                       help="micro-batch collection window in seconds")
     serve.add_argument("--coalesce-max-batch", type=int, default=64,
                        dest="coalesce_max_batch",
-                       help="distinct queries per micro-batch before early dispatch")
+                       help="distinct queries that dispatch a micro-batch "
+                            "without waiting for the next loop turn")
     serve.add_argument("--admission-capacity", type=int, default=None,
                        dest="admission_capacity",
                        help="per-lane in-flight bound before 503 shedding")

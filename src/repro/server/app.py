@@ -43,6 +43,14 @@ run under their deadline via ``asyncio.wait_for``; expiry answers
 ``504`` and, mid-coalesce, removes only the expired waiter from its
 bucket.
 
+``/single_source`` and ``/topk`` singles go through the coalescer, which
+dispatches on idle: a request for a key with nothing in flight is
+dispatched on the next event-loop turn (together with whatever landed in
+the same tick), so a lone request waits no timer.  Requests that arrive
+while their key's dispatch runs park and go out as one batch when it
+returns — batches grow with backpressure, not with a collection window.
+The ``*_many`` routes dispatch their own batch directly.
+
 Service calls execute on a dedicated single-thread executor: the
 services allow concurrent queries only when each estimator is driven by
 one thread at a time, and a single dispatch thread both satisfies that
@@ -50,10 +58,12 @@ contract and serializes batches in submission order.
 
 Response bodies are deterministic — query, method, walk count, and the
 score pairs, never wall-clock — so a response can be compared **byte for
-byte** against an oracle's answer for the same query.  The serving tests
+byte** against an oracle's answer for the same query.  With an integer
+seed the native engine answers each query as a pure function of (replica
+seed, graph, query), so however the coalescer groups requests, a body
+equals what that replica returns for the query alone; the serving tests
 and :mod:`benchmarks.bench_http_serving` hold coalesced responses to
-exactly that standard (with ``query_seeded`` engine configs; see
-:mod:`repro.server.coalesce`).
+exactly that standard (see :mod:`repro.server.coalesce`).
 """
 
 from __future__ import annotations
@@ -128,10 +138,9 @@ class ServerConfig:
         Micro-batch concurrent ``/single_source`` and ``/topk`` requests
         (see :mod:`repro.server.coalesce`).  Off, every request
         dispatches individually.
-    coalesce_window:
-        Collection window in seconds from a bucket's first request.
     coalesce_max_batch:
-        Distinct-query cap per bucket (full buckets dispatch early).
+        Distinct-query count at which a bucket dispatches at once instead
+        of on the next loop turn.
     admission_capacity:
         Per-lane in-flight bound (int for all lanes, or ``{lane: int}``).
     retry_after:
@@ -149,7 +158,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 8080
     coalesce: bool = True
-    coalesce_window: float = 0.002
     coalesce_max_batch: int = 64
     admission_capacity: int | dict[str, int] | None = None
     retry_after: float = 1.0
@@ -179,7 +187,6 @@ class SimRankHTTPApp:
         )
         self.coalescer = Coalescer(
             self._dispatch_batch,
-            window=self.config.coalesce_window,
             max_batch=self.config.coalesce_max_batch,
         ) if self.config.coalesce else None
         # One dispatch thread: the services' thread model allows concurrent

@@ -2,7 +2,8 @@
 
 The cheap paths (routing, validation, admission, deadlines) run against
 the recording stub service from ``conftest``; the bit-exactness contract
-runs against real engines with ``query_seeded`` configs.
+runs against the real native engine, whose answers are pure per
+(seed, query).
 """
 
 from __future__ import annotations
@@ -445,11 +446,20 @@ class TestDeadlines:
     def test_deadline_mid_coalesce_cancels_only_the_expired_request(
         self, harness
     ):
-        service = harness.StubService()
+        gate = threading.Event()
+        service = harness.StubService(gate=gate)
 
         async def scenario(app):
-            async with harness.Client(app.port) as doomed_client, \
+            async with harness.Client(app.port) as blocker_client, \
+                    harness.Client(app.port) as doomed_client, \
                     harness.Client(app.port) as survivor_client:
+                # a dispatch held on the gate parks the next requests for
+                # its key in one bucket
+                blocker = asyncio.ensure_future(blocker_client.request(
+                    "POST", "/single_source", {"query": 0}
+                ))
+                while not service.calls:
+                    await asyncio.sleep(0.001)
                 doomed = asyncio.ensure_future(doomed_client.request(
                     "POST", "/single_source",
                     {"query": 1, "deadline_s": 0.05},
@@ -457,24 +467,25 @@ class TestDeadlines:
                 survivor = asyncio.ensure_future(survivor_client.request(
                     "POST", "/single_source", {"query": 2}
                 ))
-                responses = await asyncio.gather(doomed, survivor)
+                while app.coalescer.stats.requests < 3:
+                    await asyncio.sleep(0.001)
+                # the doomed request expires while its bucket is parked
+                expired = await doomed
+                gate.set()
+                responses = await asyncio.gather(blocker, survivor)
             # the expired request was answered 504 without ever reaching
             # the service; its batch-mate was dispatched undisturbed
             assert app.coalescer.stats.dropped_cancelled == 1
-            assert app.coalescer.dispatch_log == [
-                (("single_source", None, None), (2,)),
-            ]
-            return responses
+            return (expired, *responses)
 
-        # window longer than the doomed request's deadline: it expires
-        # while its bucket is still collecting
-        doomed, survivor = harness.serve(
-            service, scenario, coalesce_window=0.3
-        )
+        doomed, blocker, survivor = harness.serve(service, scenario)
         assert doomed.status == 504
+        assert blocker.status == 200
         assert survivor.status == 200
         assert json.loads(survivor.body)["query"] == 2
-        assert service.calls == [("single_source_many", (2,))]
+        assert service.calls == [
+            ("single_source_many", (0,)), ("single_source_many", (2,)),
+        ]
 
 
 class TestLifecycle:
@@ -490,8 +501,29 @@ class TestLifecycle:
         assert service.closed == 1
 
 
-CFG = {"eps_a": 0.2, "delta": 0.1, "num_walks": 80, "seed": 7,
-       "query_seeded": True}
+CFG = {"eps_a": 0.2, "delta": 0.1, "num_walks": 80, "seed": 7}
+
+
+class HeldService:
+    """Delegates to ``service``; its batched calls first wait on ``gate``."""
+
+    def __init__(self, service, gate: threading.Event) -> None:
+        self._service = service
+        self._gate = gate
+
+    def __getattr__(self, name):
+        return getattr(self._service, name)
+
+    def _hold(self) -> None:
+        assert self._gate.wait(timeout=30), "test gate never released"
+
+    def single_source_many(self, queries, method=None):
+        self._hold()
+        return self._service.single_source_many(queries, method=method)
+
+    def topk_many(self, queries, k, method=None):
+        self._hold()
+        return self._service.topk_many(queries, k, method=method)
 
 
 class TestBitExactness:
@@ -502,8 +534,10 @@ class TestBitExactness:
             tiny_wiki, methods=["probesim-native"],
             configs={"probesim-native": CFG},
         )
+        gate = threading.Event()
         # duplicates included: dedup must not perturb anyone's answer
         queries = [3, 11, 3, 25, 40, 57, 11, 64, 81, 99]
+        kinds = ["single_source"] * len(queries) + ["topk"] * len(queries)
 
         async def scenario(app):
             async def one(kind, query):
@@ -516,31 +550,40 @@ class TestBitExactness:
                         "POST", "/single_source", {"query": query}
                     )
 
-            responses = await asyncio.gather(*(
-                [one("single_source", q) for q in queries]
-                + [one("topk", q) for q in queries]
-            ))
+            # one blocker per route, held on the gate: every request sent
+            # while they dispatch parks in its route's next bucket
+            blockers = [asyncio.ensure_future(one(kind, 0))
+                        for kind in ("single_source", "topk")]
+            while app.coalescer.stats.batches < len(blockers):
+                await asyncio.sleep(0.001)
+            rest = [asyncio.ensure_future(one(kind, query))
+                    for kind, query in zip(kinds, queries + queries)]
+            while app.coalescer.stats.requests < len(blockers) + len(rest):
+                await asyncio.sleep(0.001)
+            gate.set()
+            responses = await asyncio.gather(*blockers, *rest)
             # real coalescing happened (the whole point of the tier)
             assert app.coalescer.stats.batches < app.coalescer.stats.requests
             assert app.coalescer.stats.dedup_saved > 0
             return responses
 
-        responses = harness.serve(service, scenario, coalesce_window=0.25)
+        responses = harness.serve(HeldService(service, gate), scenario)
         service.close()
 
         oracle = SimRankService(
             tiny_wiki, methods=["probesim-native"],
             configs={"probesim-native": CFG},
         )
-        single, topk = responses[:len(queries)], responses[len(queries):]
-        for query, response in zip(queries, single):
+        for kind, query, response in zip(
+            ["single_source", "topk"] + kinds, [0, 0] + queries + queries,
+            responses,
+        ):
             assert response.status == 200
-            assert response.body == serialize_result(
-                oracle.single_source(query), 10
-            )
-        for query, response in zip(queries, topk):
-            assert response.status == 200
-            assert response.body == serialize_topk(oracle.topk(query, 5))
+            if kind == "topk":
+                expected = serialize_topk(oracle.topk(query, 5))
+            else:
+                expected = serialize_result(oracle.single_source(query), 10)
+            assert response.body == expected
 
 
 class TestShardedService:
