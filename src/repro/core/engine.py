@@ -26,12 +26,12 @@ Strategies (``ProbeSimConfig.strategy``):
 
 Orthogonal to the strategy, ``ProbeSimConfig.engine`` selects how probes are
 *executed*: ``"loop"`` is the per-prefix code path below, and ``"native"``
-runs walk sampling, trie construction and a hybrid sparse/dense level sweep
-as array operations (:mod:`repro.core.native`), with a counter RNG keyed on
-``(seed, query)`` that makes every query's bits independent of call order
-and batch composition.  ``"auto"`` (the default) picks ``native`` for the
-deterministic ``batch`` strategy on the vectorized backend and ``loop``
-otherwise.
+runs walk sampling with trie construction (one pass) and a hybrid
+sparse/dense level sweep as array operations (:mod:`repro.core.native`),
+with a counter RNG keyed on ``(seed, query)`` that makes every query's
+bits independent of call order and batch composition.  ``"auto"`` (the
+default) picks ``native`` for the deterministic ``batch`` strategy on the
+vectorized backend and ``loop`` otherwise.
 """
 
 from __future__ import annotations
@@ -72,6 +72,9 @@ class QueryStats:
     num_hybrid_switches: int = 0
     walk_length_total: int = 0
     elapsed: float = 0.0
+    #: native engine stages: walks and trie levels (one pass), and the sweep
+    sample_seconds: float = 0.0
+    sweep_seconds: float = 0.0
 
     @property
     def mean_walk_length(self) -> float:
@@ -213,7 +216,7 @@ class ProbeSim(SimRankEstimator):
     def _run_native_engine(self, query: int, stats: QueryStats) -> np.ndarray:
         cfg = self.config
         ctx = native.context_for(self._csr, cfg.sqrt_c)
-        scores, trie = native.run_query(
+        scores, trie, stats.sample_seconds, stats.sweep_seconds = native.run_query(
             ctx,
             query,
             cfg.walk_count(self._csr.num_nodes),

@@ -1,10 +1,12 @@
 """Native ProbeSim hot path: vectorized walks, prefix trie, hybrid sweep.
 
-``engine="native"`` answers a deterministic-strategy query in three
-array-at-a-time stages: counter-RNG walk sampling (:mod:`.rng`), the
-prefix trie (:class:`~repro.core.walk_trie.WalkTrie`), and a hybrid
-sparse/dense level sweep (:mod:`.engine`) whose per-level primitives live
-in :mod:`.fallback` — numpy/scipy code with no compiler dependency.
+``engine="native"`` answers a deterministic-strategy query in two
+array-at-a-time stages: counter-RNG walk sampling (:mod:`.rng`) that
+builds the prefix trie's levels (:class:`~repro.core.walk_trie.WalkTrie`)
+as the walks step, so walks and trie are one pass, and a hybrid
+sparse/dense level sweep (:mod:`.engine`).  The sampler and the sweep's
+per-level primitives live in :mod:`.fallback` — numpy/scipy code with no
+compiler dependency.
 
 :func:`resolve_impl` returns that primitive namespace and is the seam the
 sweep takes it through, so instrumentation can wrap it (count or time

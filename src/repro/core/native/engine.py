@@ -1,4 +1,4 @@
-"""Native-engine orchestration: context, trie build, and the hybrid sweep.
+"""Native-engine orchestration: context, one-pass sampling, hybrid sweep.
 
 The per-level control flow (which levels run sparse, which dense) lives
 here; the per-level arithmetic lives in :mod:`.fallback`, passed in as
@@ -16,6 +16,7 @@ unions) dense.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,12 +164,19 @@ def run_query(
     max_len: int,
     base: int,
     impl,
-) -> tuple[np.ndarray, WalkTrie]:
-    """Walks -> trie -> sweep for one query; returns unnormalized scores."""
-    bases = walk_bases(base, num_walks)
-    nodes, lengths = impl.sample_walks(
+) -> tuple[np.ndarray, WalkTrie, float, float]:
+    """Walks and trie levels in one pass, then the sweep, for one query.
+
+    Returns ``(scores, trie, sample_seconds, sweep_seconds)``: the
+    unnormalized scores, the walk trie they were probed from, and the
+    wall-clock seconds of the two stages.
+    """
+    started = time.perf_counter()
+    levels = impl.sample_trie_levels(
         ctx.in_indptr, ctx.in_indices, ctx.in_degrees,
-        bases, query, sqrt_c, max_len,
+        walk_bases(base, num_walks), query, sqrt_c, max_len,
     )
-    trie = WalkTrie.from_walk_arrays(nodes, lengths)
-    return probe_trie(ctx, trie, impl), trie
+    trie = WalkTrie(query, num_walks, levels)
+    sampled = time.perf_counter()
+    scores = probe_trie(ctx, trie, impl)
+    return scores, trie, sampled - started, time.perf_counter() - sampled

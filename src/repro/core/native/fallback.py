@@ -1,6 +1,12 @@
 """numpy/scipy primitives of the native engine's walk sampler and sweep.
 
-:func:`repro.core.native.engine.probe_trie` drives these one trie level
+The sampler advances only the live walks, one step for all of them at a
+time, and :func:`sample_trie_levels` turns each step straight into that
+depth's trie level: walks and trie come out of one pass, with no padded
+walk matrix.  :func:`sample_walks` consumes the same steps into the
+padded matrix for callers that want the walks themselves.
+
+:func:`repro.core.native.engine.probe_trie` drives the rest one trie level
 at a time, sparse on deep levels and dense on wide ones (see
 :mod:`.engine`).  Sparse levels hold the scores as a ``k x n`` CSR
 (:class:`SparseRows`; row ``c`` is trie column ``c``'s score vector):
@@ -22,17 +28,19 @@ a whole deep level costs.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
 from repro.core.native.rng import draw_keys, uniform_array
+from repro.core.walk_trie import TrieLevel
 
 __all__ = [
     "SparseRows",
     "sample_walks",
+    "sample_trie_levels",
     "sparse_merge_seed",
     "sparse_propagate_zero",
     "sparse_to_dense",
@@ -72,6 +80,39 @@ def csr_product(a: SparseRows, b: SparseRows, n_cols: int) -> SparseRows:
     return SparseRows(indptr, indices[:nnz], data[:nnz])
 
 
+def _live_steps(
+    in_indptr: np.ndarray,
+    in_indices: np.ndarray,
+    in_degrees: np.ndarray,
+    bases: np.ndarray,
+    query: int,
+    sqrt_c: float,
+    max_len: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Step every walk from ``query``, carrying only the live lanes.
+
+    Each step draws the stop keys of the live lanes, drops the lanes that
+    stop or sit on an in-degree-0 node, then draws the pick keys of the
+    survivors and gathers their next nodes.  Yields ``(keep, nxt)`` per
+    step: ``keep`` indexes the lanes live before the step that survive
+    it (in lane order) and ``nxt`` holds their new nodes.  Because every
+    draw is keyed by ``(walk, step, lane)``, dropping a finished lane
+    changes no surviving walk.
+    """
+    cur = np.full(len(bases), query, dtype=np.int64)
+    for step in range(max_len - 1):
+        u_stop = uniform_array(draw_keys(bases, step, 0))
+        deg = in_degrees[cur]
+        keep = np.flatnonzero((u_stop < sqrt_c) & (deg > 0))
+        if len(keep) == 0:
+            return
+        bases, cur, deg = bases[keep], cur[keep], deg[keep]
+        idx = (uniform_array(draw_keys(bases, step, 1)) * deg).astype(np.int64)
+        np.minimum(idx, deg - 1, out=idx)
+        cur = in_indices[in_indptr[cur] + idx].astype(np.int64)
+        yield keep, cur
+
+
 def sample_walks(
     in_indptr: np.ndarray,
     in_indices: np.ndarray,
@@ -81,37 +122,63 @@ def sample_walks(
     sqrt_c: float,
     max_len: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample all walks level-synchronously from counter-derived uniforms.
+    """All walks as a padded ``(count, max_len)`` matrix plus their lengths.
 
-    Because every draw is keyed by ``(walk, step, lane)``, drawing a full
-    vector per step (including lanes that already stopped) wastes a few
-    mixes but changes no walk: walk ``i`` is the same node sequence however
-    many walks are drawn beside it.
+    Row ``i`` is walk ``i`` padded with ``-1``; the input of
+    :meth:`~repro.core.walk_trie.WalkTrie.from_walk_arrays`.  The engine
+    itself builds trie levels while stepping (:func:`sample_trie_levels`);
+    this consumer of the same steps serves callers that want the walks.
     """
     count = len(bases)
     nodes = np.full((count, max_len), -1, dtype=np.int32)
     nodes[:, 0] = query
     lengths = np.ones(count, dtype=np.int64)
-    cur = np.full(count, query, dtype=np.int64)
-    alive = np.ones(count, dtype=bool)
-    for step in range(max_len - 1):
-        u_stop = uniform_array(draw_keys(bases, step, 0))
-        alive &= u_stop < sqrt_c
-        deg = in_degrees[cur]
-        alive &= deg > 0
-        if not alive.any():
-            break
-        u_pick = uniform_array(draw_keys(bases, step, 1))
-        idx = (u_pick * deg).astype(np.int64)
-        np.minimum(idx, np.maximum(deg, 1) - 1, out=idx)
-        # dead lanes still gather (their value is discarded below); clamp the
-        # pointer so a dead lane parked at a source node can't index past m.
-        ptr = np.minimum(in_indptr[cur] + idx, len(in_indices) - 1)
-        nxt = in_indices[ptr].astype(np.int64)
-        cur = np.where(alive, nxt, cur)
-        nodes[alive, step + 1] = nxt[alive]
-        lengths[alive] += 1
+    lanes = np.arange(count)
+    steps = _live_steps(
+        in_indptr, in_indices, in_degrees, bases, query, sqrt_c, max_len
+    )
+    for depth, (keep, nxt) in enumerate(steps, start=1):
+        lanes = lanes[keep]
+        nodes[lanes, depth] = nxt
+        lengths[lanes] += 1
     return nodes, lengths
+
+
+def sample_trie_levels(
+    in_indptr: np.ndarray,
+    in_indices: np.ndarray,
+    in_degrees: np.ndarray,
+    bases: np.ndarray,
+    query: int,
+    sqrt_c: float,
+    max_len: int,
+) -> list[TrieLevel]:
+    """The walks' prefix-trie levels, built while the walks step.
+
+    Each live lane is keyed ``parent * (n + 1) + node`` by the trie index
+    of its prefix so far; one ``np.unique`` per step gives that depth's
+    distinct prefixes sorted by ``(parent, node)`` with their walk counts,
+    and its inverse is every surviving lane's parent for the next step.
+    Level for level equal to ``WalkTrie.from_walk_arrays(*sample_walks(...))``
+    without the padded matrix or a second pass over it.
+    """
+    stride = len(in_degrees) + 1
+    parent = np.zeros(len(bases), dtype=np.int64)  # every lane at the root
+    levels = []
+    for keep, nxt in _live_steps(
+        in_indptr, in_indices, in_degrees, bases, query, sqrt_c, max_len
+    ):
+        distinct, parent, counts = np.unique(
+            parent[keep] * stride + nxt, return_inverse=True, return_counts=True
+        )
+        levels.append(
+            TrieLevel(
+                nodes=distinct % stride,
+                parents=distinct // stride,
+                weights=counts.astype(np.int64),
+            )
+        )
+    return levels
 
 
 def sparse_merge_seed(

@@ -3,8 +3,10 @@
 :class:`~repro.core.tree.ReachabilityTree` stores Algorithm 3's walk trie as
 linked Python objects — ideal for incremental insertion (the walk cache) but
 slow to traverse once per probe.  :class:`WalkTrie` is the same structure
-flattened into per-level numpy arrays, built in one vectorised pass over the
-padded walk arrays of :func:`~repro.core.walks.sample_walk_arrays`:
+flattened into per-level numpy arrays.  The native engine builds the levels
+while it samples (:func:`repro.core.native.fallback.sample_trie_levels`);
+:meth:`WalkTrie.from_walk_arrays` builds them from walks supplied from
+outside, in one vectorised pass over padded walk arrays:
 
 - level ``d`` (depth ``d`` nodes, ``d >= 2``) holds three parallel arrays:
   ``nodes`` (graph node of each distinct length-``d`` prefix), ``parents``

@@ -23,6 +23,10 @@ Five tiers of guarantees are pinned here:
    seam that instrumentation (``perfbench/replay.py``) counts.
 5. **Surface** — config validation, ``auto`` routing, capabilities and
    labels, registry construction, stats, and sync.
+
+The replay seam ties the one-pass sampler the engine runs to the
+two-pass composition (``sample_walks`` -> ``WalkTrie.from_walk_arrays``)
+the serving benchmark replays: served answers equal it byte for byte.
 """
 
 import gc
@@ -224,6 +228,51 @@ class TestLoopOracle:
         assert diff.max() <= bound + 1e-12
 
 
+def replay_composition(graph, query, seed):
+    """A served answer rebuilt the way ``perfbench/replay.py`` rebuilds it:
+    ``walk_bases`` -> ``sample_walks`` -> ``from_walk_arrays`` ->
+    ``probe_trie``, then normalized and finalized."""
+    cfg = native_engine(graph, seed=seed).config
+    ctx = native.make_context(as_csr(graph), cfg.sqrt_c)
+    impl = native.resolve_impl()
+    bases = walk_bases(stream_base(seed, query), cfg.walk_count(graph.num_nodes))
+    nodes, lengths = impl.sample_walks(
+        ctx.in_indptr, ctx.in_indices, ctx.in_degrees,
+        bases, query, cfg.sqrt_c, cfg.walk_truncation(),
+    )
+    trie = WalkTrie.from_walk_arrays(nodes, lengths)
+    scores = native.probe_trie(ctx, trie, impl)
+    scores /= trie.num_walks
+    scores[query] = 1.0
+    if cfg.compensate_truncation and cfg.prune:
+        scores += cfg.budget.eps_t / 2.0
+        scores[query] = 1.0
+    return scores
+
+
+class TestReplaySeam:
+    """The engine's one-pass sampler answers byte for byte what the
+    two-pass composition the serving benchmark replays answers."""
+
+    @pytest.mark.parametrize("seed", [7, 31])
+    def test_tiny_wiki_matches_replay_composition(self, tiny_wiki, seed):
+        engine = native_engine(tiny_wiki, seed=seed)
+        for query in (0, 5, 11, 50, 199):
+            np.testing.assert_array_equal(
+                engine.single_source(query).scores,
+                replay_composition(tiny_wiki, query, seed))
+
+    @pytest.mark.parametrize("seed", [7, 31])
+    def test_ragged_matches_replay_composition(self, ragged, seed):
+        """Includes a source (40), a node whose walks die on it (41) and
+        isolated nodes (42, 43)."""
+        engine = native_engine(ragged, seed=seed)
+        for query in (0, 7, 40, 41, 42, 43):
+            np.testing.assert_array_equal(
+                engine.single_source(query).scores,
+                replay_composition(ragged, query, seed))
+
+
 class TestOracleAgreement:
     """Tier 3: native scores equal the hash-map oracle on native's walks."""
 
@@ -414,6 +463,14 @@ class TestEngineSurface:
         assert stats.num_tree_nodes > 0
         assert stats.num_probes == stats.num_tree_nodes
         assert stats.walk_length_total >= stats.num_walks
+
+    def test_stage_seconds_cover_the_query(self, tiny_wiki):
+        engine = native_engine(tiny_wiki, eps_a=0.15, seed=9, num_walks=400)
+        engine.single_source(11)
+        stats = engine.last_stats
+        assert stats.sample_seconds > 0.0
+        assert stats.sweep_seconds > 0.0
+        assert stats.sample_seconds + stats.sweep_seconds <= stats.elapsed
 
     def test_context_is_cached_per_snapshot(self, tiny_wiki_csr):
         """Engines sharing one CSR snapshot share one operator build."""
