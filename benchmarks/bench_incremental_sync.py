@@ -25,20 +25,21 @@ Usage::
     python benchmarks/bench_incremental_sync.py --smoke          # seconds
     python benchmarks/bench_incremental_sync.py --json out.json  # perf gate
 
-The ``--json`` report carries a flat ``gate`` block consumed by
-``tools/check_bench_regression.py`` (the nightly perf-regression gate).
+The run pins itself to ``CORE_BUDGET`` cores and records the pinned
+count as ``cores``.  The ``--json`` report carries a flat ``gate`` block
+consumed by ``tools/check_bench_regression.py`` (the nightly
+perf-regression gate).
 """
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
 from pathlib import Path
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from conftest import emit_table  # noqa: E402
+from conftest import emit_table, pin_cores  # noqa: E402
 
 from repro.graph.generators import erdos_renyi_graph  # noqa: E402
 from repro.workloads import generate_workload, run_workload  # noqa: E402
@@ -46,6 +47,10 @@ from repro.workloads import generate_workload, run_workload  # noqa: E402
 SEED = 2017
 METHOD = "tsf"  # the paper's incremental-update index
 WORKERS = 2
+#: cores the run pins itself to (worker processes inherit the affinity);
+#: the report records the pinned count as ``cores``, so any box with at
+#: least this many cores can gate.
+CORE_BUDGET = 1
 
 #: (num_nodes, num_edges, num_ops) presets; smoke finishes in seconds.
 PRESETS = {
@@ -93,6 +98,7 @@ def replay(graph, trace, smoke: bool, maintenance: str,
 
 def run_bench(smoke: bool) -> dict:
     """The full comparison; returns the JSON payload (with the gate block)."""
+    cores = pin_cores(CORE_BUDGET)
     graph, trace = build_trace(smoke)
     rows = [
         replay(graph, trace, smoke, maintenance)
@@ -103,7 +109,7 @@ def run_bench(smoke: bool) -> dict:
         "incremental_sync", rows,
         (f"Delta vs rebuild maintenance: {trace.num_updates} updates / "
          f"{trace.num_queries} queries ({preset} preset, "
-         f"cores={multiprocessing.cpu_count()})"),
+         f"cores={cores})"),
     )
 
     by_mode = {row["maintenance"]: row for row in rows}
@@ -125,7 +131,7 @@ def run_bench(smoke: bool) -> dict:
         "bench": "incremental_sync",
         "preset": preset,
         "method": METHOD,
-        "cores": multiprocessing.cpu_count(),
+        "cores": cores,
         "trace": {
             "queries": trace.num_queries,
             "updates": trace.num_updates,

@@ -11,9 +11,9 @@ site-packages allocations keep the real primitives) and:
   cycle in that graph, i.e. two sites acquired in both orders, the static
   precondition for an ABBA deadlock even when no run has deadlocked yet;
 - flags **same-site nesting** — two *distinct* lock instances from one
-  allocation site held simultaneously (e.g. a router holding its
-  ``_stats_lock`` while calling into a shard's), which no global order
-  can protect;
+  allocation site held simultaneously (e.g. one service holding its
+  ``_stats_lock`` while calling into another service's), which no global
+  order can protect;
 - asserts the HTTP app's **single-thread dispatch contract**: every
   ``SimRankHTTPApp._run_blocking`` callable for a given app instance must
   execute on exactly one executor thread (the services' thread model

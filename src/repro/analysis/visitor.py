@@ -7,7 +7,7 @@ annotations (``# guarded-by: <lock>`` on field declarations,
 statement-block navigation.  A :class:`ProjectIndex` merges per-file
 class facts so guard annotations are inherited across files by base-class
 name (e.g. ``QueryServiceBase`` annotations apply to
-``ShardedSimRankService``).
+``ParallelSimRankService``).
 """
 
 from __future__ import annotations

@@ -256,11 +256,6 @@ def _cmd_workload(args) -> int:
             raise ConfigurationError(
                 "give a graph path or --snapshot, not both"
             )
-        if args.shards:
-            raise ConfigurationError(
-                "--snapshot replay on the CLI is unsharded; the sharded "
-                "snapshot path is exercised through the python API"
-            )
         if args.read_fraction < 1.0:
             raise ConfigurationError(
                 "--snapshot serves read-only: use --read-fraction 1"
@@ -304,9 +299,7 @@ def _cmd_workload(args) -> int:
             graph, trace, methods, configs=configs,
             workers=args.workers, sync_every=args.sync_every,
             executor=args.executor, cache_size=args.cache_size,
-            maintenance=args.maintenance,
-            shards=args.shards, partition=args.partition,
-            snapshot=args.snapshot,
+            maintenance=args.maintenance, snapshot=args.snapshot,
         )
     finally:
         if snapshot_handle is not None:
@@ -315,15 +308,12 @@ def _cmd_workload(args) -> int:
                 snapshot_handle.close()
             except BufferError:  # trace still views the arrays; mmap dies with it
                 pass
-    sharding = (
-        f", shards={args.shards} ({args.partition})" if args.shards else ""
-    )
     print(format_table(
         result.rows(),
         title=(f"workload: {trace.num_queries} queries / {trace.num_updates} "
                f"updates, read_fraction={args.read_fraction}, "
                f"workers={args.workers}, executor={args.executor}, "
-               f"maintenance={args.maintenance}{sharding}"),
+               f"maintenance={args.maintenance}"),
     ))
     if args.json:
         path = write_json_report(args.json, result.to_dict())
@@ -365,7 +355,6 @@ def _cmd_serve(args) -> int:
 
     from repro.api.service import SimRankService
     from repro.parallel.pool import ParallelSimRankService
-    from repro.parallel.sharded import ShardedSimRankService
     from repro.server import ServerConfig, SimRankHTTPApp
 
     persistent = args.snapshot is not None or args.store is not None
@@ -384,18 +373,7 @@ def _cmd_serve(args) -> int:
         store = PersistentGraphStore.open(args.store)
     methods = [name.strip() for name in args.methods.split(",") if name.strip()]
     configs = _serve_method_configs(args, methods)
-    if args.shards > 0:
-        if store is not None:
-            raise ConfigurationError(
-                "--store serving is unsharded; drop --shards"
-            )
-        service = ShardedSimRankService(
-            graph, methods=tuple(methods), configs=configs,
-            shards=args.shards, partition=args.partition,
-            workers=max(args.workers, 1), cache_size=args.cache_size,
-            snapshot=args.snapshot,
-        )
-    elif args.workers > 0 or persistent:
+    if args.workers > 0 or persistent:
         # persistent sources always serve through the parallel service —
         # with workers=0 its in-process sequential oracle stands in for
         # the plain SimRankService
@@ -427,13 +405,9 @@ def _cmd_serve(args) -> int:
                 loop.add_signal_handler(sig, stop.set)
             except NotImplementedError:  # pragma: no cover - non-posix loops
                 pass
-        sharding = (
-            f"shards={args.shards} ({args.partition}), " if args.shards > 0
-            else ""
-        )
         print(
             f"serving {methods} on http://{args.host}:{app.port} "
-            f"({sharding}workers={args.workers}, "
+            f"(workers={args.workers}, "
             f"coalesce={not args.no_coalesce}); ctrl-c to stop",
             flush=True,
         )
@@ -616,20 +590,12 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument("--update-batch", type=int, default=4, dest="update_batch",
                           help="max update arrival-batch size")
     workload.add_argument("--workers", type=int, default=1,
-                          help="query-side pool width (one replica each; "
-                               "per shard with --shards)")
+                          help="query-side pool width (one replica each)")
     workload.add_argument("--executor", default="thread",
                           choices=("thread", "process", "sequential"),
                           help="replica pool: GIL-bound threads, worker "
                                "processes over a shared-memory graph, or the "
                                "process service's in-process oracle")
-    workload.add_argument("--shards", type=int, default=None,
-                          help="replay on the sharded router with this many "
-                               "shards (process/sequential executor only)")
-    workload.add_argument("--partition", default="hash",
-                          choices=("hash", "degree"),
-                          help="node-to-shard assignment strategy (with "
-                               "--shards)")
     workload.add_argument("--maintenance", default="auto",
                           choices=("auto", "delta", "rebuild"),
                           help="process-executor update path: in-place delta "
@@ -672,9 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(serve)
     serve.add_argument("--snapshot", default=None,
                        help="serve read-only from a persistent snapshot: a "
-                            "`repro ingest` .csr file, or (with --shards) a "
-                            "write_shard_snapshots directory; workers mmap "
-                            "the file instead of rebuilding the graph")
+                            "`repro ingest` .csr file; workers mmap the file "
+                            "instead of rebuilding the graph")
     serve.add_argument("--store", default=None,
                        help="serve durably from a persistent store "
                             "directory: recovers snapshot + WAL tail on "
@@ -687,17 +652,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated registry names to mount")
     serve.add_argument("--workers", type=int, default=0,
                        help="worker processes (0 = in-process sequential "
-                            "service; per shard with --shards)")
-    serve.add_argument("--shards", type=int, default=0,
-                       help="serve through the sharded router with this many "
-                            "per-shard worker groups (0 = unsharded)")
-    serve.add_argument("--partition", default="hash",
-                       choices=("hash", "degree"),
-                       help="node-to-shard assignment strategy (with --shards)")
+                            "service)")
     serve.add_argument("--cache-size", type=int, default=0, dest="cache_size",
                        help="update-aware result cache capacity "
-                            "(workers > 0 only; per shard with --shards; "
-                            "0 disables)")
+                            "(workers > 0 only; 0 disables)")
     serve.add_argument("--no-coalesce", action="store_true", dest="no_coalesce",
                        help="dispatch each request individually (micro-batching off)")
     serve.add_argument("--coalesce-max-batch", type=int, default=64,

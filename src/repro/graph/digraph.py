@@ -88,28 +88,6 @@ class DiGraph:
         clone._num_edges = self._num_edges
         return clone
 
-    def edge_subgraph(self, keep) -> "DiGraph":
-        """A same-node-set copy containing only edges where ``keep(s, t)``.
-
-        Both the out- and in-adjacency lists of the copy preserve this
-        graph's *relative* neighbour order — not merely the edge set.  The
-        serving layer's shard subgraphs rely on that: adjacency-order-
-        sensitive samplers (TSF draws neighbours by list position) must see
-        the induced order of the parent graph, so a keep-everything
-        predicate yields a graph whose CSR snapshot is byte-identical to
-        the parent's.
-        """
-        clone = DiGraph(self.num_nodes)
-        clone._out = [
-            [t for t in adj if keep(s, t)] for s, adj in enumerate(self._out)
-        ]
-        clone._in = [
-            [s for s in adj if keep(s, t)] for t, adj in enumerate(self._in)
-        ]
-        clone._out_sets = [set(adj) for adj in clone._out]
-        clone._num_edges = sum(len(adj) for adj in clone._out)
-        return clone
-
     def add_node(self) -> int:
         """Append a fresh isolated node and return its id."""
         self._out.append([])

@@ -19,60 +19,32 @@ keeping the graph physically shared:
     :class:`~repro.parallel.cache.ResultCache` — an update-aware LRU for
     single-source results keyed ``(method, query, epoch)``, invalidated by
     epoch bumps.
-:mod:`~repro.parallel.partition`
-    Node-ownership partitioning (hash and degree-balanced) plus the
-    incident-edge shard-subgraph rule the shard layer routes by.
-:mod:`~repro.parallel.sharded`
-    :class:`~repro.parallel.sharded.ShardedSimRankService` — a router over
-    ``P`` per-shard worker groups (one shared graph segment, delta log,
-    and cache each), same service surface, shard-parallel batch fan-out.
 
-Both services can also serve straight off the persistent tier
+Scale-out is one pool over one graph: every worker answers against the
+whole shared snapshot, so every served score keeps the estimator's
+``eps_a`` / ``delta`` guarantee at any worker count.
+
+The service can also serve straight off the persistent tier
 (:mod:`repro.storage`): ``snapshot=`` mmap-attaches a CSR snapshot file
-(or a :func:`~repro.parallel.sharded.write_shard_snapshots` directory)
-instead of rebuilding shared segments, and ``store=`` (unsharded) makes
-the service durable — every accepted update burst is write-ahead-logged
-and each compaction checkpoints a fresh snapshot generation.
+instead of rebuilding shared segments, and ``store=`` makes the service
+durable — every accepted update burst is write-ahead-logged and each
+compaction checkpoints a fresh snapshot generation.
 
-Entry points: ``repro workload --executor process [--shards P]`` and
-``repro serve --shards P`` on the CLI (``--snapshot`` / ``--store`` for
-the persistent paths), plus ``benchmarks/bench_parallel_service.py`` and
-``benchmarks/bench_sharded_service.py`` in the harness.
+Entry points: ``repro workload --executor process`` and
+``repro serve --workers W`` on the CLI (``--snapshot`` / ``--store`` for
+the persistent paths), plus ``benchmarks/bench_parallel_service.py`` in
+the harness.
 """
 
 from repro.parallel.cache import CacheStats, ResultCache
-from repro.parallel.partition import (
-    PARTITION_STRATEGIES,
-    Partition,
-    degree_partition,
-    hash_partition,
-    make_partition,
-    shard_subgraph,
-)
 from repro.parallel.pool import ParallelSimRankService, derive_replica_config
-from repro.parallel.sharded import (
-    ShardedCacheView,
-    ShardedSimRankService,
-    load_shard_partition,
-    write_shard_snapshots,
-)
 from repro.parallel.shm import SharedCSRGraph, ShmGraphDescriptor
 
 __all__ = [
-    "PARTITION_STRATEGIES",
     "CacheStats",
     "ParallelSimRankService",
-    "Partition",
     "ResultCache",
-    "ShardedCacheView",
-    "ShardedSimRankService",
     "SharedCSRGraph",
     "ShmGraphDescriptor",
-    "degree_partition",
     "derive_replica_config",
-    "hash_partition",
-    "load_shard_partition",
-    "make_partition",
-    "shard_subgraph",
-    "write_shard_snapshots",
 ]

@@ -33,11 +33,6 @@ Two executors replay the trace batch by batch:
     digests are the bit-exactness reference the process executor is held
     to — including under updates, on both maintenance paths.
 
-With ``shards=P`` the process/sequential replay targets a
-:class:`~repro.parallel.sharded.ShardedSimRankService` instead — ``P``
-per-shard worker groups of ``workers`` each behind one router — and the
-same sequential oracle pins the sharded process digests per ``P``.
-
 Result caching
 --------------
 ``cache_size > 0`` puts an update-aware LRU
@@ -103,13 +98,11 @@ from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import touched_neighborhood
 from repro.parallel.cache import ResultCache
-from repro.parallel.partition import PARTITION_STRATEGIES
 from repro.parallel.pool import (
     MAINTENANCE_MODES,
     ParallelSimRankService,
     derive_replica_config,
 )
-from repro.parallel.sharded import ShardedSimRankService
 from repro.utils.validation import check_positive_int
 from repro.workloads.generator import WorkloadTrace
 from repro.workloads.stats import LatencyHistogram
@@ -135,10 +128,6 @@ class MethodReport:
     sync_every: int
     executor: str = "thread"
     cache_size: int = 0
-    #: shard count of the sharded router (0 = unsharded service)
-    shards: int = 0
-    #: partition strategy behind ``shards`` ("" when unsharded)
-    partition: str = ""
     #: resolved maintenance path: "delta" (updates absorbed in place) or
     #: "rebuild" (full re-sync / epoch republish per update burst)
     maintenance: str = "rebuild"
@@ -230,8 +219,6 @@ class MethodReport:
             "sync_every": self.sync_every,
             "executor": self.executor,
             "cache_size": self.cache_size,
-            "shards": self.shards,
-            "partition": self.partition,
             "maintenance": self.maintenance,
             "num_queries": self.num_queries,
             "num_updates": self.num_updates,
@@ -436,8 +423,6 @@ def _replay_process(
     cache_size: int,
     maintenance: str,
     executor: str = "process",
-    shards: int | None = None,
-    partition: str = "hash",
     snapshot=None,
 ) -> MethodReport:
     """Process-executor replay on a :class:`ParallelSimRankService`.
@@ -448,48 +433,29 @@ def _replay_process(
     latency is the batch mean (results cross a process boundary, so op
     timings are not individually observable from the coordinator).
     ``executor="sequential"`` replays the identical schedule in-process —
-    the bit-exactness oracle.  With ``shards`` set the replay targets a
-    :class:`ShardedSimRankService` (``workers`` per shard) instead.  With
-    ``snapshot`` set the services ``mmap``-attach the persistent snapshot
-    (file, or :func:`~repro.parallel.sharded.write_shard_snapshots`
-    directory when sharded) instead of copying ``graph``.
+    the bit-exactness oracle.  With ``snapshot`` set the service
+    ``mmap``-attaches the persistent snapshot file instead of copying
+    ``graph``.
     """
     report = MethodReport(
         method=method, workers=workers, sync_every=sync_every,
         executor=executor, cache_size=cache_size,
-        shards=shards or 0, partition=partition if shards else "",
     )
     digest = blake2b(digest_size=16)
     unsynced_updates = 0
     batches_since_sync = 0
 
-    source = graph.copy() if graph is not None else None
-    if shards is None:
-        service = ParallelSimRankService(
-            source,
-            methods=(method,),
-            configs={method: config},
-            workers=workers,
-            cache_size=cache_size,
-            auto_sync=sync_every == 1,
-            maintenance=maintenance,
-            executor=executor,
-            snapshot=snapshot,
-        )
-    else:
-        service = ShardedSimRankService(
-            source,
-            methods=(method,),
-            configs={method: config},
-            shards=shards,
-            partition=partition,
-            workers=workers,
-            cache_size=cache_size,
-            auto_sync=sync_every == 1,
-            maintenance=maintenance,
-            executor=executor,
-            snapshot=snapshot,
-        )
+    service = ParallelSimRankService(
+        graph.copy() if graph is not None else None,
+        methods=(method,),
+        configs={method: config},
+        workers=workers,
+        cache_size=cache_size,
+        auto_sync=sync_every == 1,
+        maintenance=maintenance,
+        executor=executor,
+        snapshot=snapshot,
+    )
     report.maintenance = service.maintenance
     with service:  # guarantees worker/shared-memory teardown
         wall_started = time.perf_counter()
@@ -544,8 +510,6 @@ def run_workload(
     executor: str = "thread",
     cache_size: int = 0,
     maintenance: str = "auto",
-    shards: int | None = None,
-    partition: str = "hash",
     snapshot=None,
 ) -> WorkloadResult:
     """Replay ``trace`` once per method and collect comparable reports.
@@ -588,21 +552,11 @@ def run_workload(
         or ``"auto"`` (default — delta exactly when the method supports
         it).  The thread executor always maintains by capability (its
         ``"auto"``); the knob is validated but advisory there.
-    shards:
-        ``None`` (default) replays on the unsharded services.  A positive
-        shard count replays on a
-        :class:`~repro.parallel.sharded.ShardedSimRankService` — one
-        worker group of ``workers`` per shard — and requires the process
-        or sequential executor (the shard layer has no thread path).
-    partition:
-        Partition strategy for ``shards`` (``"hash"`` or ``"degree"``).
     snapshot:
         Replay against a persistent mmap-attached snapshot instead of
         ``graph`` (which must then be ``None``): a
-        :func:`repro.storage.write_snapshot` / ``repro ingest`` file
-        unsharded, or a :func:`~repro.parallel.sharded.
-        write_shard_snapshots` directory with ``shards``.  The mapped tier
-        is read-only, so the trace must contain no updates, and it has no
+        :func:`repro.storage.write_snapshot` / ``repro ingest`` file.  The
+        mapped tier is read-only, so the trace must contain no updates, and it has no
         thread path.
 
     Returns
@@ -631,18 +585,6 @@ def run_workload(
         )
     if cache_size < 0:
         raise EvaluationError(f"cache_size must be >= 0, got {cache_size}")
-    if shards is not None:
-        check_positive_int("shards", shards)
-        if executor == "thread":
-            raise EvaluationError(
-                "shards require the process or sequential executor; the "
-                "thread executor has no shard layer"
-            )
-        if partition not in PARTITION_STRATEGIES:
-            raise EvaluationError(
-                f"partition must be one of {PARTITION_STRATEGIES}, "
-                f"got {partition!r}"
-            )
     if snapshot is not None:
         if graph is not None:
             raise EvaluationError(
@@ -692,7 +634,7 @@ def run_workload(
             report = _replay_process(
                 graph, trace, method, configs.get(method, {}), workers,
                 sync_every, cache_size, maintenance, executor=executor,
-                shards=shards, partition=partition, snapshot=snapshot,
+                snapshot=snapshot,
             )
         result.reports.append(report)
     return result

@@ -10,7 +10,6 @@ from repro.core.tree import ReachabilityTree
 from repro.datasets import TOY_DECAY
 from repro.errors import QueryError
 from repro.eval.metrics import abs_error_max
-from repro.graph import CSRGraph, DiGraph
 
 STRATEGIES = ("basic", "batch", "randomized", "hybrid")
 

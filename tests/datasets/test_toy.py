@@ -8,7 +8,6 @@ from repro.datasets.toy import (
     TOY_DECAY,
     TOY_EDGES,
     TOY_EXPECTED_SIMRANK_FROM_A,
-    TOY_NODE_NAMES,
     TOY_TABLE2_TOLERANCE,
     node_id,
     toy_graph,

@@ -1,6 +1,5 @@
 """Unit tests for the mutable DiGraph substrate."""
 
-import numpy as np
 import pytest
 
 from repro.errors import (

@@ -66,7 +66,7 @@ class TestParityAndCycles:
         """Complete bipartite-ish: all of one side mutually similar."""
         left = [0, 1, 2]
         right = [3, 4]
-        edges = [(l, r) for l in left for r in right]
+        edges = [(a, b) for a in left for b in right]
         g = DiGraph.from_edges(edges)
         truth = _assert_all_methods_agree(g, 3)
         # 3 and 4 share in-neighbourhood {0,1,2}, but the left side has no

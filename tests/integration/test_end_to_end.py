@@ -8,7 +8,6 @@ from repro import MonteCarlo, PowerMethod, ProbeSim, TSFIndex, TopSim
 from repro.datasets import load_dataset
 from repro.eval import (
     MethodSpec,
-    abs_error_max,
     compute_ground_truth,
     format_table,
     run_single_source,

@@ -1,4 +1,4 @@
-"""ParallelSimRankService: determinism, caching, crash recovery, hygiene.
+"""ParallelSimRankService: accuracy, determinism, caching, crash recovery, hygiene.
 
 The load-bearing contract: for fixed seeds the process-parallel service is
 *bit-identical* to its sequential executor (same partition/replay/rebuild
@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from repro.api.service import SimRankService
+from repro.baselines.power import PowerMethod
 from repro.errors import ConfigurationError, QueryError
+from repro.graph.generators import erdos_renyi_graph
 from repro.parallel.pool import ParallelSimRankService
 
 from test_shm import segment_names
@@ -635,3 +637,35 @@ class TestHistoryRollover:
             assert service.stats.worker_restarts == 1
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
+
+
+class TestServedAccuracy:
+    """Every served score is SimRank: within ``eps_a`` of the Power Method
+    on the live graph, whichever worker answered and after updates too."""
+
+    EPS_A = 0.1  # the estimator's default, with delta = 0.01
+
+    def assert_within_eps(self, service, queries):
+        truth = PowerMethod(service.graph, c=0.6).compute()
+        for result in service.single_source_many(queries):
+            error = np.abs(result.scores - truth[result.query]).max()
+            assert error <= self.EPS_A, (result.query, error)
+
+    def test_pool_answers_within_eps_of_exact(self):
+        graph = erdos_renyi_graph(200, num_edges=600, seed=2024)
+        queries = list(range(0, 200, 10))
+        rng = np.random.default_rng(7)
+        edges = list(graph.edges())
+        removed = [edges[i] for i in rng.choice(len(edges), 10, replace=False)]
+        added = []
+        while len(added) < 10:
+            s, t = (int(x) for x in rng.integers(0, 200, size=2))
+            if s != t and not graph.has_edge(s, t) and (s, t) not in added:
+                added.append((s, t))
+        with ParallelSimRankService(
+            graph.copy(), methods=(METHOD,), configs={METHOD: {"seed": 11}},
+            workers=2, executor="process",
+        ) as service:
+            self.assert_within_eps(service, queries)
+            service.apply_edges(added=added, removed=removed)
+            self.assert_within_eps(service, queries)

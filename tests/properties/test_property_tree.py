@@ -52,8 +52,6 @@ class TestTreeProperties:
     @given(walk_batches())
     @settings(max_examples=100, deadline=None)
     def test_insertion_order_irrelevant(self, walks):
-        import itertools
-
         forward = ReachabilityTree.from_walks(walks)
         backward = ReachabilityTree.from_walks(list(reversed(walks)))
         assert dict(

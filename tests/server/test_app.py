@@ -584,44 +584,3 @@ class TestBitExactness:
             else:
                 expected = serialize_result(oracle.single_source(query), 10)
             assert response.body == expected
-
-
-class TestShardedService:
-    """The front door speaks the same protocol over the sharded router."""
-
-    def test_sharded_service_behind_the_app(self, harness, tiny_wiki):
-        from repro.parallel.sharded import ShardedSimRankService
-
-        service = ShardedSimRankService(
-            tiny_wiki.copy(), methods=("probesim-native",),
-            configs={"probesim-native": {
-                "eps_a": 0.3, "num_walks": 40, "seed": 11,
-            }},
-            shards=2, workers=1, executor="sequential", cache_size=8,
-        )
-
-        async def scenario(app):
-            async with harness.Client(app.port) as client:
-                single = await client.request(
-                    "POST", "/single_source", {"query": 3}
-                )
-                update = await client.request(
-                    "POST", "/apply_edges", {"added": [[0, 9]]}
-                )
-                health = await client.request("GET", "/healthz")
-                metrics = await client.request("GET", "/metrics")
-                return single, update, health, metrics
-
-        single, update, health, metrics = harness.serve(service, scenario)
-        service.close()
-        assert single.status == 200
-        assert update.status == 200
-        payload = json.loads(health.body)
-        assert payload["status"] == "ok"
-        # the router's epoch (summed shard epochs) is a plain int for /healthz
-        assert isinstance(payload["epoch"], int)
-        assert payload["epoch"] >= 1
-        text = metrics.body.decode()
-        assert "repro_cache_hits" in text  # merged shard cache snapshot
-        assert "repro_updates 1" in text  # the router's logical update count
-        assert "repro_syncs 1" in text

@@ -4,7 +4,7 @@ A child process opens the store, durably logs half the update stream, then
 dies by SIGKILL with a partial frame on disk — the closest a test can get
 to yanking the power cord.  The parent recovers, replays the rest of the
 stream, and must land **bit-identical** to a run that never crashed: same
-CSR digest, same served scores, unsharded and P=2 sharded alike.
+CSR digest, same served scores.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ import repro
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import apply_update
 from repro.parallel.pool import ParallelSimRankService
-from repro.parallel.sharded import ShardedSimRankService, write_shard_snapshots
 from repro.storage import PersistentGraphStore, recover
-from repro.storage.store import wal_path
 
 METHOD = "probesim-native"
 CONFIG = {METHOD: {"eps_a": 0.3, "num_walks": 40, "seed": 11}}
@@ -166,44 +164,6 @@ class TestRestartBitIdentity:
             workers=1, executor="sequential",
         ) as survived, ParallelSimRankService(
             uninterrupted, methods=(METHOD,), configs=CONFIG,
-            workers=1, executor="sequential",
-        ) as oracle:
-            for query in QUERIES:
-                np.testing.assert_array_equal(
-                    survived.single_source(query).scores,
-                    oracle.single_source(query).scores,
-                )
-
-    def test_sharded_p2(self, drill, tmp_path):
-        root, stream, updates_file, base = drill
-        run_child(root, updates_file, self.BURSTS_BEFORE_KILL)
-
-        with PersistentGraphStore.open(root) as store:
-            from repro.graph.dynamic import EdgeUpdate
-
-            for i in range(self.BURSTS_BEFORE_KILL, len(stream) // 2):
-                store.log([
-                    EdgeUpdate(*u) for u in stream[i * 2:(i + 1) * 2]
-                ])
-            recovered = store.materialize()
-        uninterrupted = replay(base, stream)
-
-        # the shard cut of the recovered graph is byte-identical per shard
-        survived_dir = tmp_path / "shards-survived"
-        oracle_dir = tmp_path / "shards-oracle"
-        write_shard_snapshots(recovered, survived_dir, shards=2)
-        write_shard_snapshots(uninterrupted, oracle_dir, shards=2)
-        for name in sorted(p.name for p in oracle_dir.iterdir()):
-            assert (survived_dir / name).read_bytes() == (
-                oracle_dir / name
-            ).read_bytes(), name
-
-        # and a service warm-attached to it serves the oracle's scores
-        with ShardedSimRankService(
-            methods=(METHOD,), configs=CONFIG, snapshot=survived_dir,
-            workers=1, executor="sequential",
-        ) as survived, ShardedSimRankService(
-            uninterrupted, methods=(METHOD,), configs=CONFIG, shards=2,
             workers=1, executor="sequential",
         ) as oracle:
             for query in QUERIES:

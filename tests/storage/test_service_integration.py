@@ -15,14 +15,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, EvaluationError
-from repro.storage import SnapshotError
 from repro.graph.csr import CSRGraph, as_csr
 from repro.parallel.pool import ParallelSimRankService
-from repro.parallel.sharded import (
-    ShardedSimRankService,
-    load_shard_partition,
-    write_shard_snapshots,
-)
 from repro.storage import PersistentGraphStore, recover, write_snapshot
 from repro.workloads import generate_workload, run_workload
 
@@ -126,45 +120,6 @@ class TestStoreBackedService:
             with recover(tmp_path / "s") as state:
                 assert len(state.tail) == 2
                 assert state.digest() == live_digest
-
-
-class TestShardSnapshots:
-    def test_snapshot_service_matches_live_service(self, tiny_wiki, tmp_path):
-        graph = canonical(tiny_wiki)
-        shard_dir = tmp_path / "shards"
-        write_shard_snapshots(graph, shard_dir, shards=2)
-        with ShardedSimRankService(
-            methods=(METHOD,), configs=CONFIG, snapshot=shard_dir,
-            workers=1, executor="sequential",
-        ) as mapped, ShardedSimRankService(
-            graph, methods=(METHOD,), configs=CONFIG, shards=2,
-            workers=1, executor="sequential",
-        ) as live:
-            assert mapped.shards == 2
-            for got, want in zip(scores_of(mapped), scores_of(live)):
-                np.testing.assert_array_equal(got, want)
-
-    def test_load_partition_validates_the_manifest(self, tiny_wiki, tmp_path):
-        with pytest.raises(SnapshotError, match="not a shard-snapshot"):
-            load_shard_partition(tmp_path)
-        shard_dir = tmp_path / "shards"
-        partition = write_shard_snapshots(canonical(tiny_wiki), shard_dir, shards=2)
-        loaded = load_shard_partition(shard_dir)
-        assert loaded.num_shards == partition.num_shards
-        np.testing.assert_array_equal(loaded.owner, partition.owner)
-        # a torn shard snapshot is rejected before any service spins up
-        victim = next(p for p in shard_dir.iterdir() if p.suffix == ".csr")
-        victim.write_bytes(victim.read_bytes()[:-10])
-        with pytest.raises(SnapshotError):
-            load_shard_partition(shard_dir)
-
-    def test_shard_count_mismatch_rejected(self, tiny_wiki, tmp_path):
-        shard_dir = tmp_path / "shards"
-        write_shard_snapshots(canonical(tiny_wiki), shard_dir, shards=2)
-        with pytest.raises(ConfigurationError, match="2 shards"):
-            ShardedSimRankService(
-                methods=(METHOD,), configs=CONFIG, snapshot=shard_dir, shards=3,
-            )
 
 
 class TestWorkloadReplayFromSnapshot:

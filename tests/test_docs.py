@@ -65,11 +65,6 @@ class TestArchitectureDoc:
         assert "parallel serving data flow" in text
         assert "SharedCSRGraph" in text
 
-    def test_architecture_documents_sharded_serving(self):
-        text = (REPO / "ARCHITECTURE.md").read_text(encoding="utf-8")
-        assert "sharded serving data flow" in text
-        assert "ShardedSimRankService" in text
-
     def test_architecture_documents_http_serving(self):
         text = (REPO / "ARCHITECTURE.md").read_text(encoding="utf-8")
         assert "HTTP serving data flow" in text
