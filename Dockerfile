@@ -3,9 +3,9 @@
 #   docker build -t probesim-serve .
 #   docker run --rm -p 8080:8080 probesim-serve
 #
-# The default command serves the tiny wiki-vote stand-in dataset with
-# query-seeded RNG (answers are pure functions of (config, graph, query),
-# which is what makes request coalescing byte-exact).  To serve your own
+# The default command serves the tiny wiki-vote stand-in dataset with a
+# fixed seed (answers are pure functions of (config, graph, query), which
+# is what makes request coalescing byte-exact).  To serve your own
 # graph, mount an edge list and override the command:
 #
 #   docker run --rm -p 8080:8080 -v /path/to/graph.txt:/data/graph.txt \
@@ -30,7 +30,7 @@ EXPOSE 8080
 # through the container's published port.
 CMD ["repro", "serve", "--dataset", "wiki-vote", "--scale", "tiny", \
      "--host", "0.0.0.0", "--port", "8080", \
-     "--seed", "7", "--query-seeded", \
+     "--seed", "7", \
      "--eps-a", "0.2", "--delta", "0.1", "--num-walks", "100"]
 
 HEALTHCHECK --interval=10s --timeout=3s --start-period=15s \

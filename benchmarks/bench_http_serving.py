@@ -5,7 +5,7 @@ An in-process :class:`repro.server.SimRankHTTPApp` fronts a sequential
 generator (:mod:`repro.server.loadgen`) replays a Zipf-hot query trace
 against it over real sockets.  Two questions are answered on fixed seeds:
 
-- **Bit-exactness** — with a ``query_seeded`` engine config, every
+- **Bit-exactness** — with an integer engine seed, every
   coalesced HTTP response body must equal the byte string a fresh oracle
   service produces for the same query with direct sequential calls.
   Coalescing may regroup requests into any batches; it may not change a
@@ -79,11 +79,11 @@ PRESETS = {
 
 
 def method_config(preset: dict) -> dict:
-    # query_seeded: answers are pure functions of (config, graph, query),
-    # which is what makes the bit-exactness phase meaningful at all
+    # an integer seed makes answers pure functions of (config, graph,
+    # query), which is what makes the bit-exactness phase meaningful at all
     return {METHOD: {
         "eps_a": 0.2, "delta": 0.1, "num_walks": preset["walks"],
-        "seed": SEED, "query_seeded": True,
+        "seed": SEED,
     }}
 
 

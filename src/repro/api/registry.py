@@ -160,7 +160,7 @@ def capability_rows() -> list[dict[str, object]]:
 _PROBESIM_KEYS = (
     "c", "eps_a", "delta", "seed", "num_walks", "max_walk_length", "backend",
     "engine", "sampling_fraction", "truncation_fraction", "pruning_fraction",
-    "compensate_truncation", "prune", "hybrid_switch_constant", "query_seeded",
+    "compensate_truncation", "prune", "hybrid_switch_constant",
 )
 _PROBESIM_PROBE = {"eps_a": 0.2, "delta": 0.1, "num_walks": 60}
 

@@ -29,7 +29,7 @@ from repro.api.estimator import Capabilities, SimRankEstimator
 from repro.core.results import SimRankResult
 from repro.errors import QueryError
 from repro.graph.csr import as_csr
-from repro.utils.rng import as_generator
+from repro.utils.rng import as_generator, query_stream
 from repro.utils.timer import Timer
 from repro.utils.validation import check_positive_int, check_probability
 
@@ -90,6 +90,7 @@ class MonteCarlo(SimRankEstimator):
         self.eps_a = eps_a
         self.delta = delta
         self.num_walks = num_walks
+        self._seed = seed
         self._rng = as_generator(seed)
 
     def walk_count(self) -> int:
@@ -182,7 +183,7 @@ class MonteCarlo(SimRankEstimator):
             num_walks = self.walk_count()
         check_positive_int("num_walks", num_walks)
         graph = self._csr
-        rng = self._rng
+        rng = query_stream(self._seed, self._rng, query)
         n = graph.num_nodes
 
         timer = Timer()

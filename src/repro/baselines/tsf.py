@@ -40,7 +40,7 @@ from repro.errors import QueryError
 from repro.graph.csr import as_csr
 from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import EdgeUpdate
-from repro.utils.rng import as_generator
+from repro.utils.rng import as_generator, query_stream
 from repro.utils.timer import Timer
 from repro.utils.validation import check_positive_int, check_probability
 
@@ -72,6 +72,8 @@ class TSFIndex(SimRankEstimator):
         self.rg = rg
         self.rq = rq
         self.depth = depth
+        self._seed = seed
+        #: build and apply_update draws only; query walks use query_stream
         self._rng = as_generator(seed)
 
         self._one_way: list[np.ndarray] = []
@@ -160,13 +162,13 @@ class TSFIndex(SimRankEstimator):
             return self._source_graph
         return self._csr
 
-    def _sample_query_walk(self, query: int) -> list[int]:
+    def _sample_query_walk(self, query: int, rng) -> list[int]:
         """Ordinary reverse random walk of length <= depth on the original graph."""
         graph = self._walk_graph()
         walk = [query]
         current = query
         for _ in range(self.depth):
-            nxt = graph.random_in_neighbor(current, self._rng)
+            nxt = graph.random_in_neighbor(current, rng)
             if nxt is None:
                 break
             walk.append(nxt)
@@ -218,9 +220,10 @@ class TSFIndex(SimRankEstimator):
             n = self._csr.num_nodes
             acc = np.zeros(n, dtype=np.float64)
             weight = 1.0 / (self.rg * self.rq)
+            rng = query_stream(self._seed, self._rng, query)
             for index in range(self.rg):
                 for _ in range(self.rq):
-                    walk = self._sample_query_walk(query)
+                    walk = self._sample_query_walk(query, rng)
                     if len(walk) >= 2:
                         self._descendants_at_depths(index, walk, acc, weight)
             acc[query] = 1.0

@@ -337,7 +337,6 @@ def _serve_method_configs(args, methods: list[str]) -> dict[str, dict]:
     shared = {
         "c": args.c, "eps_a": args.eps_a, "delta": args.delta,
         "seed": args.seed, "num_walks": args.num_walks,
-        "query_seeded": True if args.query_seeded else None,
     }
     configs = {}
     for name in methods:
@@ -676,10 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--delta", type=float, default=None)
     serve.add_argument("--seed", type=int, default=None)
     serve.add_argument("--num-walks", type=int, default=None, dest="num_walks")
-    serve.add_argument("--query-seeded", action="store_true", dest="query_seeded",
-                       help="derive one RNG stream per (seed, query) so "
-                            "coalesced batches are bit-identical to "
-                            "sequential per-query answers (needs --seed)")
     serve.set_defaults(func=_cmd_serve)
 
     loadgen = sub.add_parser(

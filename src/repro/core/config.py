@@ -23,7 +23,6 @@ execution strategy knobs.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 from repro.errors import BudgetError, ConfigurationError
@@ -167,20 +166,13 @@ class ProbeSimConfig:
         randomized continuation when its frontier out-degree sum exceeds
         ``c0 * weight * n``.
     seed:
-        Seed for all randomness (int, Generator, or None).
-    query_seeded:
-        When True, every single-source computation draws from a fresh RNG
-        stream derived from ``(seed, query)`` instead of advancing one
-        shared stream across calls.  A query's answer then depends only on
-        ``(config, graph, query)`` — not on which batch it arrived in or
-        what was asked before it — which is what lets a serving tier
-        coalesce concurrent requests into arbitrary batches while staying
-        bit-identical to sequential per-query calls
-        (:mod:`repro.server.coalesce`).  Requires an explicit integer
-        ``seed`` (there is no reproducible derivation from OS entropy or a
-        caller-owned generator).  Walks within one query remain draws from
-        a single stream, so Theorem 1's variance analysis is untouched;
-        only the stream's *origin* changes.
+        Seed for all randomness (int, Generator, or None).  With an integer
+        seed every query draws from its own stream keyed by ``(seed,
+        query)`` (:func:`repro.utils.rng.query_stream`), so an answer is a
+        pure function of ``(config, graph, query)`` — independent of call
+        order and of how a serving tier batched it.  Walks within one query
+        remain draws from a single stream, so Theorem 1's variance analysis
+        is untouched.
     """
 
     c: float = 0.6
@@ -198,7 +190,6 @@ class ProbeSimConfig:
     max_walk_length: int | None = None
     hybrid_switch_constant: float = 0.5
     seed: object = None
-    query_seeded: bool = False
 
     def __post_init__(self) -> None:
         check_probability("c", self.c)
@@ -235,12 +226,6 @@ class ProbeSimConfig:
         if self.hybrid_switch_constant <= 0:
             raise ConfigurationError(
                 f"hybrid_switch_constant must be positive, got {self.hybrid_switch_constant!r}"
-            )
-        if self.query_seeded and not _is_int_seed(self.seed):
-            raise ConfigurationError(
-                "query_seeded=True derives one RNG stream per (seed, query) "
-                "and therefore needs an explicit integer seed; got "
-                f"{self.seed!r}"
             )
         # Resolve the budget eagerly so invalid splits fail at construction.
         object.__setattr__(self, "_budget", self._solve_budget())
@@ -307,8 +292,3 @@ class ProbeSimConfig:
     def with_overrides(self, **overrides) -> "ProbeSimConfig":
         """A copy of this config with ``overrides`` applied."""
         return replace(self, **overrides)
-
-
-def _is_int_seed(seed) -> bool:
-    """True for integer seeds (python or numpy), never for ``bool``."""
-    return isinstance(seed, numbers.Integral) and not isinstance(seed, bool)

@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.api.estimator import Capabilities, SimRankEstimator
 from repro.core import native
-from repro.core.config import ProbeSimConfig, _is_int_seed
+from repro.core.config import ProbeSimConfig
 from repro.core.probe import (
     frontier_edge_budget,
     probe_deterministic,
@@ -58,7 +58,7 @@ from repro.core.tree import ReachabilityTree
 from repro.core.walks import sample_walk_batch
 from repro.errors import QueryError
 from repro.graph.csr import CSRGraph, as_csr
-from repro.utils.rng import as_generator, derive_stream
+from repro.utils.rng import as_generator, is_int_seed, query_stream
 from repro.utils.timer import Timer
 
 
@@ -209,7 +209,7 @@ class ProbeSim(SimRankEstimator):
         reproduce, so the origin is drawn from the engine's shared RNG.
         """
         seed = self.config.seed
-        if _is_int_seed(seed):
+        if is_int_seed(seed):
             return native.stream_base(int(seed), query)
         return native.stream_base(int(self._rng.integers(1 << 63)), query)
 
@@ -238,16 +238,15 @@ class ProbeSim(SimRankEstimator):
     # ------------------------------------------------------------------ #
 
     def _begin_query(self, query: int) -> None:
-        """Rebase the RNG on a per-``(seed, query)`` stream when configured.
+        """Rebase the RNG on the query's stream (:func:`query_stream`).
 
-        With ``query_seeded`` every query's randomness starts from a stream
+        With an integer seed every query's randomness starts from a stream
         derived only from ``(config.seed, query)``, so its answer is a pure
         function of ``(config, graph, query)`` — independent of call order
-        and of how queries are grouped into batches.  A no-op (one shared
-        sequential stream) otherwise.
+        and of how queries are grouped into batches.  Without one, queries
+        keep advancing the shared stream.
         """
-        if self.config.query_seeded:
-            self._rng = derive_stream(self.config.seed, query)
+        self._rng = query_stream(self.config.seed, self._rng, query)
 
     def _sample_walks(self, query: int, stats: QueryStats) -> list[list[int]]:
         self._begin_query(query)

@@ -118,6 +118,8 @@ class AdaptiveTopK(SimRankEstimator):
 
         timer = Timer()
         with timer:
+            # walks and hybrid switches draw from the query's own stream
+            engine._begin_query(query)
             score_sum = np.zeros(n, dtype=np.float64)
             total_walks = 0
             batch_size = self.initial_batch

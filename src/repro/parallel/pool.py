@@ -19,29 +19,28 @@ Shared graph
 Worker replicas
     Each worker builds its own estimator replica per mounted method, seeded
     ``base_seed + worker_index`` (the same replica-derivation rule as the
-    thread-pool workload driver), and rebuilds them at every epoch — RNG
-    streams restart per epoch, which is what makes crash recovery exact.
+    thread-pool workload driver), and rebuilds them at every epoch.  With
+    an integer seed every query draws from its own ``(seed, query)``
+    stream (:func:`repro.utils.rng.query_stream`), so an answer is a pure
+    function of the replica's config, its graph state and the query.
 
 Deterministic dispatch
     Batches are deduplicated, probed against the result cache, and the
     misses split positionally (``misses[w::workers]``) across workers; every
     worker consumes its share in order and results merge back in global
-    batch order.  Replica results are therefore a pure function of
-    ``(graph, configs, workers, call sequence)`` — bit-identical across
-    runs, and bit-identical to ``executor="sequential"``, which replays the
-    exact same partition/replay/rebuild schedule in-process (the oracle the
+    batch order.  Results are therefore bit-identical across runs, and
+    bit-identical to ``executor="sequential"``, which runs the same
+    partition and maintenance schedule in-process (the oracle the
     correctness suite compares against).
 
 Crash recovery
-    A worker that dies mid-flight is respawned, rebuilt against the live
-    epoch, and fast-forwarded by replaying the query sequence it had served
-    since the last pool rebuild (recorded coordinator-side); the pending
-    share is then re-dispatched.  Because replica RNG restarts at each
-    rebuild, the replay reproduces the dead worker's stream exactly — a
-    crash changes no answer, only latency.  The replay log is bounded: after
-    ``history_limit`` queries on any worker the pool is proactively rebuilt
-    in place (same graph, fresh deterministic streams), so update-free
-    serving never accumulates unbounded history or unbounded recovery cost.
+    A worker that dies mid-flight is respawned, built against the live
+    epoch's graph generation, and sent the epoch's delta stream again; the
+    pending share is then re-dispatched.  Queries leave no replica state
+    behind (their draws are keyed by query), and a replica's own stream
+    only feeds its build and its ``apply_updates`` — a function of the
+    seed, the epoch graph and the delta stream.  So the replacement is the
+    dead worker's twin, and a crash changes no answer, only latency.
 
 Result caching
     An update-aware LRU (:mod:`repro.parallel.cache`) keyed
@@ -61,15 +60,12 @@ Delta maintenance (O(Δ) instead of O(m) per update burst)
     (:meth:`~repro.parallel.shm.SharedCSRGraph.append_deltas`) and a
     ``("delta", …)`` RPC tells each worker to read the new entries, apply
     them in place to its local graph mirror, and notify its replicas via
-    ``apply_updates`` — replica RNG streams *continue* instead of
-    restarting, exactly like the sequential service's incremental path.
-    The graph epoch stays put, so cached answers for untouched query nodes
-    stay warm (:meth:`~repro.parallel.cache.ResultCache.invalidate_nodes`
-    drops only the updated edges' 1-hop neighborhood).  Crash-replay
-    histories record the delta stream interleaved with the queries, so a
-    revived worker replays both in order and stays bit-exact.  When the
-    bounded log cannot hold a burst the service *compacts*: one ordinary
-    epoch rebuild folds every logged delta into a fresh CSR generation and
+    ``apply_updates``, exactly like the sequential service's incremental
+    path.  The graph epoch stays put, so cached answers for untouched query
+    nodes stay warm (:meth:`~repro.parallel.cache.ResultCache.invalidate_nodes`
+    drops only the updated edges' 1-hop neighborhood).  When the bounded
+    log cannot hold a burst the service *compacts*: one ordinary epoch
+    rebuild folds every logged delta into a fresh CSR generation and
     empties the log.  The ``maintenance`` knob selects the path —
     ``"rebuild"`` forces epochs, ``"delta"`` requires incremental-capable
     mounts, ``"auto"`` (default) picks delta exactly when every mount
@@ -164,7 +160,7 @@ class _WorkerCore:
         mounts: list[tuple[str, str, dict]],
         delta_mode: bool = False,
     ) -> None:
-        """Mount every replica against ``source`` (fresh RNG streams).
+        """Mount every replica against ``source``.
 
         Under ``delta_mode`` the replicas are built on a worker-local
         *mutable mirror* of the snapshot (``CSRGraph.to_digraph``) instead
@@ -213,7 +209,7 @@ class _WorkerCore:
         Mirrors the sequential service's incremental dispatch exactly:
         each update first mutates the local graph mirror, then every
         replica is notified with that single update (estimators read the
-        post-update graph, and replica RNG streams continue).
+        post-update graph).
         """
         if self.mirror is None:
             raise QueryError(
@@ -230,6 +226,20 @@ class _WorkerCore:
         if kind == "topk":
             return [(op_id, estimator.topk(node, k)) for op_id, node in ops]
         return [(op_id, estimator.single_source(node)) for op_id, node in ops]
+
+    def handle(self, command: str, payload):
+        """Run one RPC; returns the reply payload (``None`` but for queries)."""
+        if command == "query":
+            return self.query(*payload)
+        if command == "build":
+            self.build(*payload)
+        elif command == "epoch":
+            self.rebuild(payload)
+        elif command == "delta":
+            self.apply_delta(self.resolve_delta(payload))
+        elif command != "exit":
+            raise ValueError(f"unknown command {command!r}")
+        return None
 
     def shutdown(self) -> None:
         self.estimators = {}
@@ -258,25 +268,11 @@ def _worker_main(conn, worker_index: int) -> None:  # pragma: no cover
             except (EOFError, OSError):
                 break
             command, payload = message
+            if command == "exit":
+                conn.send(("ok", None))
+                break
             try:
-                if command == "build":
-                    core.build(*payload)
-                    reply = ("ok", None)
-                elif command == "epoch":
-                    core.rebuild(payload)
-                    reply = ("ok", None)
-                elif command == "delta":
-                    core.apply_delta(core.resolve_delta(payload))
-                    reply = ("ok", None)
-                elif command == "query":
-                    reply = ("ok", core.query(*payload))
-                elif command == "ping":
-                    reply = ("ok", worker_index)
-                elif command == "exit":
-                    conn.send(("ok", None))
-                    break
-                else:  # pragma: no cover - protocol misuse
-                    reply = ("error", ("ValueError", f"unknown command {command!r}", ""))
+                reply = ("ok", core.handle(command, payload))
             except BaseException as exc:  # noqa: BLE001 - shipped to coordinator
                 reply = ("error", (type(exc).__name__, str(exc), traceback.format_exc()))
             conn.send(reply)
@@ -340,23 +336,8 @@ class _InlineWorker:
         self._reply = None
 
     def send(self, message) -> None:
-        command, payload = message
         try:
-            if command == "build":
-                self.core.build(*payload)
-                self._reply = ("ok", None)
-            elif command == "epoch":
-                self.core.rebuild(payload)
-                self._reply = ("ok", None)
-            elif command == "delta":
-                self.core.apply_delta(self.core.resolve_delta(payload))
-                self._reply = ("ok", None)
-            elif command == "query":
-                self._reply = ("ok", self.core.query(*payload))
-            elif command in ("ping", "exit"):
-                self._reply = ("ok", None)
-            else:  # pragma: no cover - protocol misuse
-                self._reply = ("error", ("ValueError", f"unknown {command!r}", ""))
+            self._reply = ("ok", self.core.handle(*message))
         except Exception as exc:
             self._reply = ("error", (type(exc).__name__, str(exc), traceback.format_exc()))
 
@@ -445,11 +426,6 @@ class ParallelSimRankService(QueryServiceBase):
     rpc_timeout:
         Seconds to wait on a worker reply before the worker is treated as
         hung and replaced (a liveness backstop, not a latency budget).
-    history_limit:
-        Queries any one worker may serve before the pool is proactively
-        rebuilt in place, bounding crash-recovery replay cost and the
-        coordinator-side history memory.  The trigger depends only on the
-        call sequence, so rollovers preserve bit-reproducibility.
 
     Always :meth:`close` the service (or use it as a context manager):
     that tears down the pool and unlinks the shared-memory segments.  A
@@ -472,12 +448,10 @@ class ParallelSimRankService(QueryServiceBase):
         start_method: str | None = None,
         allow_unsafe: bool = False,
         rpc_timeout: float = 300.0,
-        history_limit: int = 10_000,
         snapshot=None,
         store=None,
     ) -> None:
         check_positive_int("workers", workers)
-        check_positive_int("history_limit", history_limit)
         check_positive_int("delta_log_capacity", delta_log_capacity)
         if executor not in EXECUTORS:
             raise ConfigurationError(
@@ -508,7 +482,6 @@ class ParallelSimRankService(QueryServiceBase):
         self.executor = executor
         self.auto_sync = auto_sync
         self.rpc_timeout = float(rpc_timeout)
-        self.history_limit = int(history_limit)
         self.cache = ResultCache(cache_size)
         self._digraph = graph if isinstance(graph, DiGraph) else None
         self._mounts: dict[str, tuple[str, dict]] = {}
@@ -544,18 +517,8 @@ class ParallelSimRankService(QueryServiceBase):
         self._graph_stale = False
         self._closed = False
         self._single_rr = 0  # round-robin cursor for lone single_source calls
-        #: per-worker crash-replay log: replayable RPC messages in order
-        #: (single-op "query" messages interleaved with "delta" messages)
-        self._histories: list[list[tuple[str, tuple]]] = [
-            [] for _ in range(self.workers)
-        ]
-        #: per-worker count of *query* messages in the history — the
-        #: rollover trigger.  Kept separately so the epoch's delta stream
-        #: (bounded by the log capacity, and re-shipped by every rollover)
-        #: can never re-trip the bound on its own.
-        self._history_queries: list[int] = [0] * self.workers
         #: delta payloads shipped since the live epoch was published — the
-        #: stream a rollover re-ships after its in-place rebuild
+        #: stream a revived worker re-reads after its build
         self._delta_payloads: list[tuple] = []
         self._deltas_since_epoch = 0
         self._pending_updates: list[EdgeUpdate] = []
@@ -683,64 +646,34 @@ class ParallelSimRankService(QueryServiceBase):
         self._expect_ok(worker.recv(self.rpc_timeout))
 
     def _revive(self, index: int) -> None:
-        """Respawn a dead worker and fast-forward it to the live RNG state.
+        """Respawn a dead worker at the live graph state.
 
-        The replay re-runs every message the worker served since the
-        current epoch began — queries (results discarded) *and* delta
-        bursts, in their original interleaving; replica RNG restarts at
-        each epoch, so afterwards the replacement's graph mirror and RNG
-        streams match the dead worker's exactly and determinism survives
-        the crash.
+        The replacement builds against the live epoch's source, then
+        absorbs the delta bursts shipped since that epoch was published,
+        in order.  That is all the state a replica carries: queries draw
+        from per-query streams, so no query history needs replaying.
         """
         self._workers[index].close(force=True)
         self._workers[index] = self._spawn(index)
         self._build_worker(index)
         worker = self._workers[index]
-        for message in self._histories[index]:
-            worker.send(message)
+        for payload in self._delta_payloads:
+            worker.send(("delta", payload))
             self._expect_ok(worker.recv(self.rpc_timeout))
         with self._stats_lock:
             self.stats.worker_restarts += 1
 
-    def _rebarrier(self, replay_deltas: bool = False) -> None:
-        """Rebuild every worker against the current source, clearing the
-        replay histories (replica RNG streams restart deterministically).
+    def _rebarrier(self) -> None:
+        """Rebuild every worker against the freshly published source.
 
-        Under delta maintenance the live epoch's graph generation predates
-        the shipped deltas, so an in-place rebuild (``replay_deltas=True``
-        — the history-bounding rollover) must re-ship the epoch's delta
-        stream to bring the fresh mirrors back to the served graph state;
-        after a *publish* the new generation already folds the deltas in
-        and the stream is dropped instead.
+        The new generation folds every shipped delta in, so the epoch's
+        delta stream is dropped first: a worker revived during this very
+        barrier must not re-apply it.
         """
-        self._histories = [[] for _ in range(self.workers)]
-        self._history_queries = [0] * self.workers
+        self._delta_payloads = []
+        self._deltas_since_epoch = 0
         source = self._worker_source()
         self._rpc_all({w: ("epoch", source) for w in range(self.workers)})
-        if replay_deltas:
-            for payload in self._delta_payloads:
-                self._rpc_all(
-                    {w: ("delta", payload) for w in range(self.workers)}
-                )
-        else:
-            self._delta_payloads = []
-            self._deltas_since_epoch = 0
-
-    def _maybe_rollover(self) -> None:
-        """Bound the crash-replay history on long-serving epochs.
-
-        Once any worker has served ``history_limit`` *queries* since the
-        last rebuild, the pool is rebuilt in place: same graph generation,
-        fresh per-worker RNG streams, histories reduced to the epoch's
-        delta stream (re-shipped so the fresh mirrors match the served
-        graph — its length is bounded by the log capacity, and it does not
-        count toward the trigger, so a delta-heavy epoch cannot make every
-        query roll the pool over).  The trigger is a pure function of the
-        call sequence, so results stay bit-reproducible; cached answers
-        stay valid because the graph epoch is unchanged.
-        """
-        if max(self._history_queries, default=0) >= self.history_limit:
-            self._rebarrier(replay_deltas=True)
 
     def _expect_ok(self, reply):
         status, payload = reply
@@ -750,28 +683,6 @@ class ParallelSimRankService(QueryServiceBase):
         raise QueryError(
             f"worker raised {name}: {message}\n--- worker traceback ---\n{trace}"
         )
-
-    def _record_history(self, index: int, message) -> None:
-        """Append a successful message to the worker's replay history.
-
-        Query messages are split into single-op messages (the rollover
-        bound counts ops, and replay re-sends them one at a time); delta
-        messages are recorded whole, in their position between the queries
-        — the interleaving is what makes a crash replay reproduce the dead
-        worker's graph mirror and RNG streams exactly.  Recording happens
-        the moment the worker's reply is confirmed — not after the whole
-        batch — so the replay log stays accurate even when a batch-mate
-        errors or crashes mid-dispatch.
-        """
-        command, payload = message
-        if command == "query":
-            key, kind, k, ops = payload
-            self._histories[index].extend(
-                ("query", (key, kind, k, [(0, node)])) for _, node in ops
-            )
-            self._history_queries[index] += len(ops)
-        elif command == "delta":
-            self._histories[index].append(message)
 
     def _rpc_all(self, assignments: dict[int, tuple]) -> dict[int, object]:
         """Send one message per worker, gather replies, healing crashes.
@@ -809,14 +720,13 @@ class ParallelSimRankService(QueryServiceBase):
                 del pending[index]
                 try:
                     replies[index] = self._expect_ok(reply)
-                    self._record_history(index, assignments[index])
                 except QueryError as exc:
                     errors.append(exc)  # drain the rest before raising
             for index in crashed:
                 try:
                     self._revive(index)
                 except (WorkerCrashed, TimeoutError):
-                    # the replacement died during build/replay too; its
+                    # the replacement died during build or delta re-read; its
                     # message is still pending, so the next attempt retries
                     # (and eventually trips the attempts cap above) instead
                     # of leaking the internal crash signal to callers
@@ -833,7 +743,6 @@ class ParallelSimRankService(QueryServiceBase):
         """One single-source query (cache-probed, one worker round-trip)."""
         key = self._resolve_method(method)
         node = self._check_query_node(query)
-        self._maybe_rollover()
         with self._stats_lock:
             self.stats.queries += 1
         cached = self.cache.get(key, node, self._epoch)
@@ -859,7 +768,6 @@ class ParallelSimRankService(QueryServiceBase):
             raise QueryError(f"k must be positive, got {k}")
         key = self._resolve_method(method)
         node = self._check_query_node(query)
-        self._maybe_rollover()
         with self._stats_lock:
             self.stats.queries += 1
         index = self._single_rr % self.workers
@@ -880,7 +788,6 @@ class ParallelSimRankService(QueryServiceBase):
         """
         key = self._resolve_method(method)
         batch = [self._check_query_node(query) for query in queries]
-        self._maybe_rollover()
         distinct = list(dict.fromkeys(batch))
         by_query: dict[int, object] = {}
         misses = []
@@ -986,9 +893,9 @@ class ParallelSimRankService(QueryServiceBase):
         Delta path (resolved ``maintenance == "delta"``, and the bounded
         log can hold the burst): append the pending updates to the shared
         edge-delta log, RPC every worker to absorb them in place
-        (``apply_updates`` on each replica — RNG streams continue), and
-        invalidate only the cache entries whose query node falls in the
-        touched neighborhood.  O(Δ); the graph epoch does not move.
+        (``apply_updates`` on each replica), and invalidate only the cache
+        entries whose query node falls in the touched neighborhood.  O(Δ);
+        the graph epoch does not move.
 
         Rebuild path (``maintenance == "rebuild"``, or the log overflowed
         — *compaction*): snapshot the coordinator graph, publish it as a
@@ -1090,7 +997,7 @@ class ParallelSimRankService(QueryServiceBase):
         else:
             self._csr = csr
             self._epoch = old_epoch + 1
-        self._rebarrier(replay_deltas=False)
+        self._rebarrier()
         if self._shm is not None:
             self._shm.release_epoch(old_epoch)
         self.cache.invalidate_older(self._epoch)

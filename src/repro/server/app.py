@@ -59,7 +59,7 @@ contract and serializes batches in submission order.
 Response bodies are deterministic — query, method, walk count, and the
 score pairs, never wall-clock — so a response can be compared **byte for
 byte** against an oracle's answer for the same query.  With an integer
-seed the native engine answers each query as a pure function of (replica
+seed every estimator answers each query as a pure function of (replica
 seed, graph, query), so however the coalescer groups requests, a body
 equals what that replica returns for the query alone; the serving tests
 and :mod:`benchmarks.bench_http_serving` hold coalesced responses to

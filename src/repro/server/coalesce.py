@@ -27,15 +27,12 @@ results can never cross between incompatible request shapes.  Duplicate
 queries within a bucket share one slot — the dedup the service would do
 anyway happens before dispatch, and ``dedup_saved`` counts it.
 
-Correctness relies on a property of the engine, not of this module.
-Given an integer seed, the native engine ``repro serve`` ships draws each
-query's walks from a stream fixed by ``(seed, query)``, so its answer is a
-pure function of (replica seed, graph, query) and *any* grouping of
-requests into batches yields bit-identical per-query results from one
-replica (asserted end-to-end by the serving tests and the HTTP
-benchmark).  An engine whose answers depend on batch composition still
-returns valid Theorem-2 estimates, just not bit-equal to a different
-grouping of the same queries.
+Correctness relies on a property of the engines, not of this module.
+Given an integer seed, every randomized estimator draws each query's
+walks from a stream fixed by ``(seed, query)``, so its answer is a pure
+function of (replica seed, graph, query) and *any* grouping of requests
+into batches yields bit-identical per-query results from one replica
+(asserted end-to-end by the serving tests and the HTTP benchmark).
 
 A waiter cancelled while its bucket is still open (deadline expiry,
 client disconnect) is dropped at flush time: its query leaves the batch

@@ -53,7 +53,8 @@ locked snapshot.
 Reproducibility
 ---------------
 Replica assignment is positional (not load-based) and each replica consumes
-its ops in trace order, so every replica's RNG stream is a pure function of
+its ops in trace order; with integer seeds every query draws from its own
+``(replica seed, query)`` stream, so every answer is a pure function of
 ``(trace, method config, workers)``.  The driver folds each result's score
 vector into a running digest in global op order; two runs with the same
 inputs produce bit-identical digests (asserted by the test suite), while
@@ -63,11 +64,11 @@ too (for fixed knobs).  Every replay — thread replicas included — starts
 from the *canonical* (CSR-ordered) form of the graph, the order worker
 processes reconstruct from shared memory, so adjacency-order-sensitive
 samplers draw identical streams everywhere: thread and process digests are
-bit-identical on update-free traces, and stay bit-identical under updates
-for incremental methods replayed through the delta path (asserted by the
-test suite).  Under ``maintenance="rebuild"`` the process executor restarts
-replica RNG at every epoch, so there (and only there) executor digests
-diverge on update traces.
+bit-identical on update-free traces, under updates for index-free methods
+on either maintenance path, and for incremental methods replayed through
+the delta path (asserted by the test suite).  Only TSF under
+``maintenance="rebuild"`` diverges: the process executor resamples its
+one-way graphs at every epoch, where thread replicas patch them in place.
 
 Staleness
 ---------

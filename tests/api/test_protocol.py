@@ -113,6 +113,37 @@ class TestConformance:
         assert np.all(np.isfinite(estimator.single_source(0).scores))
 
 
+#: every method a pool may mount that takes a seed
+SEEDED_PARALLEL = [
+    name for name in method_names()
+    if get_entry(name).capabilities.parallel_safe
+    and "seed" in get_entry(name).config_keys
+]
+
+
+def answer_bytes(estimator, verb, query):
+    if verb == "topk":
+        top = estimator.topk(query, 3)
+        return top.nodes.tobytes() + top.scores.tobytes()
+    return estimator.single_source(query).scores.tobytes()
+
+
+class TestPerQueryStreams:
+    """With an integer seed an answer is a pure function of (config, graph,
+    query): what the pool relies on to revive a worker without replaying
+    the queries it served."""
+
+    @pytest.mark.parametrize("verb", ["single_source", "topk"])
+    @pytest.mark.parametrize("name", SEEDED_PARALLEL)
+    def test_query_bytes_independent_of_history(self, toy, name, verb):
+        want = answer_bytes(make(name, toy), verb, 5)
+        estimator = make(name, toy)
+        for other in (7, 2, 0):
+            answer_bytes(estimator, verb, other)
+        assert answer_bytes(estimator, verb, 5) == want  # after other queries
+        assert answer_bytes(estimator, verb, 5) == want  # repeated
+
+
 class TestStructuralConformance:
     def test_duck_typed_class_conforms(self):
         class Duck:

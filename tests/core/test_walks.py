@@ -151,12 +151,13 @@ class TestDeterminism:
         from repro.core.engine import QueryStats
         from repro.core.walk_trie import WalkTrie
         from repro.core.walks import sample_walk_arrays
+        from repro.utils.rng import derive_stream
 
         loop = ProbeSim(tiny_wiki, strategy="batch", engine="loop",
                         eps_a=0.15, seed=77, num_walks=300)
         loop_walks = loop._sample_walks(9, QueryStats())
         nodes, lengths = sample_walk_arrays(
-            loop.graph, 9, 300, loop.config.sqrt_c, np.random.default_rng(77),
+            loop.graph, 9, 300, loop.config.sqrt_c, derive_stream(77, 9),
             max_length=loop.config.walk_truncation(),
         )
         trie = WalkTrie.from_walk_arrays(nodes, lengths)

@@ -1,8 +1,8 @@
 """ParallelSimRankService: accuracy, determinism, caching, crash recovery, hygiene.
 
 The load-bearing contract: for fixed seeds the process-parallel service is
-*bit-identical* to its sequential executor (same partition/replay/rebuild
-schedule in one process) — and, for one worker on a static graph, to the
+*bit-identical* to its sequential executor (same partition and
+maintenance schedule in one process) — and, for one worker on a static graph, to the
 plain :class:`~repro.api.service.SimRankService`.  Everything else
 (caching, crashes, epochs) must preserve that contract.
 """
@@ -10,6 +10,7 @@ plain :class:`~repro.api.service.SimRankService`.  Everything else
 import numpy as np
 import pytest
 
+from repro.api.registry import get_entry
 from repro.api.service import SimRankService
 from repro.baselines.power import PowerMethod
 from repro.errors import ConfigurationError, QueryError
@@ -139,21 +140,42 @@ class TestCrashRecovery:
         service._workers[1].process.kill()
         service._workers[1].process.join(timeout=10)
 
-    def test_crash_mid_service_preserves_results(self, tiny_wiki):
-        with make_service(tiny_wiki, "sequential") as oracle:
-            want = collect(oracle)
-        with make_service(tiny_wiki, "process") as service:
-            got = [r.scores.copy() for r in service.single_source_many(QUERIES)]
-            self.kill_one_worker(service)
-            got.append(service.single_source(7).scores.copy())
-            got.append(service.topk(2, 5).scores.copy())
-            assert service.stats.worker_restarts == 1
+    @pytest.mark.parametrize("method", [
+        "probesim", "probesim-randomized", "probesim-adaptive",
+        "probesim-walkindex", "probesim-native", "mc", "tsf",
+    ])
+    def test_crash_mid_service_preserves_results(self, tiny_wiki, method):
+        """A revived worker is rebuilt at the live graph state and never
+        replays the queries its predecessor served: every randomized method
+        must answer a query the same whatever ran on the worker before it,
+        across epoch rebuilds (ProbeSim, MC) and delta bursts (TSF, the
+        walk index) alike."""
+        def run(executor, kill):
+            with ParallelSimRankService(
+                tiny_wiki.copy(), methods=(method,), workers=3,
+                configs={method: {"seed": 11, **get_entry(method).probe_config}},
+                executor=executor,
+            ) as service:
+                out = [r.scores.copy() for r in service.single_source_many(QUERIES)]
+                kill(service)
+                service.apply_edges(added=[(0, 9)])
+                out.extend(
+                    r.scores.copy() for r in service.single_source_many(QUERIES[:5])
+                )
+                kill(service)
+                out.append(service.single_source(7).scores.copy())
+                out.append(service.topk(2, 5).scores.copy())
+                return out, service.stats.worker_restarts
+
+        want, _ = run("sequential", lambda service: None)
+        got, restarts = run("process", self.kill_one_worker)
+        assert restarts == 2
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
 
     def test_crash_replays_epoch_history(self, tiny_wiki):
-        """The revived worker must fast-forward its RNG past everything it
-        served this epoch, or later answers drift."""
+        """A worker revived after serving part of the epoch answers later
+        queries exactly like the worker that died."""
         with make_service(tiny_wiki, "sequential") as oracle:
             oracle.single_source_many(QUERIES)
             want = [r.scores.copy() for r in oracle.single_source_many(QUERIES[:6])]
@@ -404,10 +426,9 @@ class TestDeltaMaintenance:
             np.testing.assert_array_equal(got, want)
 
     def test_crash_mid_delta_replays_the_stream(self, tiny_wiki):
-        """A worker killed after absorbing deltas must be revived by
-        replaying build + queries + delta bursts in their original
-        interleaving — its mirror and RNG then match the sequential
-        oracle's exactly."""
+        """A worker killed after absorbing deltas is rebuilt at the epoch's
+        generation and re-reads the delta stream in order — its mirror and
+        its one-way graphs then match the sequential oracle's exactly."""
         with make_incremental(tiny_wiki, "sequential") as oracle:
             oracle.single_source_many(QUERIES)
             oracle.apply_edges(added=[(0, 9), (5, 17)])
@@ -530,7 +551,7 @@ class TestDeltaMaintenance:
             service.apply_edges(added=[(0, 9), (5, 17), (1, 9)])  # > capacity
             original = service._rebarrier
 
-            def exploding_rebarrier(replay_deltas=False):
+            def exploding_rebarrier():
                 raise RuntimeError("transient rebuild failure")
 
             service._rebarrier = exploding_rebarrier
@@ -546,97 +567,6 @@ class TestDeltaMaintenance:
             mirror = service._workers[0].core.mirror
             assert mirror.num_edges == service.graph.num_edges
             assert mirror.has_edge(1, 9)
-
-    def test_delta_heavy_epoch_does_not_thrash_rollover(self):
-        """Regression: delta payloads re-shipped by a rollover land back in
-        the fresh histories — if they counted toward the rollover trigger,
-        an epoch with >= history_limit delta bursts would rebuild the pool
-        on every subsequent query, forever.  Only queries count."""
-        from repro.graph import DiGraph
-
-        cycle = DiGraph.from_edges(
-            [(i, (i + 1) % 12) for i in range(12)]
-        )
-        with ParallelSimRankService(
-            cycle, methods=(INCREMENTAL,),
-            configs={INCREMENTAL: {"rg": 6, "rq": 2, "depth": 3, "seed": 5}},
-            workers=1, executor="sequential", maintenance="delta",
-            history_limit=4,
-        ) as service:
-            rebarriers = 0
-            original = service._rebarrier
-
-            def spy(replay_deltas=False):
-                nonlocal rebarriers
-                rebarriers += 1
-                original(replay_deltas)
-
-            service._rebarrier = spy
-            for i in range(6):  # 6 delta payloads > history_limit
-                service.apply_edges(added=[(i, (i + 2) % 12)])
-            assert service.stats.delta_syncs == 6
-            for _ in range(9):
-                service.single_source(0)
-            # rollovers fire once per history_limit served queries (the
-            # check precedes each query) — not once per query
-            assert rebarriers == 2
-
-    def test_rollover_replays_delta_stream(self, tiny_wiki):
-        """The history-bounding rollover rebuilds replicas at the epoch
-        base, so it must re-ship the epoch's deltas — and stay bit-exact
-        against the sequential executor rolling over at the same instants."""
-        def run(executor):
-            with make_incremental(
-                tiny_wiki, executor, history_limit=8
-            ) as service:
-                return collect_with_bursts(service)
-
-        for got, want in zip(run("process"), run("sequential")):
-            np.testing.assert_array_equal(got, want)
-
-
-class TestHistoryRollover:
-    def test_histories_stay_bounded(self, tiny_wiki):
-        with make_service(tiny_wiki, "process", history_limit=6) as service:
-            for _ in range(5):
-                service.single_source_many(QUERIES)
-            assert max(len(h) for h in service._histories) < 6 + len(QUERIES)
-
-    def test_rollover_preserves_determinism(self, tiny_wiki):
-        """The rollover trigger is a pure function of the call sequence, so
-        process and sequential executors roll over at the same instants."""
-        with make_service(tiny_wiki, "process", history_limit=4) as parallel, \
-                make_service(tiny_wiki, "sequential", history_limit=4) as oracle:
-            for _ in range(3):
-                for got, want in zip(
-                    parallel.single_source_many(QUERIES),
-                    oracle.single_source_many(QUERIES),
-                ):
-                    np.testing.assert_array_equal(got.scores, want.scores)
-
-    def test_rollover_keeps_cache_entries(self, tiny_wiki):
-        """Rollovers rebuild RNG streams, not the graph: cached answers for
-        the current epoch stay valid (no spurious invalidation)."""
-        with make_service(
-            tiny_wiki, "process", history_limit=4, cache_size=64
-        ) as service:
-            service.single_source_many(QUERIES)  # > limit: triggers rollover
-            service.single_source_many(QUERIES)
-            assert service.cache.stats.hits > 0
-            assert service.cache.stats.invalidations == 0
-
-    def test_crash_after_rollover_recovers(self, tiny_wiki):
-        with make_service(tiny_wiki, "sequential", history_limit=6) as oracle:
-            oracle.single_source_many(QUERIES)
-            want = [r.scores.copy() for r in oracle.single_source_many(QUERIES[:4])]
-        with make_service(tiny_wiki, "process", history_limit=6) as service:
-            service.single_source_many(QUERIES)
-            service._workers[1].process.kill()
-            service._workers[1].process.join(timeout=10)
-            got = [r.scores.copy() for r in service.single_source_many(QUERIES[:4])]
-            assert service.stats.worker_restarts == 1
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
 
 
 class TestServedAccuracy:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, EvaluationError
+from repro.graph.generators import erdos_renyi_graph
 from repro.workloads import LatencyHistogram, generate_workload, run_workload
 
 METHODS = ["probesim-native", "tsf"]
@@ -203,11 +204,12 @@ class TestMaintenanceMatrix:
     """Update-heavy replays across executor × maintenance combinations.
 
     The acceptance property of the delta path: for an incremental-capable
-    method, thread replicas (per-update notification, RNG streams continue)
-    and process workers absorbing the same deltas in place are the *same*
-    computation — digests agree bit for bit even on a write-heavy trace.
-    Under forced rebuild maintenance the process workers restart replica
-    RNG at every epoch, so only reproducibility (not cross-executor
+    method, thread replicas (per-update notification) and process workers
+    absorbing the same deltas in place are the *same* computation — digests
+    agree bit for bit even on a write-heavy trace.  Index-free methods draw
+    per (seed, query), so they agree under epoch rebuilds too.  Under forced
+    rebuild maintenance TSF's process workers resample their one-way graphs
+    at every epoch, so for TSF only reproducibility (not cross-executor
     equality) is promised there.
     """
 
@@ -277,6 +279,26 @@ class TestMaintenanceMatrix:
         )
         assert process.digest == oracle.digest
         assert process.epochs > 0
+
+    def test_index_free_methods_match_across_executors_under_rebuild(self):
+        """Process workers rebuild replicas at every epoch, thread replicas
+        re-snapshot in place: with per-(seed, query) draws both give the
+        same answers, so the digests agree on an update trace."""
+        graph = erdos_renyi_graph(150, num_edges=600, seed=7)
+        trace = generate_workload(graph, num_ops=300, read_fraction=0.85, seed=1)
+        assert trace.num_updates == 47
+        configs = {
+            "probesim": {"eps_a": 0.3, "num_walks": 40, "seed": 11},
+            "mc": {"num_walks": 20, "seed": 11},
+        }
+        thread, process = (
+            run(graph, trace, methods=list(configs), configs=configs,
+                workers=2, executor=executor, maintenance="rebuild")
+            for executor in ("thread", "process")
+        )
+        assert [r.digest for r in thread.reports] == \
+            [r.digest for r in process.reports]
+        assert all(r.epochs > 0 for r in process.reports)
 
     def test_delta_keeps_hot_keys_warm(self, tiny_wiki):
         """Fine-grained invalidation beats the epoch flush on hit rate:
