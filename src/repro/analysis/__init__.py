@@ -4,7 +4,7 @@ The serving stack's correctness rests on conventions that no general
 linter checks: every RNG must be seed-derived, annotated fields must only
 mutate under their lock, every shared-memory/mmap/WAL handle must reach a
 finalizer, HTTP error sites must emit the ``{"error": {"code", ...}}``
-envelope, and thread/process spawns must go through the pool/driver
+envelope, and thread/process spawns must go through the pool/server
 abstractions.  This package enforces those invariants with stdlib-``ast``
 rules (``repro analyze``) plus a runtime lock-order sanitizer
 (``repro.analysis.sanitizer``, a pytest plugin).

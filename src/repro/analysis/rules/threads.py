@@ -4,9 +4,9 @@ infrastructure.
 Every ``threading.Thread``, ``multiprocessing``/``ctx.Process``,
 ``ThreadPoolExecutor``/``ProcessPoolExecutor``, ``threading.Timer``,
 ``_thread.start_new_thread``, and ``os.fork`` site is flagged.  The few
-legitimate spawn points — the parallel pool's worker processes, the
-driver's replay executor, the HTTP app's single-thread dispatch
-executor — are enumerated in the committed
+legitimate spawn points — the parallel pool's worker processes and its
+thread executor, the HTTP app's single-thread dispatch executor — are
+enumerated in the committed
 baseline with one-line justifications, so any *new* spawn site fails CI
 until it is either routed through those abstractions or consciously
 added to the baseline.
@@ -31,11 +31,11 @@ _SPAWN_CALLS = frozenset(
 
 
 class NoBareThreadRule(Rule):
-    """Concurrency is spawned only by the sanctioned pool/driver tiers."""
+    """Concurrency is spawned only by the sanctioned pool/server tiers."""
 
     rule_id = "no-bare-thread"
     description = (
-        "thread/process spawns go through the pool/driver abstractions; every "
+        "thread/process spawns go through the pool/server abstractions; every "
         "raw spawn site must carry a baseline justification"
     )
 
@@ -56,7 +56,7 @@ class NoBareThreadRule(Rule):
                         node.col_offset,
                         f"{src.qualname(node)}:spawn:{tail or spawned}",
                         f"raw concurrency spawn {spawned}(...); route it through the "
-                        "pool/driver abstractions or add a justified baseline entry",
+                        "pool/server abstractions or add a justified baseline entry",
                     )
                 )
         return findings

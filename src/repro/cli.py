@@ -570,8 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "snapshot (`repro ingest` output) instead of "
                                "loading a graph file; read-only, so the "
                                "trace must be update-free "
-                               "(--read-fraction 1) and the executor "
-                               "process or sequential")
+                               "(--read-fraction 1)")
     workload.add_argument("--methods", default="probesim-native",
                           help="comma-separated registry names to compare")
     workload.add_argument("--ops", type=int, default=400,
@@ -592,12 +591,14 @@ def build_parser() -> argparse.ArgumentParser:
                           help="query-side pool width (one replica each)")
     workload.add_argument("--executor", default="thread",
                           choices=("thread", "process", "sequential"),
-                          help="replica pool: GIL-bound threads, worker "
-                               "processes over a shared-memory graph, or the "
-                               "process service's in-process oracle")
+                          help="where the pool's replicas run: a thread "
+                               "pool (GIL-bound), worker processes over a "
+                               "shared-memory graph, or one after another "
+                               "in-process (the determinism oracle); all "
+                               "three give equal reports apart from timings")
     workload.add_argument("--maintenance", default="auto",
                           choices=("auto", "delta", "rebuild"),
-                          help="process-executor update path: in-place delta "
+                          help="update path on every executor: in-place delta "
                                "propagation (O(delta) per burst, needs an "
                                "incremental-capable method), full epoch "
                                "rebuild (O(m)), or auto (delta when the "
@@ -606,7 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="update-aware single-source result cache "
                                "capacity (0 disables)")
     workload.add_argument("--sync-every", type=int, default=1, dest="sync_every",
-                          help="sync bulk estimators every N update batches")
+                          help="under rebuild maintenance, sync every N "
+                               "update batches (delta syncs every batch)")
     workload.add_argument("--seed", type=int, default=None,
                           help="trace + estimator seed (fixed seed => "
                                "bit-reproducible results)")

@@ -18,8 +18,7 @@ Shared graph
 
 Worker replicas
     Each worker builds its own estimator replica per mounted method, seeded
-    ``base_seed + worker_index`` (the same replica-derivation rule as the
-    thread-pool workload driver), and rebuilds them at every epoch.  With
+    ``base_seed + worker_index``, and rebuilds them at every epoch.  With
     an integer seed every query draws from its own ``(seed, query)``
     stream (:func:`repro.utils.rng.query_stream`), so an answer is a pure
     function of the replica's config, its graph state and the query.
@@ -31,7 +30,9 @@ Deterministic dispatch
     batch order.  Results are therefore bit-identical across runs, and
     bit-identical to ``executor="sequential"``, which runs the same
     partition and maintenance schedule in-process (the oracle the
-    correctness suite compares against).
+    correctness suite compares against).  ``executor="thread"`` runs that
+    same in-process schedule with each worker's RPCs on a shared thread
+    pool, so shares overlap wherever the kernels release the GIL.
 
 Crash recovery
     A worker that dies mid-flight is respawned, built against the live
@@ -81,6 +82,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 import traceback
+from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Sequence
 
 from repro.api.registry import get_entry
@@ -97,7 +99,7 @@ from repro.utils.validation import check_positive_int
 __all__ = ["ParallelSimRankService", "WorkerCrashed", "derive_replica_config"]
 
 #: executors the service can run its workers on.
-EXECUTORS = ("process", "sequential")
+EXECUTORS = ("process", "thread", "sequential")
 
 #: maintenance paths the service can run updates through.
 MAINTENANCE_MODES = ("auto", "delta", "rebuild")
@@ -110,9 +112,8 @@ class WorkerCrashed(RuntimeError):
 def derive_replica_config(entry, config: dict, worker: int) -> dict:
     """Per-replica method configuration: offset the seed by ``worker``.
 
-    Replica ``i`` of any run draws the same RNG stream — the single rule
-    both the thread-pool workload driver and this service's workers use, so
-    the two executors agree query-for-query wherever their schedules match.
+    Replica ``i`` of any run draws the same RNG stream on every executor,
+    so executors agree query-for-query.
     """
     config = dict(config)
     if "seed" in entry.config_keys:
@@ -127,13 +128,13 @@ def derive_replica_config(entry, config: dict, worker: int) -> dict:
 
 
 class _WorkerCore:
-    """One worker's estimator replicas; the logic shared by both executors.
+    """One worker's estimator replicas; the logic shared by every executor.
 
     ``source`` is either a :class:`~repro.parallel.shm.ShmGraphDescriptor`
     (process executor — the core attaches the shared segment) or a
-    :class:`CSRGraph` (sequential executor — used directly).  Everything
-    downstream of that choice is identical, which is what makes the
-    sequential executor a bit-exact oracle for the process one.
+    :class:`CSRGraph` (sequential and thread executors — used directly).
+    Everything downstream of that choice is identical, which is what makes
+    the sequential executor a bit-exact oracle for the other two.
     """
 
     def __init__(self, worker_index: int) -> None:
@@ -193,9 +194,9 @@ class _WorkerCore:
 
         ``("log", start, stop)`` reads the triples zero-copy from the
         shared delta log (process executor); ``("inline", updates)``
-        carries them in the message (sequential executor — it has no shared
-        segment).  Both forms denote the same updates, so either replays
-        identically during crash recovery.
+        carries them in the message (in-process executors — they have no
+        shared segment).  Both forms denote the same updates, so either
+        replays identically during crash recovery.
         """
         tag, *rest = payload
         if tag == "log":
@@ -328,23 +329,37 @@ class _ProcessWorker:
 
 
 class _InlineWorker:
-    """Sequential-executor handle: same RPC surface, runs in-process."""
+    """In-process handle (sequential and thread executors): same RPC surface.
 
-    def __init__(self, index: int) -> None:
+    Without ``threads`` (sequential) ``send`` runs the RPC on the calling
+    thread; with the thread executor's shared pool it submits it there and
+    ``recv`` waits for the future, so the pool's workers answer their
+    shares concurrently wherever the kernels release the GIL.
+    """
+
+    def __init__(self, index: int, threads: ThreadPoolExecutor | None = None) -> None:
         self.index = index
         self.core = _WorkerCore(index)
+        self._threads = threads
         self._reply = None
 
-    def send(self, message) -> None:
+    def _call(self, message):
         try:
-            self._reply = ("ok", self.core.handle(*message))
+            return ("ok", self.core.handle(*message))
         except Exception as exc:
-            self._reply = ("error", (type(exc).__name__, str(exc), traceback.format_exc()))
+            return ("error", (type(exc).__name__, str(exc), traceback.format_exc()))
+
+    def send(self, message) -> None:
+        if self._threads is None:
+            self._reply = self._call(message)
+        else:
+            self._reply = self._threads.submit(self._call, message)
 
     def recv(self, timeout: float):
-        del timeout
         reply, self._reply = self._reply, None
-        return reply
+        if self._threads is None:
+            return reply
+        return reply.result(timeout)
 
     def close(self, force: bool = False) -> None:
         del force
@@ -378,9 +393,9 @@ class ParallelSimRankService(QueryServiceBase):
         Path to a :mod:`repro.storage.snapshot` file to serve *read-only*.
         The coordinator never rebuilds the CSR: the process executor
         publishes the snapshot path as epoch 0 and every worker ``mmap``\\ s
-        the file (one page-cache copy machine-wide); the sequential
-        executor maps it in-process.  Mutually exclusive with ``graph`` and
-        ``store``.
+        the file (one page-cache copy machine-wide); the sequential and
+        thread executors map it in-process.  Mutually exclusive with
+        ``graph`` and ``store``.
     store:
         An open :class:`~repro.storage.store.PersistentGraphStore` making
         this service *durable*: the graph is recovered from the store
@@ -419,7 +434,12 @@ class ParallelSimRankService(QueryServiceBase):
         accumulated deltas would overflow the log *compacts* instead: one
         full epoch rebuild folds the log into a fresh CSR generation.
     executor:
-        ``"process"`` (default) or ``"sequential"``.
+        ``"process"`` (default: worker processes over a shared-memory
+        graph), ``"thread"`` (in-process workers answering on a thread
+        pool — no pickling or fork, but GIL-bound) or ``"sequential"``
+        (in-process workers run one after another — the determinism
+        oracle).  All three run the same dispatch and maintenance
+        schedule, so their answers are bit-identical.
     start_method:
         ``multiprocessing`` start method for the process executor
         (default: ``fork`` where available, else ``spawn``).
@@ -529,6 +549,12 @@ class ParallelSimRankService(QueryServiceBase):
         self._shm: SharedCSRGraph | None = None
         self._csr: CSRGraph | None = None
         self._workers: list = []
+        self._threads = (
+            ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-parallel"
+            )
+            if executor == "thread" else None
+        )
         try:
             if snapshot is not None:
                 # warm attach: the CSR is never rebuilt, the snapshot file
@@ -617,9 +643,9 @@ class ParallelSimRankService(QueryServiceBase):
         return self._maintenance
 
     def _spawn(self, index: int):
-        if self.executor == "sequential":
-            return _InlineWorker(index)
-        return _ProcessWorker(self._ctx, index)
+        if self.executor == "process":
+            return _ProcessWorker(self._ctx, index)
+        return _InlineWorker(index, self._threads)
 
     def _worker_source(self):
         """What workers build against: a descriptor (process) or the CSR."""
@@ -1035,6 +1061,9 @@ class ParallelSimRankService(QueryServiceBase):
                 pass
             worker.close(force=True)
         self._workers = []
+        if self._threads is not None:
+            self._threads.shutdown()
+            self._threads = None
         if self._shm is not None:
             self._shm.close()
             self._shm = None

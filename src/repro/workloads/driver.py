@@ -8,112 +8,94 @@ the update stream, maintenance cost, and read staleness.
 
 Execution model
 ---------------
-Two executors replay the trace batch by batch:
+Every replay runs on one :class:`~repro.parallel.pool.ParallelSimRankService`
+per method, with ``workers`` estimator replicas (seeds derived per replica).
+The service deduplicates each query batch (duplicates share their
+batch-mate's answer), probes the result cache, splits the distinct misses
+round-robin by position across the replicas and merges the answers back in
+batch order.  The ``executor`` only picks where the replicas run:
 
 ``executor="thread"``
-    One :class:`~repro.api.service.SimRankService` per method, mounting
-    ``workers`` estimator *replicas* (``alias=f"{method}#w{i}"``, seeds
-    derived per replica).  Each query batch is deduplicated (duplicates
-    share their batch-mate's answer, the services' batching rule) and the
-    distinct queries split round-robin by position across the replicas on
-    a thread pool.  Replicas overlap only where kernels release the GIL —
-    this is the single-process ceiling.
+    In-process replicas answering their shares on a thread pool; they
+    overlap only where kernels release the GIL — the single-process
+    ceiling.
 ``executor="process"``
-    One :class:`~repro.parallel.pool.ParallelSimRankService` per method:
-    the same positional split, but across worker *processes* answering
-    against a shared-memory graph — throughput scales with cores.  The
-    ``maintenance`` knob picks the update path: ``"rebuild"`` publishes a
-    graph epoch per sync (every replica rebuilt, O(m)), ``"delta"`` ships
-    the edge deltas through the shared log and replicas absorb them in
-    place (O(Δ); needs ``capabilities().incremental_updates``), ``"auto"``
-    (default) chooses delta exactly when the method supports it.
+    Worker *processes* answering against a shared-memory graph —
+    throughput scales with cores.
 ``executor="sequential"``
-    The parallel service's in-process oracle: the identical dispatch,
-    maintenance, and caching schedule with no worker processes.  Its
-    digests are the bit-exactness reference the process executor is held
-    to — including under updates, on both maintenance paths.
+    In-process replicas run one after another on the calling thread: the
+    determinism oracle the other two executors are held to.
+
+The ``maintenance`` knob picks the update path on every executor:
+``"rebuild"`` publishes a graph epoch per sync (every replica rebuilt,
+O(m)), ``"delta"`` ships the edge deltas and replicas absorb them in place
+(O(Δ); needs ``capabilities().incremental_updates``), ``"auto"`` (default)
+chooses delta exactly when the method supports it.
 
 Result caching
 --------------
-``cache_size > 0`` puts an update-aware LRU
+``cache_size > 0`` puts the service's update-aware LRU
 (:class:`~repro.parallel.cache.ResultCache`) in front of the query path,
-keyed ``(method, query, epoch)``.  For bulk-synced estimators the epoch
-advances whenever the serving state absorbs updates and the whole cache
-turns over; for incremental estimators (and the process executor's delta
-path) the epoch stands still and only the entries in the updates' touched
-neighborhood are invalidated
+keyed ``(method, query, epoch)``.  An epoch rebuild advances the epoch and
+the whole cache turns over; a delta sync keeps the epoch and invalidates
+only the entries in the updates' touched neighborhood
 (:meth:`~repro.parallel.cache.ResultCache.invalidate_nodes`) — hot Zipf
 keys stay warm across small updates.  Epoch turnover keeps hits exactly as
 fresh as a recompute; neighborhood invalidation deliberately trades a
 geometrically decaying residual staleness outside the 1-hop set for that
-warmth (see :func:`repro.graph.dynamic.touched_neighborhood`).
-Hit/miss/invalidation counters land in each :class:`MethodReport` via one
-locked snapshot.
+warmth (see :func:`repro.graph.dynamic.touched_neighborhood`).  The cache
+counters land in each :class:`MethodReport`.
 
 Reproducibility
 ---------------
 Replica assignment is positional (not load-based) and each replica consumes
 its ops in trace order; with integer seeds every query draws from its own
 ``(replica seed, query)`` stream, so every answer is a pure function of
-``(trace, method config, workers)``.  The driver folds each result's score
-vector into a running digest in global op order; two runs with the same
-inputs produce bit-identical digests (asserted by the test suite), while
-wall-clock numbers of course vary.  Cache hits reuse the digest fingerprint
-of the answer they were served from, so caching keeps runs bit-reproducible
-too (for fixed knobs).  Every replay — thread replicas included — starts
-from the *canonical* (CSR-ordered) form of the graph, the order worker
-processes reconstruct from shared memory, so adjacency-order-sensitive
-samplers draw identical streams everywhere: thread and process digests are
-bit-identical on update-free traces, under updates for index-free methods
-on either maintenance path, and for incremental methods replayed through
-the delta path (asserted by the test suite).  Only TSF under
-``maintenance="rebuild"`` diverges: the process executor resamples its
-one-way graphs at every epoch, where thread replicas patch them in place.
+``(trace, method config, workers, maintenance)``.  The driver folds each
+result's score vector into a running digest in global op order; two runs
+with the same inputs produce bit-identical digests, while wall-clock
+numbers of course vary.  Cache hits return the answer they were cached
+from, so caching keeps runs bit-reproducible too (for fixed knobs).  Every
+replay starts from the *canonical* (CSR-ordered) form of the graph, the
+order worker processes reconstruct from shared memory, so
+adjacency-order-sensitive samplers draw identical streams everywhere: the
+three executors run one dispatch and maintenance schedule, and their
+reports agree bit for bit apart from timings (asserted by the test suite).
 
 Staleness
 ---------
-With ``sync_every=1`` (the default) non-incremental estimators re-sync
-after every update batch and reads are always fresh.  With
-``sync_every=k > 1`` the service defers syncs (``auto_sync=False``) and the
-driver flushes every ``k`` update batches — each query then records how
-many applied-but-unsynced updates its answer may be missing.  Methods with
-``capabilities().incremental_updates`` (TSF, the walk cache) are notified
-per update under the thread executor and never go stale.
+With ``sync_every=1`` (the default) every update batch is synced before
+the next read and reads are always fresh.  With ``sync_every=k > 1`` a
+rebuild-maintained replay defers its syncs and flushes every ``k`` update
+batches — each query then records how many applied-but-unsynced updates
+its answer may be missing.  A delta-maintained replay (incremental methods
+such as TSF and the walk cache, under ``"auto"`` or ``"delta"``) absorbs
+every burst as it arrives and never goes stale.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Sequence
 
 import numpy as np
 
-from repro.api.registry import get_entry
-from repro.api.service import SimRankService
 from repro.errors import EvaluationError
 from repro.eval.metrics_export import flatten_metrics
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
-from repro.graph.dynamic import touched_neighborhood
-from repro.parallel.cache import ResultCache
 from repro.parallel.pool import (
+    EXECUTORS,
     MAINTENANCE_MODES,
     ParallelSimRankService,
-    derive_replica_config,
 )
 from repro.utils.validation import check_positive_int
 from repro.workloads.generator import WorkloadTrace
 from repro.workloads.stats import LatencyHistogram
 
 __all__ = ["MethodReport", "WorkloadResult", "run_workload"]
-
-#: executors the driver can replay on ("sequential" is the process
-#: service's in-process oracle — same schedule, no worker processes).
-EXECUTORS = ("thread", "process", "sequential")
-
 
 @dataclass
 class MethodReport:
@@ -271,150 +253,7 @@ def _fingerprint(scores: np.ndarray) -> bytes:
     ).digest()
 
 
-def _replay_thread(
-    graph: DiGraph,
-    trace: WorkloadTrace,
-    method: str,
-    config: dict,
-    workers: int,
-    sync_every: int,
-    cache_size: int,
-    maintenance: str,
-) -> MethodReport:
-    """Thread-executor replay; see the module docstring for the model.
-
-    ``maintenance`` is advisory here — in-process replicas are always
-    maintained by capability (incremental notification when the method
-    supports it, bulk sync otherwise), which is exactly the parallel
-    service's ``"auto"`` resolution.
-    """
-    del maintenance
-    entry = get_entry(method)
-    service = SimRankService(graph.copy(), methods=(), auto_sync=sync_every == 1)
-    aliases = []
-    for worker in range(workers):
-        alias = f"{method}#w{worker}"
-        service.add_method(
-            method, alias=alias, **derive_replica_config(entry, config, worker)
-        )
-        aliases.append(alias)
-    incremental = service.capabilities(aliases[0]).incremental_updates
-
-    report = MethodReport(
-        method=method, workers=workers, sync_every=sync_every,
-        executor="thread", cache_size=cache_size,
-        maintenance="delta" if incremental else "rebuild",
-    )
-    cache = ResultCache(cache_size)
-    epoch = 0
-    digest = blake2b(digest_size=16)
-    unsynced_updates = 0
-    batches_since_sync = 0
-
-    def run_share(alias: str, share: list[tuple[int, int]]):
-        """One replica's slice of a query batch: (global op id, node) pairs.
-
-        Runs on a pool thread; touches only its own replica (plus the
-        service's lock-guarded counters).  Returns per-op records so the
-        coordinator can merge them back in deterministic global order.
-        """
-        records = []
-        for op_id, node in share:
-            started = time.perf_counter()
-            result = service.single_source(node, method=alias)
-            elapsed = time.perf_counter() - started
-            records.append((op_id, node, elapsed, _fingerprint(result.scores)))
-        return records
-
-    wall_started = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for batch in trace:
-            if batch.kind == "update":
-                # touched set computed against the pre-batch graph: a burst
-                # only toggles edges between its own endpoints (all of which
-                # are in the set), so pre-batch and per-update reads yield
-                # the same union — see touched_neighborhood
-                touched = (
-                    touched_neighborhood(service.graph, batch.updates)
-                    if incremental else None
-                )
-                service.apply_update_stream(batch.updates)
-                report.num_updates += len(batch.updates)
-                if incremental:
-                    # replicas absorbed the batch in place (delta
-                    # semantics): the epoch stands still and only the
-                    # touched neighborhood turns over — hot keys stay warm
-                    cache.invalidate_nodes(touched)
-                elif sync_every == 1:
-                    epoch += 1  # replicas re-synced: new cache epoch
-                    cache.invalidate_older(epoch)
-                else:
-                    unsynced_updates += len(batch.updates)
-                    batches_since_sync += 1
-                    if batches_since_sync >= sync_every:
-                        service.sync()
-                        epoch += 1
-                        cache.invalidate_older(epoch)
-                        unsynced_updates = 0
-                        batches_since_sync = 0
-                continue
-            # cache probe and batch dedup happen on the coordinator,
-            # *before* the split — the same discipline as both services'
-            # single_source_many — so replica RNG streams (and the digest)
-            # stay a pure function of the knobs: hot hits never reach a
-            # replica, and duplicate queries share one computation.
-            hit_records = []
-            unique_ops = []
-            dup_ops = []
-            dispatched: set[int] = set()
-            for position, node in enumerate(batch.queries):
-                op_id = batch.offset + position
-                started = time.perf_counter()
-                fingerprint = cache.get(method, node, epoch)
-                if fingerprint is not None:
-                    elapsed = time.perf_counter() - started
-                    hit_records.append((op_id, node, elapsed, fingerprint))
-                elif node in dispatched:
-                    dup_ops.append((op_id, node))
-                else:
-                    dispatched.add(node)
-                    unique_ops.append((op_id, node))
-            shares = [unique_ops[w::workers] for w in range(workers)]
-            futures = [
-                pool.submit(run_share, aliases[w], shares[w])
-                for w in range(workers)
-                if shares[w]
-            ]
-            merged = [record for future in futures for record in future.result()]
-            by_node = {}
-            for op_id, node, elapsed, fingerprint in merged:
-                by_node[node] = (elapsed, fingerprint)
-                cache.put(method, node, epoch, fingerprint)
-            # a duplicate waits on its batch-mate's computation: same answer,
-            # same latency, no replica work
-            merged += [(op, node) + by_node[node] for op, node in dup_ops]
-            merged += hit_records
-            merged.sort()  # deterministic global op order
-            for op_id, node, elapsed, fingerprint in merged:
-                digest.update(op_id.to_bytes(8, "little"))
-                digest.update(node.to_bytes(8, "little"))
-                digest.update(fingerprint)
-                report.latency.record(elapsed)
-                report.staleness_samples.append(0 if incremental else unsynced_updates)
-            report.num_queries += len(merged)
-    if sync_every > 1 and unsynced_updates:
-        service.sync()  # flush the tail so the service ends consistent
-    report.wall_seconds = time.perf_counter() - wall_started
-    report.maintenance_seconds = service.stats.total_maintenance_seconds
-    report.syncs = service.stats.syncs
-    report.incremental_notifications = service.stats.incremental_notifications
-    if cache.enabled:
-        report.cache = cache.snapshot()
-    report.digest = digest.hexdigest()
-    return report
-
-
-def _replay_process(
+def _replay(
     graph: DiGraph | None,
     trace: WorkloadTrace,
     method: str,
@@ -423,20 +262,17 @@ def _replay_process(
     sync_every: int,
     cache_size: int,
     maintenance: str,
-    executor: str = "process",
-    snapshot=None,
+    executor: str,
+    snapshot,
 ) -> MethodReport:
-    """Process-executor replay on a :class:`ParallelSimRankService`.
+    """Replay ``trace`` for one method on a :class:`ParallelSimRankService`.
 
-    The service owns the positional split, the shared-memory epochs or
-    delta log (per ``maintenance``), and the update-aware cache; the driver
-    contributes the sync cadence and the deterministic digest.  Per-op
-    latency is the batch mean (results cross a process boundary, so op
-    timings are not individually observable from the coordinator).
-    ``executor="sequential"`` replays the identical schedule in-process —
-    the bit-exactness oracle.  With ``snapshot`` set the service
-    ``mmap``-attaches the persistent snapshot file instead of copying
-    ``graph``.
+    The service owns the dedup, cache probing, positional split, the
+    epochs or delta log (per ``maintenance``) and the update-aware cache
+    on every executor; the driver contributes the sync cadence and the
+    deterministic digest.  Per-op latency is the batch mean.  With
+    ``snapshot`` set the service ``mmap``-attaches the persistent snapshot
+    file instead of copying ``graph``.
     """
     report = MethodReport(
         method=method, workers=workers, sync_every=sync_every,
@@ -452,25 +288,27 @@ def _replay_process(
         configs={method: config},
         workers=workers,
         cache_size=cache_size,
-        auto_sync=sync_every == 1,
+        auto_sync=False,
         maintenance=maintenance,
         executor=executor,
         snapshot=snapshot,
     )
     report.maintenance = service.maintenance
+    # only epoch rebuilds are worth deferring: a delta burst is O(Δ), so a
+    # delta-maintained replay absorbs every burst and never serves stale
+    sync_cadence = sync_every if service.maintenance == "rebuild" else 1
     with service:  # guarantees worker/shared-memory teardown
         wall_started = time.perf_counter()
         for batch in trace:
             if batch.kind == "update":
                 service.apply_update_stream(batch.updates)
                 report.num_updates += len(batch.updates)
-                if sync_every > 1:
-                    unsynced_updates += len(batch.updates)
-                    batches_since_sync += 1
-                    if batches_since_sync >= sync_every:
-                        service.sync()
-                        unsynced_updates = 0
-                        batches_since_sync = 0
+                unsynced_updates += len(batch.updates)
+                batches_since_sync += 1
+                if batches_since_sync >= sync_cadence:
+                    service.sync()
+                    unsynced_updates = 0
+                    batches_since_sync = 0
                 continue
             started = time.perf_counter()
             results = service.single_source_many(batch.queries)
@@ -484,8 +322,7 @@ def _replay_process(
                 report.latency.record(per_op)
                 report.staleness_samples.append(unsynced_updates)
             report.num_queries += len(results)
-        if sync_every > 1 and unsynced_updates:
-            service.sync()
+        service.sync()  # flush the tail (a no-op when nothing is pending)
         report.wall_seconds = time.perf_counter() - wall_started
         report.maintenance_seconds = service.stats.total_maintenance_seconds
         report.syncs = service.stats.syncs
@@ -534,31 +371,32 @@ def run_workload(
         Query-side pool width; each worker drives its own estimator
         replica.  Must be positive.
     sync_every:
-        Sync non-incremental estimators every ``sync_every`` update batches.
-        ``1`` (default) syncs after every update batch (always-fresh reads);
-        larger values trade staleness for maintenance cost.
+        Under rebuild maintenance, sync every ``sync_every`` update
+        batches.  ``1`` (default) syncs after every update batch
+        (always-fresh reads); larger values trade staleness for maintenance
+        cost.  Delta-maintained replays sync every batch regardless.
     executor:
-        ``"thread"`` (estimator replicas on a thread pool — the GIL-bound
-        single-process path), ``"process"`` (the shared-memory multiprocess
-        service; throughput scales with cores), or ``"sequential"`` (the
-        process service's in-process oracle — identical schedule, useful
-        for bit-exactness baselines).
+        Where the service's replicas run: ``"thread"`` (a thread pool in
+        this process — GIL-bound), ``"process"`` (worker processes over a
+        shared-memory graph; throughput scales with cores), or
+        ``"sequential"`` (in-process, one replica at a time — the
+        determinism oracle).  All three run the same dispatch, so their
+        reports agree apart from timings.  Per-op latency is the mean of
+        the op's batch on every executor.
     cache_size:
         Capacity of the update-aware single-source result cache in front of
         the query path; ``0`` (default) disables caching.
     maintenance:
-        Update-maintenance path for the process/sequential executors:
-        ``"rebuild"`` (epoch republish per update burst), ``"delta"``
-        (in-place delta propagation; requires incremental-capable methods),
-        or ``"auto"`` (default — delta exactly when the method supports
-        it).  The thread executor always maintains by capability (its
-        ``"auto"``); the knob is validated but advisory there.
+        Update-maintenance path, honoured on every executor: ``"rebuild"``
+        (epoch republish per sync), ``"delta"`` (in-place delta
+        propagation; requires incremental-capable methods), or ``"auto"``
+        (default — delta exactly when the method supports it).
     snapshot:
         Replay against a persistent mmap-attached snapshot instead of
         ``graph`` (which must then be ``None``): a
         :func:`repro.storage.write_snapshot` / ``repro ingest`` file.  The
-        mapped tier is read-only, so the trace must contain no updates, and it has no
-        thread path.
+        mapped tier is read-only, so the trace must contain no updates.
+        Works on every executor.
 
     Returns
     -------
@@ -592,11 +430,6 @@ def run_workload(
                 "pass either graph or snapshot=, not both — the snapshot is "
                 "the graph source"
             )
-        if executor == "thread":
-            raise EvaluationError(
-                "snapshot replay needs the process or sequential executor; "
-                "the thread executor has no mmap path"
-            )
         if trace.num_updates:
             raise EvaluationError(
                 "snapshot replay is read-only: the trace must contain no "
@@ -611,11 +444,11 @@ def run_workload(
     if unknown:
         raise EvaluationError(f"configs given for methods not replayed: {unknown}")
     # every replay starts from the canonical (CSR-ordered) form of the
-    # graph: delta-mode worker processes reconstruct their mutable mirrors
-    # from the shared CSR arrays in exactly this order, so starting thread
-    # replicas and rebuild-mode snapshots from it too is what lets
-    # adjacency-order-sensitive samplers (TSF draws neighbors by list
-    # position) agree bit-for-bit across every executor.  The round-trip
+    # graph: delta-mode workers reconstruct their mutable mirrors from the
+    # CSR arrays in exactly this order, so starting the coordinator's
+    # graph from it too is what lets adjacency-order-sensitive samplers
+    # (TSF draws neighbors by list position) agree bit-for-bit between
+    # delta bursts and the epoch rebuilds that compact them.  The round-trip
     # is a fixed point, so re-canonicalising downstream changes nothing.
     # (Snapshot replays skip this: the snapshot payload already *is* the
     # canonical CSR byte order, attached without materialisation.)
@@ -626,16 +459,8 @@ def run_workload(
         trace_config=trace.config.as_dict(),
     )
     for method in methods:
-        if executor == "thread":
-            report = _replay_thread(
-                graph, trace, method, configs.get(method, {}), workers,
-                sync_every, cache_size, maintenance,
-            )
-        else:
-            report = _replay_process(
-                graph, trace, method, configs.get(method, {}), workers,
-                sync_every, cache_size, maintenance, executor=executor,
-                snapshot=snapshot,
-            )
-        result.reports.append(report)
+        result.reports.append(_replay(
+            graph, trace, method, configs.get(method, {}), workers,
+            sync_every, cache_size, maintenance, executor, snapshot,
+        ))
     return result

@@ -1,8 +1,8 @@
 """ParallelSimRankService: accuracy, determinism, caching, crash recovery, hygiene.
 
-The load-bearing contract: for fixed seeds the process-parallel service is
-*bit-identical* to its sequential executor (same partition and
-maintenance schedule in one process) — and, for one worker on a static graph, to the
+The load-bearing contract: for fixed seeds the process and thread
+executors are *bit-identical* to the sequential executor (same partition
+and maintenance schedule in one process) — and, for one worker on a static graph, to the
 plain :class:`~repro.api.service.SimRankService`.  Everything else
 (caching, crashes, epochs) must preserve that contract.
 """
@@ -59,6 +59,33 @@ class TestBitIdentical:
                 collect(sequential, with_updates=True),
             ):
                 np.testing.assert_array_equal(got, want)
+
+    def test_thread_matches_sequential_across_updates(self, tiny_wiki):
+        with make_service(tiny_wiki, "thread") as threaded, \
+                make_service(tiny_wiki, "sequential") as sequential:
+            for got, want in zip(
+                collect(threaded, with_updates=True),
+                collect(sequential, with_updates=True),
+            ):
+                np.testing.assert_array_equal(got, want)
+
+    def test_thread_executor_under_preemption_matches_sequential(self, tiny_wiki):
+        """More threads than cores, switching every microsecond: replicas
+        share the epoch's CSR (and its lazily built operators), and racing
+        rebuilds must still give the oracle's bytes."""
+        import sys
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with make_service(tiny_wiki, "thread", workers=6) as threaded:
+                got = collect(threaded, with_updates=True)
+        finally:
+            sys.setswitchinterval(interval)
+        with make_service(tiny_wiki, "sequential", workers=6) as sequential:
+            want = collect(sequential, with_updates=True)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
     def test_one_worker_matches_plain_sequential_service(self, tiny_wiki):
         """On a static graph, one process replica consumes exactly the RNG
@@ -228,6 +255,21 @@ class TestLifecycleHygiene:
         service.close()
         service.close()
 
+    def test_thread_executor_close_joins_its_threads(self, tiny_wiki):
+        import threading
+
+        def pool_threads():
+            return [t for t in threading.enumerate()
+                    if t.name.startswith("repro-parallel")]
+
+        before = pool_threads()
+        service = make_service(tiny_wiki, "thread")
+        service.single_source_many(QUERIES)
+        assert len(pool_threads()) > len(before)
+        service.close()
+        assert pool_threads() == before
+        service.close()  # idempotent
+
     def test_estimator_error_does_not_kill_worker(self, tiny_wiki):
         """Worker-side exceptions surface as errors, not crashes."""
         with make_service(tiny_wiki, "process") as service:
@@ -366,6 +408,15 @@ class TestDeltaMaintenance:
                 make_incremental(tiny_wiki, "sequential") as oracle:
             for got, want in zip(
                 collect_with_bursts(parallel), collect_with_bursts(oracle)
+            ):
+                np.testing.assert_array_equal(got, want)
+
+    def test_thread_matches_sequential_oracle_under_updates(self, tiny_wiki):
+        with make_incremental(tiny_wiki, "thread") as threaded, \
+                make_incremental(tiny_wiki, "sequential") as oracle:
+            assert threaded.maintenance == "delta"
+            for got, want in zip(
+                collect_with_bursts(threaded), collect_with_bursts(oracle)
             ):
                 np.testing.assert_array_equal(got, want)
 

@@ -212,14 +212,15 @@ class TestRecoverCommand:
 
 
 class TestWorkloadSnapshotReplay:
-    def test_replays_from_snapshot(self, toy_path, tmp_path, capsys):
+    @pytest.mark.parametrize("executor", ["thread", "sequential"])
+    def test_replays_from_snapshot(self, toy_path, tmp_path, capsys, executor):
         snap = tmp_path / "toy.csr"
         assert main(["ingest", toy_path, "--out", str(snap)]) == 0
         capsys.readouterr()
         code = main([
             "workload", "--snapshot", str(snap),
             "--methods", "probesim-native", "--ops", "20",
-            "--read-fraction", "1", "--executor", "sequential",
+            "--read-fraction", "1", "--executor", executor,
             "--eps-a", "0.3", "--seed", "5",
         ])
         assert code == 0

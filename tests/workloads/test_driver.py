@@ -69,9 +69,13 @@ class TestAccounting:
             assert report.wall_seconds > 0
             assert report.qps > 0
 
-    def test_incremental_method_never_stale(self, tiny_wiki, trace):
+    @pytest.mark.parametrize("executor", ["thread", "process", "sequential"])
+    def test_incremental_method_never_stale(self, tiny_wiki, trace, executor):
+        """A delta-maintained replay absorbs every burst, even when
+        ``sync_every`` would defer rebuilds, and counts each update once."""
         result = run(tiny_wiki, trace, methods=["tsf"],
-                     configs={"tsf": CONFIGS["tsf"]}, sync_every=3)
+                     configs={"tsf": CONFIGS["tsf"]}, sync_every=3,
+                     workers=2, executor=executor)
         assert result.reports[0].staleness_max == 0
         assert result.reports[0].incremental_notifications == trace.num_updates
 
@@ -203,14 +207,9 @@ class TestProcessExecutor:
 class TestMaintenanceMatrix:
     """Update-heavy replays across executor × maintenance combinations.
 
-    The acceptance property of the delta path: for an incremental-capable
-    method, thread replicas (per-update notification) and process workers
-    absorbing the same deltas in place are the *same* computation — digests
-    agree bit for bit even on a write-heavy trace.  Index-free methods draw
-    per (seed, query), so they agree under epoch rebuilds too.  Under forced
-    rebuild maintenance TSF's process workers resample their one-way graphs
-    at every epoch, so for TSF only reproducibility (not cross-executor
-    equality) is promised there.
+    Every executor runs the pool's one dispatch and maintenance schedule,
+    so thread, process and sequential replays are the *same* computation:
+    reports agree bit for bit, timings aside, on either maintenance path.
     """
 
     @pytest.fixture(scope="class")
@@ -280,25 +279,48 @@ class TestMaintenanceMatrix:
         assert process.digest == oracle.digest
         assert process.epochs > 0
 
-    def test_index_free_methods_match_across_executors_under_rebuild(self):
-        """Process workers rebuild replicas at every epoch, thread replicas
-        re-snapshot in place: with per-(seed, query) draws both give the
-        same answers, so the digests agree on an update trace."""
+    @pytest.mark.parametrize("cache_size", [0, 256])
+    @pytest.mark.parametrize("maintenance", ["auto", "rebuild"])
+    def test_reports_match_across_executors(self, maintenance, cache_size):
+        """Thread, process and sequential replays produce equal reports
+        (counters, cache, staleness and digests) apart from timings, for
+        index-free and delta-capable methods alike."""
         graph = erdos_renyi_graph(150, num_edges=600, seed=7)
         trace = generate_workload(graph, num_ops=300, read_fraction=0.85, seed=1)
         assert trace.num_updates == 47
         configs = {
             "probesim": {"eps_a": 0.3, "num_walks": 40, "seed": 11},
             "mc": {"num_walks": 20, "seed": 11},
+            "tsf": CONFIGS["tsf"],
         }
-        thread, process = (
-            run(graph, trace, methods=list(configs), configs=configs,
-                workers=2, executor=executor, maintenance="rebuild")
-            for executor in ("thread", "process")
+        timing = {
+            "wall_seconds", "qps", "latency", "maintenance_seconds",
+            "maintenance_per_update_s", "metrics",  # metrics embed qps/pXX
+        }
+
+        def reports(executor):
+            result = run(
+                graph, trace, methods=list(configs), configs=configs,
+                workers=2, executor=executor, maintenance=maintenance,
+                cache_size=cache_size,
+            )
+            assert all(r.executor == executor for r in result.reports)
+            return [
+                {k: v for k, v in report.items()
+                 if k not in timing and k != "executor"}
+                for report in result.to_dict()["reports"]
+            ]
+
+        oracle = reports("sequential")
+        assert reports("thread") == oracle
+        assert reports("process") == oracle
+        assert all(r["epochs"] > 0 for r in oracle[:2])  # index-free: rebuilt
+        tsf = oracle[-1]
+        expected = "delta" if maintenance == "auto" else "rebuild"
+        assert tsf["maintenance"] == expected
+        assert tsf["incremental_notifications"] == (
+            trace.num_updates if expected == "delta" else 0
         )
-        assert [r.digest for r in thread.reports] == \
-            [r.digest for r in process.reports]
-        assert all(r.epochs > 0 for r in process.reports)
 
     def test_delta_keeps_hot_keys_warm(self, tiny_wiki):
         """Fine-grained invalidation beats the epoch flush on hit rate:
