@@ -12,8 +12,8 @@ executors at increasing pool widths, answering the scale-out questions:
 - **process + cache**: the update-aware result cache in front of the
   process pool, showing the hot-key hit-rate speedup Zipf traffic earns.
 
-Both executors run the pool's one dispatch path, so per-op latency is the
-batch mean on each.  The standalone run pins itself to ``CORE_BUDGET``
+Both executors run the pool's one dispatch path, and on each an op's
+latency is its own compute time on its worker, not a batch mean.  The standalone run pins itself to ``CORE_BUDGET``
 cores and records the pinned count as ``cores``, so a baseline gates on
 any box with at least that many cores.
 

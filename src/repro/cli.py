@@ -76,6 +76,7 @@ from repro.datasets import DATASETS, load_dataset
 from repro.errors import ConfigurationError, ReproError
 from repro.eval.reporting import format_table, markdown_table, write_json_report
 from repro.graph import compute_stats, read_edge_list, write_edge_list
+from repro.parallel.pool import EXECUTORS, MAINTENANCE_MODES
 from repro.storage.ingest import DEFAULT_CHUNK_EDGES
 
 METHODS = tuple(method_names())
@@ -590,14 +591,14 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument("--workers", type=int, default=1,
                           help="query-side pool width (one replica each)")
     workload.add_argument("--executor", default="thread",
-                          choices=("thread", "process", "sequential"),
+                          choices=EXECUTORS,
                           help="where the pool's replicas run: a thread "
                                "pool (GIL-bound), worker processes over a "
                                "shared-memory graph, or one after another "
                                "in-process (the determinism oracle); all "
                                "three give equal reports apart from timings")
     workload.add_argument("--maintenance", default="auto",
-                          choices=("auto", "delta", "rebuild"),
+                          choices=MAINTENANCE_MODES,
                           help="update path on every executor: in-place delta "
                                "propagation (O(delta) per burst, needs an "
                                "incremental-capable method), full epoch "

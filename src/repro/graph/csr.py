@@ -48,6 +48,13 @@ SHM_LAYOUT = (
 )
 
 
+def _split(values: np.ndarray, indptr: np.ndarray) -> list[list[int]]:
+    """Python int lists ``values[indptr[v]:indptr[v + 1]]`` for every node."""
+    flat = values.tolist()
+    bounds = indptr.tolist()
+    return [flat[bounds[v]:bounds[v + 1]] for v in range(len(bounds) - 1)]
+
+
 def payload_layout(num_nodes: int, num_edges: int):
     """``([(field, dtype, offset, count)], total_bytes)`` for one packed payload.
 
@@ -138,12 +145,24 @@ class CSRGraph:
         return cls.from_digraph(DiGraph.from_edges(edges, num_nodes=num_nodes))
 
     def to_digraph(self) -> DiGraph:
-        """Thaw the snapshot back into a mutable :class:`DiGraph`."""
-        graph = DiGraph(self.num_nodes)
-        for source in range(self.num_nodes):
-            for target in self.out_neighbors(source):
-                graph.add_edge(source, int(target))
-        return graph
+        """Thaw the snapshot back into a mutable :class:`DiGraph`.
+
+        Out-lists keep CSR order and in-lists hold their sources in
+        ascending order: the graph inserting every edge source by source
+        would build, assembled with array ops instead.
+        """
+        n = self.num_nodes
+        targets = self.out_indices
+        if targets.size and not 0 <= int(targets.min()) <= int(targets.max()) < n:
+            raise GraphError("CSR out_indices reference nodes outside the graph")
+        sources = np.repeat(np.arange(n, dtype=np.int64), self.out_degrees)
+        # a stable sort by target keeps each target's sources ascending
+        by_target = sources[np.argsort(targets, kind="stable")]
+        in_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(targets, minlength=n), out=in_indptr[1:])
+        return DiGraph.from_adjacency(
+            _split(targets, self.out_indptr), _split(by_target, in_indptr)
+        )
 
     # ------------------------------------------------------------------ #
     # adjacency queries

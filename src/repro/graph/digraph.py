@@ -70,6 +70,28 @@ class DiGraph:
             graph.add_edge(source, target)
         return graph
 
+    @classmethod
+    def from_adjacency(
+        cls, out_lists: list[list[int]], in_lists: list[list[int]]
+    ) -> "DiGraph":
+        """Adopt ready-made adjacency lists in one step, no per-edge insert.
+
+        ``in_lists`` must hold the same edges as ``out_lists``, reversed;
+        both are taken as given, so their order is the graph's adjacency
+        order.  Duplicate edges and self-loops still raise
+        :class:`GraphError`.
+        """
+        graph = cls(0)
+        graph._out = out_lists
+        graph._in = in_lists
+        graph._out_sets = [set(adj) for adj in out_lists]
+        graph._num_edges = sum(map(len, out_lists))
+        if sum(map(len, graph._out_sets)) != graph._num_edges:
+            raise GraphError("duplicate edges in the adjacency lists")
+        if any(node in adj for node, adj in enumerate(graph._out_sets)):
+            raise GraphError("self-loops are not allowed")
+        return graph
+
     def copy(self) -> "DiGraph":
         """Deep copy of the graph (adjacency is copied, not shared)."""
         clone = DiGraph(self.num_nodes)

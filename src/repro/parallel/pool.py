@@ -31,8 +31,10 @@ Deterministic dispatch
     bit-identical to ``executor="sequential"``, which runs the same
     partition and maintenance schedule in-process (the oracle the
     correctness suite compares against).  ``executor="thread"`` runs that
-    same in-process schedule with each worker's RPCs on a shared thread
-    pool, so shares overlap wherever the kernels release the GIL.
+    same in-process schedule with each worker's query RPCs on a shared
+    thread pool, so shares overlap wherever the kernels release the GIL.
+    Every worker times each op it answers and returns that time with the
+    answer (:meth:`ParallelSimRankService.single_source_many_timed`).
 
 Crash recovery
     A worker that dies mid-flight is respawned, built against the live
@@ -82,7 +84,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Iterable, Sequence
 
 from repro.api.registry import get_entry
@@ -222,11 +224,22 @@ class _WorkerCore:
                 self.estimators[key].apply_updates([update])
 
     def query(self, key: str, kind: str, k: int | None, ops):
-        """Answer ``(op_id, node)`` ops in order with the ``key`` replica."""
+        """Answer ``(op_id, node)`` ops in order with the ``key`` replica.
+
+        Returns ``(op_id, result, seconds)`` triples: each op's own
+        wall-clock time rides back with its answer, so the coordinator can
+        report per-op latency rather than a batch mean.
+        """
         estimator = self.estimators[key]
-        if kind == "topk":
-            return [(op_id, estimator.topk(node, k)) for op_id, node in ops]
-        return [(op_id, estimator.single_source(node)) for op_id, node in ops]
+        records = []
+        for op_id, node in ops:
+            started = time.perf_counter()
+            if kind == "topk":
+                result = estimator.topk(node, k)
+            else:
+                result = estimator.single_source(node)
+            records.append((op_id, result, time.perf_counter() - started))
+        return records
 
     def handle(self, command: str, payload):
         """Run one RPC; returns the reply payload (``None`` but for queries)."""
@@ -332,9 +345,12 @@ class _InlineWorker:
     """In-process handle (sequential and thread executors): same RPC surface.
 
     Without ``threads`` (sequential) ``send`` runs the RPC on the calling
-    thread; with the thread executor's shared pool it submits it there and
-    ``recv`` waits for the future, so the pool's workers answer their
-    shares concurrently wherever the kernels release the GIL.
+    thread.  With the thread executor's shared pool it submits query RPCs
+    there and ``recv`` waits for the future, so the pool's workers answer
+    their shares concurrently wherever the kernels release the GIL.
+    Maintenance RPCs (build, epoch, delta) still run on the calling
+    thread, one worker after another: they are mostly pure Python, so a
+    thread handoff per burst would only add latency.
     """
 
     def __init__(self, index: int, threads: ThreadPoolExecutor | None = None) -> None:
@@ -350,16 +366,16 @@ class _InlineWorker:
             return ("error", (type(exc).__name__, str(exc), traceback.format_exc()))
 
     def send(self, message) -> None:
-        if self._threads is None:
+        if self._threads is None or message[0] != "query":
             self._reply = self._call(message)
         else:
             self._reply = self._threads.submit(self._call, message)
 
     def recv(self, timeout: float):
         reply, self._reply = self._reply, None
-        if self._threads is None:
-            return reply
-        return reply.result(timeout)
+        if isinstance(reply, Future):
+            return reply.result(timeout)
+        return reply
 
     def close(self, force: bool = False) -> None:
         del force
@@ -435,8 +451,9 @@ class ParallelSimRankService(QueryServiceBase):
         full epoch rebuild folds the log into a fresh CSR generation.
     executor:
         ``"process"`` (default: worker processes over a shared-memory
-        graph), ``"thread"`` (in-process workers answering on a thread
-        pool — no pickling or fork, but GIL-bound) or ``"sequential"``
+        graph), ``"thread"`` (in-process workers answering queries on a
+        thread pool — no pickling or fork, but GIL-bound; maintenance runs
+        on the calling thread) or ``"sequential"``
         (in-process workers run one after another — the determinism
         oracle).  All three run the same dispatch and maintenance
         schedule, so their answers are bit-identical.
@@ -812,15 +829,30 @@ class ParallelSimRankService(QueryServiceBase):
         worker ``w`` answers its share in order and the results merge back
         deterministically.  Duplicates and cache hits share answers.
         """
+        return self.single_source_many_timed(queries, method)[0]
+
+    def single_source_many_timed(
+        self, queries: Sequence[int], method: str | None = None
+    ) -> tuple[list, list[float]]:
+        """:meth:`single_source_many` plus each op's own latency in seconds.
+
+        A computed answer is charged the worker's wall-clock time for that
+        op alone, a duplicate its batch-mate's (it waits on that very
+        computation), and a cache hit the coordinator's probe.  The
+        workload driver reports these as per-op latency on every executor.
+        """
         key = self._resolve_method(method)
         batch = [self._check_query_node(query) for query in queries]
         distinct = list(dict.fromkeys(batch))
         by_query: dict[int, object] = {}
+        seconds: dict[int, float] = {}
         misses = []
         for node in distinct:
+            started = time.perf_counter()
             cached = self.cache.get(key, node, self._epoch)
             if cached is not None:
                 by_query[node] = cached
+                seconds[node] = time.perf_counter() - started
             else:
                 misses.append(node)
         ops = list(enumerate(misses))
@@ -831,19 +863,23 @@ class ParallelSimRankService(QueryServiceBase):
         }
         replies = self._rpc_all(assignments)
         merged = sorted(
-            (op_id, result) for records in replies.values()
-            for op_id, result in records
+            (op_id, result, elapsed) for records in replies.values()
+            for op_id, result, elapsed in records
         )
-        for op_id, result in merged:
+        for op_id, result, elapsed in merged:
             node = misses[op_id]
             by_query[node] = result
+            seconds[node] = elapsed
             self.cache.put(key, node, self._epoch, result)
         with self._stats_lock:
             self.stats.queries += len(batch)
             self.stats.batches += 1
             self.stats.batched_queries += len(batch)
             self.stats.batched_unique += len(distinct)
-        return [by_query[node] for node in batch]
+        return (
+            [by_query[node] for node in batch],
+            [seconds[node] for node in batch],
+        )
 
     # topk_many comes from QueryServiceBase: top-k views of the batched
     # single-source path, exactly like the sequential service.
@@ -890,6 +926,8 @@ class ParallelSimRankService(QueryServiceBase):
             )
         count = 0
         track_deltas = self._maintenance == "delta"
+        # only the cache reads the touched neighborhood
+        track_touched = track_deltas and self.cache.enabled
         try:
             for update in updates:
                 # neighborhood read before the edge flips (see the helper's
@@ -898,7 +936,7 @@ class ParallelSimRankService(QueryServiceBase):
                 # rejected update must never reach a worker mirror
                 touched = (
                     touched_neighborhood(self._digraph, (update,))
-                    if track_deltas else None
+                    if track_touched else set()
                 )
                 apply_update(self._digraph, update)
                 if track_deltas:  # rebuild syncs never read the accumulators

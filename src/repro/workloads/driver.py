@@ -13,7 +13,9 @@ per method, with ``workers`` estimator replicas (seeds derived per replica).
 The service deduplicates each query batch (duplicates share their
 batch-mate's answer), probes the result cache, splits the distinct misses
 round-robin by position across the replicas and merges the answers back in
-batch order.  The ``executor`` only picks where the replicas run:
+batch order.  Each worker times every op it answers and returns that time
+with the answer, so the latency percentiles are per op, not batch means.
+The ``executor`` only picks where the replicas run:
 
 ``executor="thread"``
     In-process replicas answering their shares on a thread pool; they
@@ -104,6 +106,8 @@ class MethodReport:
     All times are wall-clock seconds.  ``digest`` is the order-sensitive
     hash of every query's score vector — the bit-reproducibility handle.
     ``cache`` carries the result-cache counters (empty when caching is off).
+    ``sync_every`` is the cadence the replay ran: ``1`` under delta
+    maintenance whatever was requested.
     """
 
     method: str
@@ -270,7 +274,8 @@ def _replay(
     The service owns the dedup, cache probing, positional split, the
     epochs or delta log (per ``maintenance``) and the update-aware cache
     on every executor; the driver contributes the sync cadence and the
-    deterministic digest.  Per-op latency is the batch mean.  With
+    deterministic digest.  Per-op latency is the service's own per-op
+    time (:meth:`ParallelSimRankService.single_source_many_timed`).  With
     ``snapshot`` set the service ``mmap``-attaches the persistent snapshot
     file instead of copying ``graph``.
     """
@@ -295,8 +300,10 @@ def _replay(
     )
     report.maintenance = service.maintenance
     # only epoch rebuilds are worth deferring: a delta burst is O(Δ), so a
-    # delta-maintained replay absorbs every burst and never serves stale
-    sync_cadence = sync_every if service.maintenance == "rebuild" else 1
+    # delta-maintained replay absorbs every burst and never serves stale.
+    # The report records the cadence the replay actually ran.
+    if service.maintenance != "rebuild":
+        report.sync_every = 1
     with service:  # guarantees worker/shared-memory teardown
         wall_started = time.perf_counter()
         for batch in trace:
@@ -305,21 +312,18 @@ def _replay(
                 report.num_updates += len(batch.updates)
                 unsynced_updates += len(batch.updates)
                 batches_since_sync += 1
-                if batches_since_sync >= sync_cadence:
+                if batches_since_sync >= report.sync_every:
                     service.sync()
                     unsynced_updates = 0
                     batches_since_sync = 0
                 continue
-            started = time.perf_counter()
-            results = service.single_source_many(batch.queries)
-            batch_seconds = time.perf_counter() - started
-            per_op = batch_seconds / max(len(results), 1)
-            for position, result in enumerate(results):
+            results, seconds = service.single_source_many_timed(batch.queries)
+            for position, (result, elapsed) in enumerate(zip(results, seconds)):
                 op_id = batch.offset + position
                 digest.update(op_id.to_bytes(8, "little"))
                 digest.update(int(result.query).to_bytes(8, "little"))
                 digest.update(_fingerprint(result.scores))
-                report.latency.record(per_op)
+                report.latency.record(elapsed)
                 report.staleness_samples.append(unsynced_updates)
             report.num_queries += len(results)
         service.sync()  # flush the tail (a no-op when nothing is pending)
@@ -374,15 +378,17 @@ def run_workload(
         Under rebuild maintenance, sync every ``sync_every`` update
         batches.  ``1`` (default) syncs after every update batch
         (always-fresh reads); larger values trade staleness for maintenance
-        cost.  Delta-maintained replays sync every batch regardless.
+        cost.  Delta-maintained replays sync every batch regardless, and
+        their reports record ``sync_every=1``.
     executor:
         Where the service's replicas run: ``"thread"`` (a thread pool in
         this process — GIL-bound), ``"process"`` (worker processes over a
         shared-memory graph; throughput scales with cores), or
         ``"sequential"`` (in-process, one replica at a time — the
         determinism oracle).  All three run the same dispatch, so their
-        reports agree apart from timings.  Per-op latency is the mean of
-        the op's batch on every executor.
+        reports agree apart from timings.  On every executor an op's
+        latency is its own compute time on its worker (a duplicate shares
+        its batch-mate's, a cache hit costs the probe).
     cache_size:
         Capacity of the update-aware single-source result cache in front of
         the query path; ``0`` (default) disables caching.

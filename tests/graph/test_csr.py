@@ -26,6 +26,36 @@ class TestRoundTrip:
     def test_to_digraph_round_trip(self, toy, toy_csr):
         assert toy_csr.to_digraph() == toy
 
+    def test_to_digraph_keeps_insertion_order(self):
+        """Out-lists in CSR order, in-lists by ascending source: the graph
+        that inserting the edges source by source builds."""
+        csr = CSRGraph.from_digraph(
+            DiGraph.from_edges([(2, 0), (0, 3), (2, 3), (0, 1), (1, 3), (3, 0)])
+        )
+        graph = csr.to_digraph()
+        reference = DiGraph(csr.num_nodes)
+        for source, target in csr.edges():
+            reference.add_edge(source, int(target))
+        for node in range(csr.num_nodes):
+            assert graph.out_neighbors(node) == reference.out_neighbors(node)
+            assert graph.in_neighbors(node) == reference.in_neighbors(node)
+        assert graph.in_neighbors(3) == [0, 1, 2]
+        graph.add_edge(1, 0)  # the thawed graph is mutable
+        assert graph.num_edges == csr.num_edges + 1
+
+    @pytest.mark.parametrize("targets", [[1, 1], [0, 1], [1, 5]])
+    def test_to_digraph_rejects_invalid_adjacency(self, targets):
+        """Duplicate edges, self-loops and out-of-range ids all raise."""
+        csr = CSRGraph(
+            2,
+            np.array([0, 2, 2], dtype=np.int64),
+            np.array(targets, dtype=np.int32),
+            np.array([0, 0, 2], dtype=np.int64),
+            np.array([0, 0], dtype=np.int32),
+        )
+        with pytest.raises(GraphError):
+            csr.to_digraph()
+
     def test_edges_iteration(self, toy, toy_csr):
         assert sorted(toy_csr.edges()) == sorted(toy.edges())
 

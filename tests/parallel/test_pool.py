@@ -71,8 +71,8 @@ class TestBitIdentical:
 
     def test_thread_executor_under_preemption_matches_sequential(self, tiny_wiki):
         """More threads than cores, switching every microsecond: replicas
-        share the epoch's CSR (and its lazily built operators), and racing
-        rebuilds must still give the oracle's bytes."""
+        share the epoch's CSR (and its lazily built operators) while they
+        answer concurrently, and must still give the oracle's bytes."""
         import sys
 
         interval = sys.getswitchinterval()
@@ -133,6 +133,26 @@ class TestCache:
             distinct = len(set(QUERIES))
             assert service.cache.stats.misses == distinct
             assert service.cache.stats.hits == distinct
+
+    @pytest.mark.parametrize("executor", ["process", "thread", "sequential"])
+    def test_timed_batch_reports_per_op_seconds(self, tiny_wiki, executor):
+        """Each computed op carries its own worker time, a duplicate its
+        batch-mate's, and a cache hit only the coordinator's probe."""
+        with make_service(tiny_wiki, executor, cache_size=64) as service:
+            results, seconds = service.single_source_many_timed(QUERIES)
+            assert len(seconds) == len(QUERIES)
+            first = {}
+            for query, result, elapsed in zip(QUERIES, results, seconds):
+                assert elapsed > 0
+                assert first.setdefault(query, (result, elapsed)) == (
+                    result, elapsed
+                )
+            assert len(set(seconds)) > 1  # per op, not one batch mean
+            hits, hit_seconds = service.single_source_many_timed(QUERIES)
+            assert [r is first[q][0] for q, r in zip(QUERIES, hits)] == [
+                True
+            ] * len(QUERIES)
+            assert max(hit_seconds) < min(seconds)
 
     def test_sync_epoch_bump_invalidates(self, tiny_wiki):
         with make_service(tiny_wiki, "process", cache_size=64) as service:

@@ -78,6 +78,7 @@ class TestAccounting:
                      workers=2, executor=executor)
         assert result.reports[0].staleness_max == 0
         assert result.reports[0].incremental_notifications == trace.num_updates
+        assert result.reports[0].sync_every == 1  # the cadence actually run
 
     def test_deferred_sync_records_staleness(self, tiny_wiki, trace):
         assert trace.num_updates > 0  # precondition for a meaningful test
@@ -87,6 +88,7 @@ class TestAccounting:
             sync_every=1000,  # never sync mid-trace
         )
         report = result.reports[0]
+        assert report.sync_every == 1000
         assert report.staleness_max > 0
         # queries after the last update batch see every unsynced update
         assert report.staleness_max <= trace.num_updates
