@@ -3,8 +3,8 @@ every path.
 
 Tracked acquisitions: ``SharedMemory(...)``, ``mmap.mmap(...)``,
 ``os.open(...)``, ``MappedSnapshot.open(...)`` everywhere, plus plain
-``open(...)``/``gzip.open(...)`` inside ``storage/`` (WAL, snapshot, and
-sidecar files).  An acquisition is accepted when it is:
+``open(...)``/``gzip.open(...)`` inside ``storage/`` (WAL, snapshot and
+ingest files).  An acquisition is accepted when it is:
 
 - a context-manager item (``with open(...) as f:``), or
 - immediately followed by a ``try`` whose ``finally`` (or

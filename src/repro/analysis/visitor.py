@@ -36,7 +36,6 @@ DEFAULT_CAPABILITIES_FIELDS: tuple[str, ...] = (
     "incremental_updates",
     "vectorized",
     "parallel_safe",
-    "native",
 )
 
 

@@ -90,10 +90,6 @@ class Capabilities:
         :meth:`SimRankEstimator.sync`.  False for static rebuild-only
         indexes (SLING) and dense exact solvers (Power Method), whose
         per-worker-per-epoch rebuild would dominate serving.
-    native:
-        True when queries run through the native engine
-        (:mod:`repro.core.native`), whose counter RNG makes every answer a
-        pure function of ``(config, graph, seed, query)``.
     """
 
     method: str
@@ -103,7 +99,6 @@ class Capabilities:
     incremental_updates: bool = False
     vectorized: bool = False
     parallel_safe: bool = False
-    native: bool = False
 
     def as_row(self) -> dict[str, object]:
         """Flat dict row for table rendering (CLI ``methods`` subcommand)."""
@@ -115,7 +110,6 @@ class Capabilities:
             "incremental": self.incremental_updates,
             "vectorized": self.vectorized,
             "parallel": self.parallel_safe,
-            "native": self.native,
         }
 
 

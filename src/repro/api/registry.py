@@ -55,14 +55,18 @@ class MethodEntry:
     probe_config: dict = field(default_factory=dict)
     capabilities: Capabilities | None = None
 
-    def build(self, graph, **config):
-        """Construct the estimator on ``graph`` after validating ``config``."""
+    def check_config(self, config) -> None:
+        """Raise :class:`ConfigurationError` on keys the method does not accept."""
         unknown = sorted(set(config) - set(self.config_keys))
         if unknown:
             raise ConfigurationError(
                 f"method {self.name!r} does not accept config keys {unknown}; "
                 f"allowed: {sorted(self.config_keys)}"
             )
+
+    def build(self, graph, **config):
+        """Construct the estimator on ``graph`` after validating ``config``."""
+        self.check_config(config)
         return self.factory(graph, **config)
 
 
@@ -185,12 +189,12 @@ def _register_builtins() -> None:
             return ProbeSim(graph, **config)
         return factory
 
-    def probesim_caps(strategy: str, native: bool = False) -> Capabilities:
+    def probesim_caps(strategy: str, vectorized: bool = False) -> Capabilities:
         """ProbeSim's capability profile (index-free, O(m) sync)."""
         return Capabilities(
             method=f"probesim-{strategy}", exact=False, index_based=False,
             supports_dynamic=True, incremental_updates=False,
-            vectorized=native, parallel_safe=True, native=native,
+            vectorized=vectorized, parallel_safe=True,
         )
 
     register(
@@ -210,7 +214,7 @@ def _register_builtins() -> None:
             probe_config=_PROBESIM_PROBE,
             # engine="auto" routes the deterministic dedup strategy through
             # the native engine (repro.core.native)
-            capabilities=probesim_caps(strategy, native=strategy == "batch"),
+            capabilities=probesim_caps(strategy, vectorized=strategy == "batch"),
         )
 
     def probesim_native_factory(graph, **config):
@@ -228,24 +232,24 @@ def _register_builtins() -> None:
         capabilities=Capabilities(
             method="probesim-native", exact=False, index_based=False,
             supports_dynamic=True, incremental_updates=False, vectorized=True,
-            parallel_safe=True, native=True,
+            parallel_safe=True,
         ),
     )
 
     def walkindex_factory(graph, **config):
-        """ProbeSim behind the §7 walk-tree cache."""
+        """ProbeSim behind the §7 walk-trie cache."""
         return WalkIndex(graph, **config)
 
     register(
         "probesim-walkindex",
         walkindex_factory,
-        summary="ProbeSim + cached walk trees with fine-grained invalidation",
+        summary="ProbeSim + cached walk tries with fine-grained invalidation",
         config_keys=_PROBESIM_KEYS + ("strategy",),
         probe_config=_PROBESIM_PROBE,
         capabilities=Capabilities(
             method="probesim-walkindex", exact=False, index_based=True,
             supports_dynamic=True, incremental_updates=True, vectorized=False,
-            parallel_safe=True, native=False,
+            parallel_safe=True,
         ),
     )
 
@@ -262,7 +266,7 @@ def _register_builtins() -> None:
         capabilities=Capabilities(
             method="probesim-adaptive", exact=False, index_based=False,
             supports_dynamic=True, incremental_updates=False, vectorized=False,
-            parallel_safe=True, native=False,
+            parallel_safe=True,
         ),
     )
 
@@ -281,7 +285,6 @@ def _register_builtins() -> None:
         capabilities=Capabilities(
             method="mc", exact=False, index_based=False, supports_dynamic=True,
             incremental_updates=False, vectorized=False, parallel_safe=True,
-            native=False,
         ),
     )
 
@@ -298,7 +301,7 @@ def _register_builtins() -> None:
         capabilities=Capabilities(
             method="power-method", exact=True, index_based=False,
             supports_dynamic=False, incremental_updates=False, vectorized=False,
-            parallel_safe=False, native=False,
+            parallel_safe=False,
         ),
     )
 
@@ -319,7 +322,6 @@ def _register_builtins() -> None:
         return Capabilities(
             method=method, exact=False, index_based=False, supports_dynamic=True,
             incremental_updates=False, vectorized=False, parallel_safe=True,
-            native=False,
         )
 
     topsim_keys = ("c", "depth", "degree_threshold", "eta", "priority_width", "seed")
@@ -358,7 +360,7 @@ def _register_builtins() -> None:
         capabilities=Capabilities(
             method="tsf", exact=False, index_based=True,
             supports_dynamic=True, incremental_updates=True, vectorized=False,
-            parallel_safe=True, native=False,
+            parallel_safe=True,
         ),
     )
 
@@ -379,7 +381,7 @@ def _register_builtins() -> None:
         capabilities=Capabilities(
             method="sling", exact=False, index_based=True,
             supports_dynamic=False, incremental_updates=False, vectorized=False,
-            parallel_safe=False, native=False,
+            parallel_safe=False,
         ),
     )
 

@@ -242,18 +242,18 @@ class SimRankService(QueryServiceBase):
 
     Thread model
     ------------
-    Query calls (:meth:`single_source`, :meth:`topk`,
-    :meth:`single_source_many`, :meth:`topk_many`) may run concurrently from
-    multiple threads *as long as each mounted estimator is only driven by
-    one thread at a time* — estimators own mutable RNG/scratch state, so
-    mount one replica per worker (``add_method(name, alias=...)``) as the
-    workload driver does.  Mutations (:meth:`apply_edges`,
+    Each mounted estimator owns mutable RNG/scratch state, so it must be
+    driven by one thread at a time: query calls (:meth:`single_source`,
+    :meth:`topk`, :meth:`single_source_many`, :meth:`topk_many`) may run
+    concurrently only on *different* methods.  The HTTP front door
+    (:mod:`repro.server.app`) meets this by running every service call on
+    one dispatch thread.  Mutations (:meth:`apply_edges`,
     :meth:`apply_update_stream`, :meth:`sync`, :meth:`add_method`) must not
-    run concurrently with queries.  The stats counters themselves are
-    guarded by an internal lock on *both* the query and the maintenance
-    paths, so the counters stay exact even while query threads and the
-    maintenance thread overlap (the workload driver's executor does
-    exactly that between batches).
+    run concurrently with queries.  The stats counters and the stale set
+    are guarded by an internal lock, so they stay exact under concurrent
+    query threads.  Multi-worker serving, including the workload driver's
+    thread executor, is :class:`~repro.parallel.pool.ParallelSimRankService`,
+    which builds one estimator replica per worker.
     """
 
     def __init__(
@@ -291,8 +291,7 @@ class SimRankService(QueryServiceBase):
 
         ``alias`` stores the estimator under a different service-local name,
         so the same registry method can be mounted twice with different
-        configurations (the workload driver mounts one replica per worker
-        this way).  Returns the new estimator.
+        configurations.  Returns the new estimator.
 
         Raises
         ------

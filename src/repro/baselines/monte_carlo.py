@@ -114,7 +114,6 @@ class MonteCarlo(SimRankEstimator):
             incremental_updates=False,
             vectorized=False,
             parallel_safe=True,
-            native=False,
         )
 
     # ------------------------------------------------------------------ #

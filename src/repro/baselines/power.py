@@ -78,7 +78,6 @@ class PowerMethod(SimRankEstimator):
             incremental_updates=False,
             vectorized=False,
             parallel_safe=False,
-            native=False,
         )
 
     @property

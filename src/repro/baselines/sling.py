@@ -205,7 +205,6 @@ class SLINGIndex(SimRankEstimator):
             incremental_updates=False,
             vectorized=False,
             parallel_safe=False,
-            native=False,
         )
 
     # ------------------------------------------------------------------ #

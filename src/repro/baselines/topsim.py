@@ -108,7 +108,6 @@ class TopSim(SimRankEstimator):
             incremental_updates=False,
             vectorized=False,
             parallel_safe=True,
-            native=False,
         )
 
     @property

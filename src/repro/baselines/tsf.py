@@ -124,7 +124,6 @@ class TSFIndex(SimRankEstimator):
             incremental_updates=True,
             vectorized=False,
             parallel_safe=True,
-            native=False,
         )
 
     def _reverse_adjacency(self, index: int) -> tuple[np.ndarray, np.ndarray]:

@@ -180,7 +180,6 @@ def _cmd_topk(args) -> int:
 #: ``methods --json`` dump (which adds nothing but types and runtime info).
 METHOD_CAPABILITY_COLUMNS = (
     "exact", "index", "dynamic", "incremental", "vectorized", "parallel",
-    "native",
 )
 
 

@@ -10,14 +10,14 @@ Public surface:
 :class:`~repro.core.results.SimRankResult` / :class:`~repro.core.results.TopKResult`
     query result containers.
 :class:`~repro.core.walk_trie.WalkTrie`
-    the prefix trie the native engine sweeps (see below).
+    Algorithm 3's walk prefix trie, which both engines probe (see below).
 
 Execution engines — the trie-sharing idea
 -----------------------------------------
 
 ProbeSim's per-query cost is dominated by probing the sampled √c-walks.  The
 **loop engine** (``engine="loop"``) follows the paper literally: every
-distinct walk prefix in the reachability tree is probed by its own frontier
+distinct walk prefix in the walk trie is probed by its own frontier
 propagation, so a batch of ``R`` walks pays ``O(sum_t depth_t)``
 interpreter-driven propagation steps.
 
@@ -57,7 +57,6 @@ from repro.core.engine import ProbeSim
 from repro.core.probe import probe_deterministic
 from repro.core.randomized_probe import probe_randomized
 from repro.core.results import SimRankResult, TopKResult
-from repro.core.tree import ReachabilityTree
 from repro.core.walk_trie import WalkTrie
 from repro.core.walks import sample_sqrt_c_walk, sample_walk_arrays, truncation_length
 
@@ -65,7 +64,6 @@ __all__ = [
     "ErrorBudget",
     "ProbeSim",
     "ProbeSimConfig",
-    "ReachabilityTree",
     "SimRankResult",
     "TopKResult",
     "WalkTrie",

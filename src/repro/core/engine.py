@@ -13,14 +13,14 @@ Strategies (``ProbeSimConfig.strategy``):
 ``basic``
     Algorithm 1: every walk prefix is probed independently.
 ``batch``
-    Algorithm 3: walks are deduplicated in a reverse-reachability tree and
-    each distinct prefix is probed once with the deterministic PROBE,
-    weighted by its multiplicity.
+    Algorithm 3: walks are deduplicated in their prefix trie
+    (:class:`~repro.core.walk_trie.WalkTrie`) and each distinct prefix is
+    probed once with the deterministic PROBE, weighted by its multiplicity.
 ``randomized``
     Algorithm 1 with the randomized PROBE (Algorithm 4) — O(n) per walk in
     expectation, the engine's best worst-case complexity.
 ``hybrid``
-    §4.4: batch over the tree; each path starts deterministic and switches to
+    §4.4: batch over the trie; each path starts deterministic and switches to
     ``weight`` randomized continuations when its frontier grows past
     ``c0 * weight * n`` out-degree mass.
 
@@ -54,8 +54,8 @@ from repro.core.randomized_probe import (
     probe_randomized_from_membership,
 )
 from repro.core.results import SimRankResult
-from repro.core.tree import ReachabilityTree
-from repro.core.walks import sample_walk_batch
+from repro.core.walk_trie import WalkTrie
+from repro.core.walks import sample_walk_arrays
 from repro.errors import QueryError
 from repro.graph.csr import CSRGraph, as_csr
 from repro.utils.rng import as_generator, is_int_seed, query_stream
@@ -126,16 +126,14 @@ class ProbeSim(SimRankEstimator):
 
     def capabilities(self) -> Capabilities:
         """Approximate, index-free, dynamic-friendly (O(m) sync)."""
-        native = self.config.resolved_engine() == "native"
         return Capabilities(
             method=self._method_label(),
             exact=False,
             index_based=False,
             supports_dynamic=True,
             incremental_updates=False,
-            vectorized=native,
+            vectorized=self.config.resolved_engine() == "native",
             parallel_safe=True,
-            native=native,
         )
 
     def single_source(self, query: int) -> SimRankResult:
@@ -184,15 +182,13 @@ class ProbeSim(SimRankEstimator):
         if self.config.resolved_engine() == "native":
             return self._run_native_engine(query, stats)
         strategy = self.config.strategy
+        if strategy in ("batch", "hybrid"):
+            return self._run_batch(query, stats, hybrid=strategy == "hybrid")
         walks = self._sample_walks(query, stats)
         if strategy == "basic":
             return self._run_basic(walks, stats)
         if strategy == "randomized":
             return self._run_randomized(walks, stats)
-        if strategy == "batch":
-            return self._run_batch(walks, stats, hybrid=False)
-        if strategy == "hybrid":
-            return self._run_batch(walks, stats, hybrid=True)
         raise QueryError(f"unknown strategy {strategy!r}")  # pragma: no cover
 
     # ------------------------------------------------------------------ #
@@ -248,17 +244,28 @@ class ProbeSim(SimRankEstimator):
         """
         self._rng = query_stream(self.config.seed, self._rng, query)
 
-    def _sample_walks(self, query: int, stats: QueryStats) -> list[list[int]]:
+    def _sample_walk_arrays(
+        self, query: int, stats: QueryStats
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The query's ``nr`` √c-walks as padded ``(nodes, lengths)`` arrays."""
         self._begin_query(query)
         cfg = self.config
         nr = cfg.walk_count(self._csr.num_nodes)
-        max_len = cfg.walk_truncation()
-        walks = sample_walk_batch(
-            self._csr, query, nr, cfg.sqrt_c, self._rng, max_length=max_len
+        nodes, lengths = sample_walk_arrays(
+            self._csr, query, nr, cfg.sqrt_c, self._rng,
+            max_length=cfg.walk_truncation(),
         )
         stats.num_walks = nr
-        stats.walk_length_total = sum(len(w) for w in walks)
-        return walks
+        stats.walk_length_total = int(lengths.sum())
+        return nodes, lengths
+
+    def _sample_walks(self, query: int, stats: QueryStats) -> list[list[int]]:
+        nodes, lengths = self._sample_walk_arrays(query, stats)
+        return [nodes[i, :length].tolist() for i, length in enumerate(lengths.tolist())]
+
+    def _sample_trie(self, query: int, stats: QueryStats) -> WalkTrie:
+        """The query's walk trie, built straight from the sampled arrays."""
+        return WalkTrie.from_walk_arrays(*self._sample_walk_arrays(query, stats))
 
     def _run_basic(self, walks: list[list[int]], stats: QueryStats) -> np.ndarray:
         cfg = self.config
@@ -287,22 +294,18 @@ class ProbeSim(SimRankEstimator):
         acc /= stats.num_walks
         return acc
 
-    def _run_batch(
-        self, walks: list[list[int]], stats: QueryStats, hybrid: bool
-    ) -> np.ndarray:
-        if not walks:
-            return np.zeros(self._csr.num_nodes, dtype=np.float64)
-        tree = ReachabilityTree.from_walks(walks)
-        return self.estimate_from_tree(tree, stats, hybrid=hybrid)
+    def _run_batch(self, query: int, stats: QueryStats, hybrid: bool) -> np.ndarray:
+        return self.estimate_from_tree(self._sample_trie(query, stats), stats, hybrid=hybrid)
 
     def estimate_from_tree(
-        self, tree: ReachabilityTree, stats: QueryStats | None = None, hybrid: bool | None = None
+        self, tree: WalkTrie, stats: QueryStats | None = None, hybrid: bool | None = None
     ) -> np.ndarray:
-        """Algorithm 3's probing loop over an existing reachability tree.
+        """Algorithm 3's probing loop over an existing walk trie.
 
         Exposed separately so walk caches (:mod:`repro.extensions.walk_index`)
-        can reuse precomputed trees; estimates are always probed against the
-        engine's *current* graph snapshot.
+        can reuse precomputed tries; estimates are always probed against the
+        engine's *current* graph snapshot.  Prefixes are probed in the trie's
+        level order, which is also the order the §4.4 hybrid draws in.
         """
         cfg = self.config
         if stats is None:
@@ -311,7 +314,7 @@ class ProbeSim(SimRankEstimator):
             hybrid = cfg.strategy == "hybrid"
         n = self._csr.num_nodes
         acc = np.zeros(n, dtype=np.float64)
-        stats.num_tree_nodes = tree.num_tree_nodes()
+        stats.num_tree_nodes = tree.num_tree_nodes
         nr = tree.num_walks
         eps_p = cfg.prune_threshold()
         for prefix, weight in tree.iter_prefixes():
@@ -337,7 +340,7 @@ class ProbeSim(SimRankEstimator):
         eps_p: float,
         stats: QueryStats,
     ) -> np.ndarray:
-        """Probe one tree path; start deterministic, switch to randomized when
+        """Probe one trie path; start deterministic, switch to randomized when
         the frontier's out-degree mass exceeds ``c0 * weight * n``.
 
         Returns the path's weighted score contribution (already multiplied by

@@ -1,12 +1,14 @@
-"""Array-backed prefix trie of √c-walks (the native engine's probe plan).
+"""Array-backed prefix trie of √c-walks (Algorithm 3's probe plan).
 
-:class:`~repro.core.tree.ReachabilityTree` stores Algorithm 3's walk trie as
-linked Python objects — ideal for incremental insertion (the walk cache) but
-slow to traverse once per probe.  :class:`WalkTrie` is the same structure
-flattened into per-level numpy arrays.  The native engine builds the levels
-while it samples (:func:`repro.core.native.fallback.sample_trie_levels`);
-:meth:`WalkTrie.from_walk_arrays` builds them from walks supplied from
-outside, in one vectorised pass over padded walk arrays:
+ProbeSim's Algorithm 3 (§4.2) probes every distinct walk prefix once,
+weighted by how many of the query's √c-walks share it: the reverse
+reachability tree of the walk batch.  :class:`WalkTrie` is that tree,
+flattened into per-level numpy arrays, and every engine builds it this
+way.  The native engine builds the levels while it samples
+(:func:`repro.core.native.fallback.sample_trie_levels`); the loop engine,
+the walk cache and adaptive top-k build them with
+:meth:`WalkTrie.from_walk_arrays`, in one vectorised pass over padded walk
+arrays:
 
 - level ``d`` (depth ``d`` nodes, ``d >= 2``) holds three parallel arrays:
   ``nodes`` (graph node of each distinct length-``d`` prefix), ``parents``
@@ -134,19 +136,23 @@ class WalkTrie:
     def iter_prefixes(self) -> Iterator[tuple[list[int], int]]:
         """Yield ``(prefix, weight)`` for every distinct probed prefix.
 
-        Mirrors :meth:`repro.core.tree.ReachabilityTree.iter_prefixes` (used
-        by the golden-equivalence suite to cross-check multiplicities);
-        order is per level, sorted by ``(parent, node)``.
+        ``prefix`` is the full root-to-node path ``(u_1, ..., u_q)`` — the
+        partial walk Algorithm 3 probes — and ``weight`` its multiplicity.
+        Order is level by level, and within a level sorted by
+        ``(parent, node)``.  Each prefix extends its parent's, so the whole
+        pass costs one list copy per prefix; callers must not mutate the
+        yielded lists.
         """
-        for li, level in enumerate(self.levels):
-            for j in range(len(level)):
-                prefix = [int(level.nodes[j])]
-                parent = int(level.parents[j])
-                for upper in range(li - 1, -1, -1):
-                    prefix.append(int(self.levels[upper].nodes[parent]))
-                    parent = int(self.levels[upper].parents[parent])
-                prefix.append(self.root)
-                yield prefix[::-1], int(level.weights[j])
+        above = [[self.root]]
+        for level in self.levels:
+            current = []
+            for node, parent, weight in zip(
+                level.nodes.tolist(), level.parents.tolist(), level.weights.tolist()
+            ):
+                prefix = above[parent] + [node]
+                current.append(prefix)
+                yield prefix, weight
+            above = current
 
     def __repr__(self) -> str:
         return (

@@ -1,7 +1,7 @@
 """Extensions beyond the paper's evaluated system (its §7 directions).
 
 - :class:`~repro.extensions.walk_index.WalkIndex` — a *lightweight* index
-  (cached √c-walk trees with fine-grained invalidation) that accelerates
+  (cached √c-walk tries with fine-grained invalidation) that accelerates
   repeated queries without giving up dynamic-graph support.
 - :class:`~repro.extensions.adaptive_topk.AdaptiveTopK` — early-stopping
   top-k that spends walks only until the ranking is statistically settled.

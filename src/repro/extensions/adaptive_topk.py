@@ -34,8 +34,8 @@ from repro.api.estimator import Capabilities, SimRankEstimator
 from repro.core.config import ProbeSimConfig
 from repro.core.engine import ProbeSim, QueryStats
 from repro.core.results import SimRankResult, TopKResult
-from repro.core.tree import ReachabilityTree
-from repro.core.walks import sample_walk_batch
+from repro.core.walk_trie import WalkTrie
+from repro.core.walks import sample_walk_arrays
 from repro.errors import QueryError
 from repro.utils.timer import Timer
 
@@ -97,7 +97,6 @@ class AdaptiveTopK(SimRankEstimator):
             incremental_updates=False,
             vectorized=False,
             parallel_safe=True,
-            native=False,
         )
 
     def topk(self, query: int, k: int) -> TopKResult:
@@ -126,13 +125,12 @@ class AdaptiveTopK(SimRankEstimator):
             stopped_early = False
             while total_walks < walk_cap:
                 batch = min(batch_size, walk_cap - total_walks)
-                walks = sample_walk_batch(
+                trie = WalkTrie.from_walk_arrays(*sample_walk_arrays(
                     graph, query, batch, cfg.sqrt_c, engine._rng, max_length=max_len
-                )
-                tree = ReachabilityTree.from_walks(walks)
+                ))
                 stats = QueryStats(num_walks=batch)
                 # estimate_from_tree returns the batch mean; re-weight to sum
-                score_sum += batch * engine.estimate_from_tree(tree, stats)
+                score_sum += batch * engine.estimate_from_tree(trie, stats)
                 total_walks += batch
                 batch_size *= 2
 
@@ -147,8 +145,7 @@ class AdaptiveTopK(SimRankEstimator):
                     stopped_early = True
                     break
 
-            estimates = score_sum / total_walks
-            estimates[query] = 1.0
+            estimates = engine._finalize(score_sum / total_walks, query)
 
         self.last_walks_used = total_walks
         self.last_stopped_early = stopped_early

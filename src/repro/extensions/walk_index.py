@@ -2,20 +2,21 @@
 
 ProbeSim's per-query cost splits into (a) sampling ``nr`` √c-walks and
 (b) probing their distinct prefixes.  For *repeated* queries on a slowly
-changing graph, (a) and the tree construction can be cached: this index
-stores, per registered node, the reverse-reachability tree of its walks.
-Queries then reuse the tree and only re-run the probes — which always execute
-against the *current* graph, so out-edge/in-degree changes are reflected
-immediately.
+changing graph, (a) and the trie construction can be cached: this index
+stores, per registered node, the prefix trie of its walks
+(:class:`~repro.core.walk_trie.WalkTrie`, Algorithm 3's reverse-reachability
+tree as per-level arrays).  Queries then reuse the trie and only re-run the
+probes — which always execute against the *current* graph, so
+out-edge/in-degree changes are reflected immediately.
 
-Correctness under updates: a cached tree is a sample from the √c-walk
+Correctness under updates: a cached trie is a sample from the √c-walk
 distribution, which depends only on the in-neighbour lists of the nodes the
 walks visit.  An update touching node ``v`` (as the *target* of an inserted /
 deleted in-edge, changing ``I(v)``) staleness-invalidates exactly the cached
-trees whose walks visit ``v``; all other trees remain exact samples.  The
-node-to-tree incidence map makes that invalidation O(#affected trees).
+tries whose walks visit ``v``; all other tries remain exact samples.  The
+node-to-query incidence map makes that invalidation O(#affected tries).
 
-This keeps the index "lightweight" in the paper's sense: space is
+This keeps the index "lightweight" in the paper's sense: space is at most
 O(#cached nodes * nr * E[walk length]) integers — independent of m — and
 maintenance is a set lookup per update, versus TSF's Rg*n one-way graphs or
 SLING's full rebuild.
@@ -27,29 +28,10 @@ from repro.api.estimator import Capabilities, SimRankEstimator
 from repro.core.config import ProbeSimConfig
 from repro.core.engine import ProbeSim, QueryStats
 from repro.core.results import SimRankResult
-from repro.core.tree import ReachabilityTree, TreeNode
+from repro.core.walk_trie import WalkTrie
 from repro.graph.dynamic import EdgeUpdate
 from repro.utils.sizing import deep_sizeof
 from repro.utils.timer import Timer
-
-
-def _serialize_node(node: TreeNode) -> tuple:
-    """``(graph_node, weight, children)`` nested tuples, insertion-ordered."""
-    return (
-        node.node,
-        node.weight,
-        tuple(_serialize_node(child) for child in node.children.values()),
-    )
-
-
-def _deserialize_node(packed: tuple) -> TreeNode:
-    """Rebuild a :func:`_serialize_node` tree, preserving child order."""
-    graph_node, weight, children = packed
-    node = TreeNode(node=int(graph_node), weight=int(weight))
-    for child in children:
-        rebuilt = _deserialize_node(child)
-        node.children[rebuilt.node] = rebuilt
-    return node
 
 
 class WalkIndex(SimRankEstimator):
@@ -66,7 +48,7 @@ class WalkIndex(SimRankEstimator):
 
     def __init__(self, graph, config: ProbeSimConfig | None = None, **overrides) -> None:
         self._engine = ProbeSim(graph, config=config, **overrides)
-        self._trees: dict[int, ReachabilityTree] = {}
+        self._tries: dict[int, WalkTrie] = {}
         self._touched: dict[int, set[int]] = {}  # graph node -> cached query nodes
         self._hits = 0
         self._misses = 0
@@ -86,46 +68,43 @@ class WalkIndex(SimRankEstimator):
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of queries served from a cached tree (0.0 before any query)."""
+        """Fraction of queries served from a cached trie (0.0 before any query)."""
         total = self._hits + self._misses
         return self._hits / total if total else 0.0
 
     @property
     def evictions(self) -> int:
-        """Cached trees dropped by update invalidation (cumulative).
+        """Cached tries dropped by update invalidation (cumulative).
 
         Under a mixed query/update workload this is the walk cache's
         maintenance bill in kind: each eviction forces the next query on
         that node to re-sample its walks.  ``invalidate_all`` counts every
-        tree it drops.
+        trie it drops.
         """
         return self._evictions
 
     def warm(self, nodes) -> None:
-        """Pre-sample walk trees for the given (expected hot) query nodes."""
+        """Pre-sample walk tries for the given (expected hot) query nodes."""
         for node in nodes:
-            self._tree_for(int(node))
+            self._trie_for(int(node))
 
     def single_source(self, query: int) -> SimRankResult:
-        """ProbeSim single-source answer, reusing the cached walk tree."""
+        """ProbeSim single-source answer, reusing the cached walk trie."""
         timer = Timer()
         with timer:
-            tree = self._tree_for(query)
-            stats = QueryStats(num_walks=tree.num_walks)
+            trie = self._trie_for(query)
+            stats = QueryStats(num_walks=trie.num_walks)
             # Always probe deterministically: cache hits then return
             # bit-identical answers, which is the behaviour one expects of an
             # index (the hybrid's randomized switch would re-draw RNG state
             # on every hit).
-            estimates = self._engine.estimate_from_tree(tree, stats, hybrid=False)
-            estimates[query] = 1.0
-            cfg = self.config
-            if cfg.compensate_truncation and cfg.prune:
-                estimates += cfg.budget.eps_t / 2.0
-                estimates[query] = 1.0
+            estimates = self._engine._finalize(
+                self._engine.estimate_from_tree(trie, stats, hybrid=False), query
+            )
         return SimRankResult(
             query=query,
             scores=estimates,
-            num_walks=tree.num_walks,
+            num_walks=trie.num_walks,
             elapsed=timer.elapsed,
             method="probesim-walkindex",
         )
@@ -137,15 +116,15 @@ class WalkIndex(SimRankEstimator):
     # ------------------------------------------------------------------ #
 
     def sync(self) -> None:
-        """Coarse maintenance: re-snapshot the engine and drop every tree.
+        """Coarse maintenance: re-snapshot the engine and drop every trie.
 
         Used after bulk graph replacement; for individual edge updates the
-        incremental :meth:`apply_updates` path keeps unaffected trees alive.
+        incremental :meth:`apply_updates` path keeps unaffected tries alive.
         """
         self.invalidate_all()
 
     def capabilities(self) -> Capabilities:
-        """Approximate, index-based (cached trees), incremental maintenance."""
+        """Approximate, index-based (cached tries), incremental maintenance."""
         return Capabilities(
             method="probesim-walkindex",
             exact=False,
@@ -154,7 +133,6 @@ class WalkIndex(SimRankEstimator):
             incremental_updates=True,
             vectorized=False,
             parallel_safe=True,
-            native=False,
         )
 
     def apply_updates(self, updates) -> None:
@@ -163,7 +141,7 @@ class WalkIndex(SimRankEstimator):
             self.apply_update(update)
 
     def apply_update(self, update: EdgeUpdate) -> None:
-        """Invalidate cached trees whose walk distribution the update stales.
+        """Invalidate cached tries whose walk distribution the update stales.
 
         The caller mutates the graph itself (and the engine refreshes its
         snapshot); this method only evicts cache entries that visit the
@@ -175,101 +153,59 @@ class WalkIndex(SimRankEstimator):
             self._evict(query)
 
     def invalidate_all(self) -> None:
-        """Drop every cached tree (e.g. after bulk graph replacement)."""
-        self._evictions += len(self._trees)
-        self._trees.clear()
+        """Drop every cached trie (e.g. after bulk graph replacement)."""
+        self._evictions += len(self._tries)
+        self._tries.clear()
         self._touched.clear()
         self._engine.sync()
 
     def index_bytes(self) -> int:
-        """Actual Python memory of the cached trees + incidence map."""
-        return deep_sizeof(self._trees) + deep_sizeof(self._touched)
+        """Actual Python memory of the cached tries + incidence map."""
+        return deep_sizeof(self._tries) + deep_sizeof(self._touched)
 
     def payload_bytes(self) -> int:
         """C-equivalent payload: what a native implementation would store.
 
-        Each tree node is (graph node id, weight, child pointer) ~ 16 bytes;
-        each incidence entry (node -> query) ~ 8 bytes.  This is the number
-        comparable to :meth:`repro.baselines.tsf.TSFIndex.index_bytes`, which
-        measures raw array payloads.
+        The tries' level arrays (node, parent and weight per prefix) count
+        at their buffer size; each incidence entry (node -> query) ~ 8
+        bytes.  This is the number comparable to
+        :meth:`repro.baselines.tsf.TSFIndex.index_bytes`, which measures raw
+        array payloads.
         """
-        tree_nodes = sum(t.num_tree_nodes() + 1 for t in self._trees.values())
+        trie_bytes = sum(
+            array.nbytes
+            for trie in self._tries.values()
+            for level in trie.levels
+            for array in (level.nodes, level.parents, level.weights)
+        )
         incidence = sum(len(qs) for qs in self._touched.values())
-        return 16 * tree_nodes + 8 * incidence
+        return trie_bytes + 8 * incidence
 
     @property
     def num_cached(self) -> int:
-        return len(self._trees)
-
-    # ------------------------------------------------------------------ #
-    # state export / restore (the storage tier's warm-start sidecar)
-    # ------------------------------------------------------------------ #
-
-    def export_state(self) -> dict:
-        """The cached trees + incidence map as a plain serialisable dict.
-
-        Trees serialise in DFS pre-order with children in *insertion*
-        order, and :meth:`restore_state` rebuilds them in that order — so a
-        restored tree probes its prefixes in exactly the original sequence
-        and cached queries stay bit-identical across a save/restore cycle.
-        Used by :mod:`repro.storage.sidecar` to warm-start the index from a
-        file instead of re-sampling every walk at restart.
-        """
-        return {
-            "trees": {
-                query: _serialize_node(tree.root)
-                for query, tree in self._trees.items()
-            },
-            "touched": {
-                node: sorted(queries)
-                for node, queries in self._touched.items() if queries
-            },
-        }
-
-    def restore_state(self, state: dict) -> int:
-        """Replace the cache with a previously exported state.
-
-        Returns the number of restored trees.  Hit/miss/eviction counters
-        are untouched: a warm start is not a query.  The caller is
-        responsible for only restoring state exported against the *same*
-        graph and configuration (the sidecar file carries both digests and
-        refuses mismatches).
-        """
-        trees: dict[int, ReachabilityTree] = {}
-        for query, packed in state["trees"].items():
-            tree = ReachabilityTree(root=int(query))
-            tree.root = _deserialize_node(packed)
-            trees[int(query)] = tree
-        self._trees = trees
-        self._touched = {
-            int(node): set(queries)
-            for node, queries in state["touched"].items()
-        }
-        return len(self._trees)
+        return len(self._tries)
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
 
-    def _tree_for(self, query: int) -> ReachabilityTree:
-        tree = self._trees.get(query)
-        if tree is not None:
+    def _trie_for(self, query: int) -> WalkTrie:
+        trie = self._tries.get(query)
+        if trie is not None:
             self._hits += 1
-            return tree
+            return trie
         self._misses += 1
         engine = self._engine
         engine._check_query(query)
-        stats = QueryStats()
-        walks = engine._sample_walks(query, stats)
-        tree = ReachabilityTree.from_walks(walks)
-        self._trees[query] = tree
-        visited = {node for walk in walks for node in walk}
+        trie = engine._sample_trie(query, QueryStats())
+        self._tries[query] = trie
+        visited = {trie.root}.union(*(level.nodes.tolist() for level in trie.levels))
         for node in visited:
             self._touched.setdefault(node, set()).add(query)
-        return tree
+        return trie
 
     def _evict(self, query: int) -> None:
-        if self._trees.pop(query, None) is not None:
+        if self._tries.pop(query, None) is not None:
             self._evictions += 1
         for queries in self._touched.values():
             queries.discard(query)

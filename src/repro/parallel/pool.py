@@ -533,12 +533,7 @@ class ParallelSimRankService(QueryServiceBase):
                     "to mount it anyway"
                 )
             config = dict(configs.get(name, {}))
-            unknown = sorted(set(config) - set(entry.config_keys))
-            if unknown:  # fail fast here, not inside a worker build
-                raise ConfigurationError(
-                    f"method {name!r} does not accept config keys {unknown}; "
-                    f"allowed: {sorted(entry.config_keys)}"
-                )
+            entry.check_config(config)  # fail fast here, not inside a worker build
             self._mounts[name] = (name, config)
         if self._default is None:
             self._default = next(iter(self._mounts))

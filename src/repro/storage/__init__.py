@@ -21,9 +21,6 @@ snapshot periodically, log mutations, recover by snapshot + log replay:
     :class:`PersistentGraphStore` (write-ahead logging + checkpoint
     rotation) and :func:`recover` (newest valid snapshot + WAL-tail
     replay, digest-verified).
-:mod:`~repro.storage.sidecar`
-    Walk-cache sidecar files that warm-start the
-    :class:`~repro.extensions.WalkIndex` so a restart skips re-sampling.
 
 Entry points: ``repro ingest`` / ``repro recover`` / ``repro serve
 --snapshot`` on the CLI, ``snapshot=`` / ``store=`` on the parallel
@@ -31,7 +28,6 @@ services, and ``benchmarks/bench_storage.py`` in the harness.
 """
 
 from repro.storage.ingest import IngestStats, ingest_edge_list
-from repro.storage.sidecar import SidecarError, load_walk_cache, save_walk_cache
 from repro.storage.snapshot import (
     MappedSnapshot,
     SnapshotError,
@@ -53,7 +49,6 @@ __all__ = [
     "MappedSnapshot",
     "PersistentGraphStore",
     "RecoveredGraph",
-    "SidecarError",
     "SnapshotError",
     "SnapshotHeader",
     "StoreError",
@@ -62,9 +57,7 @@ __all__ = [
     "WriteAheadLog",
     "attach_snapshot",
     "ingest_edge_list",
-    "load_walk_cache",
     "read_snapshot_header",
     "recover",
-    "save_walk_cache",
     "write_snapshot",
 ]

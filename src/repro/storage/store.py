@@ -6,7 +6,6 @@ graph, LogBase-style::
     <dir>/
       snapshot-000001.csr    # CSR snapshot of generation 1
       wal-000001.log         # updates acknowledged since that snapshot
-      walks-000001.bin       # optional walk-cache sidecar (never required)
 
 The mutation path appends every update burst to the live generation's WAL
 *before* the burst is shipped to serving replicas; a checkpoint (triggered
@@ -66,11 +65,6 @@ def snapshot_path(directory: Path, generation: int) -> Path:
 def wal_path(directory: Path, generation: int) -> Path:
     """The WAL file name of ``generation`` inside ``directory``."""
     return directory / f"wal-{generation:06d}.log"
-
-
-def sidecar_path(directory: Path, generation: int) -> Path:
-    """The walk-cache sidecar file name of ``generation`` (optional file)."""
-    return directory / f"walks-{generation:06d}.bin"
 
 
 def _generations(directory: Path) -> list[int]:
@@ -276,7 +270,6 @@ class PersistentGraphStore:
         old_wal.close()
         wal_path(self.directory, old_generation).unlink(missing_ok=True)
         snapshot_path(self.directory, old_generation).unlink(missing_ok=True)
-        sidecar_path(self.directory, old_generation).unlink(missing_ok=True)
         return new_generation
 
     def _sweep(self) -> None:
@@ -290,7 +283,7 @@ class PersistentGraphStore:
                 entry.unlink(missing_ok=True)  # crashed tmp/scratch files
                 continue
             else:
-                wal_match = re.match(r"^(?:wal|walks)-(\d{6})\.(?:log|bin)$", entry.name)
+                wal_match = re.match(r"^wal-(\d{6})\.log$", entry.name)
                 if wal_match:
                     stale_generation = int(wal_match.group(1))
             if stale_generation is not None and stale_generation != self.generation:

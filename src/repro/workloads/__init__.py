@@ -9,9 +9,10 @@ package reproduces it end to end:
     Reproducible interleaved query/update traces — read/write ratio,
     Zipf-skewed query keys, insert/delete mix, batch arrival sizes.
 :mod:`~repro.workloads.driver`
-    Replays one trace against a :class:`~repro.api.service.SimRankService`
-    per method, with a multi-worker query thread pool, and reports latency
-    percentiles, sustained QPS, maintenance cost, and read staleness.
+    Replays one trace per method on a
+    :class:`~repro.parallel.pool.ParallelSimRankService` (process, thread or
+    sequential executor), and reports latency percentiles, sustained QPS,
+    maintenance cost, and read staleness.
 :mod:`~repro.workloads.stats`
     The latency histogram those reports are built from.
 

@@ -4,7 +4,7 @@ from repro.api.estimator import Capabilities
 
 
 def partial_caps() -> Capabilities:
-    return Capabilities(  # finding: omits the four defaulted fields
+    return Capabilities(  # finding: omits the three defaulted fields
         method="corpus",
         exact=False,
         index_based=False,
@@ -21,5 +21,4 @@ def full_caps() -> Capabilities:
         incremental_updates=False,
         vectorized=False,
         parallel_safe=True,
-        native=False,
     )

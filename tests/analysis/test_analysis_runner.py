@@ -1,5 +1,6 @@
 """Tests for the analysis runner, baseline machinery, and visitor index."""
 
+import dataclasses
 import json
 import textwrap
 from pathlib import Path
@@ -14,6 +15,7 @@ from repro.analysis.visitor import (
     ProjectIndex,
     SourceFile,
 )
+from repro.api.estimator import Capabilities
 from repro.errors import AnalysisError, ReproError
 
 
@@ -249,6 +251,7 @@ class TestVisitorAnnotations:
         )
         assert src.holds_lock.get("Service._bump") == "_lock"
 
-    def test_capabilities_fields_default_tuple_has_eight(self):
-        assert len(DEFAULT_CAPABILITIES_FIELDS) == 8
-        assert DEFAULT_CAPABILITIES_FIELDS[0] == "method"
+    def test_capabilities_fields_default_tuple_holds_every_field(self):
+        assert DEFAULT_CAPABILITIES_FIELDS == tuple(
+            field.name for field in dataclasses.fields(Capabilities)
+        )

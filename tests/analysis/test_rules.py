@@ -128,7 +128,7 @@ class TestApiContractRule:
     def test_capabilities_message_names_missing_fields(self, corpus_report):
         finding = next(f for f in corpus_report.findings
                        if f.key == "partial_caps:capabilities")
-        for field in ("incremental_updates", "vectorized", "parallel_safe", "native"):
+        for field in ("incremental_updates", "vectorized", "parallel_safe"):
             assert field in finding.message
 
     def test_envelope_checks_scoped_to_server_paths(self, corpus_report):

@@ -18,7 +18,7 @@ from repro.core.engine import ProbeSim
 from repro.core.native import fallback
 from repro.core.native.rng import stream_base, walk_bases
 from repro.core.probe import probe_deterministic_python
-from repro.core.tree import ReachabilityTree
+from repro.core.walk_trie import WalkTrie
 from repro.errors import ConfigurationError
 from repro.graph import CSRGraph, DiGraph
 from repro.graph.generators import erdos_renyi_graph
@@ -67,7 +67,7 @@ def replay_walks(graph, query, seed, num_walks, sqrt_c, max_len):
 def oracle_estimate(graph, walks, sqrt_c):
     """Algorithm 3 recomputed with the hash-map oracle probe, per prefix."""
     acc = np.zeros(graph.num_nodes, dtype=np.float64)
-    tree = ReachabilityTree.from_walks(walks)
+    tree = WalkTrie.from_walks(walks)
     for prefix, weight in tree.iter_prefixes():
         for node, value in probe_deterministic_python(graph, prefix, sqrt_c).items():
             acc[node] += weight * value

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import ProbeSimConfig
 from repro.core.engine import ProbeSim
-from repro.core.tree import ReachabilityTree
+from repro.core.walk_trie import WalkTrie
 from repro.datasets import TOY_DECAY
 from repro.errors import QueryError
 from repro.eval.metrics import abs_error_max
@@ -208,7 +208,7 @@ class TestDiagnostics:
 
         stats = QueryStats()
         walks = engine2._sample_walks(0, stats)
-        tree = ReachabilityTree.from_walks(walks)
+        tree = WalkTrie.from_walks(walks)
         estimates = engine2.estimate_from_tree(tree, hybrid=False)
         estimates[0] = 1.0
         np.testing.assert_allclose(estimates, result.scores, atol=1e-12)

@@ -44,7 +44,6 @@ from repro.core.native import fallback
 from repro.core.native import engine as native_engine_module
 from repro.core.native.rng import stream_base, walk_bases
 from repro.core.probe import probe_deterministic_python
-from repro.core.tree import ReachabilityTree
 from repro.core.walk_trie import WalkTrie
 from repro.datasets import TOY_DECAY
 from repro.errors import ConfigurationError
@@ -92,7 +91,7 @@ def replay_walks(graph, query, seed, num_walks, sqrt_c, max_len):
 def oracle_estimate(graph, walks, sqrt_c):
     """Algorithm 3 with the hash-map oracle probe, per distinct prefix."""
     acc = np.zeros(graph.num_nodes, dtype=np.float64)
-    tree = ReachabilityTree.from_walks(walks)
+    tree = WalkTrie.from_walks(walks)
     for prefix, weight in tree.iter_prefixes():
         for node, value in probe_deterministic_python(graph, prefix, sqrt_c).items():
             acc[node] += weight * value
@@ -115,7 +114,7 @@ def loop_oracle_pair(graph, query, **cfg):
     """(native, loop) Algorithm 3 estimates on one loop-sampled walk set."""
     engine = loop_engine(graph, prune=False, **cfg)
     walks = engine._sample_walks(query, QueryStats())
-    expected = engine.estimate_from_tree(ReachabilityTree.from_walks(walks))
+    expected = engine.estimate_from_tree(WalkTrie.from_walks(walks))
     return native_on_walks(graph, walks, engine.config.sqrt_c), expected
 
 
@@ -439,11 +438,11 @@ class TestEngineSurface:
         engine = native_engine(toy, c=0.25, eps_a=0.2, seed=1)
         caps = engine.capabilities()
         assert caps.method == "probesim-native"
-        assert caps.native and caps.vectorized and caps.parallel_safe
-        assert caps.as_row()["native"] is True
+        assert caps.vectorized and caps.parallel_safe
+        assert caps.as_row()["vectorized"] is True
         assert engine.single_source(0).method == "probesim-native"
         auto = ProbeSim(toy, strategy="batch", seed=1)
-        assert auto.capabilities().native and auto.capabilities().vectorized
+        assert auto.capabilities().vectorized
         assert auto.single_source(0).method == "probesim-batch"
         assert not ProbeSim(toy, strategy="batch", engine="loop",
                             seed=1).capabilities().vectorized
@@ -451,7 +450,7 @@ class TestEngineSurface:
     def test_registry_constructs_the_native_engine(self, toy):
         est = create("probesim-native", toy, c=0.25, eps_a=0.2, seed=3)
         direct = native_engine(toy, c=0.25, eps_a=0.2, seed=3)
-        assert est.capabilities().native
+        assert est.capabilities().vectorized
         np.testing.assert_array_equal(
             est.single_source(0).scores, direct.single_source(0).scores)
 

@@ -1,25 +1,22 @@
-"""Unit tests for the reverse-reachability tree (Algorithm 3's trie)."""
+"""Unit tests for Algorithm 3's reverse-reachability tree, built as a WalkTrie."""
 
+import numpy as np
 import pytest
 
-from repro.core.tree import ReachabilityTree, TreeNode
+from repro.core.walk_trie import WalkTrie
+
+
+def prefix_weights(trie: WalkTrie) -> dict[tuple[int, ...], int]:
+    return {tuple(path): weight for path, weight in trie.iter_prefixes()}
 
 
 class TestInsertion:
     def test_root_weight_counts_walks(self):
-        tree = ReachabilityTree(root=0)
-        tree.insert_walk([0, 1])
-        tree.insert_walk([0, 2])
-        tree.insert_walk([0])
-        assert tree.num_walks == 3
+        trie = WalkTrie.from_walks([[0, 1], [0, 2], [0]])
+        assert trie.num_walks == 3
 
     def test_shared_prefix_accumulates_weight(self):
-        tree = ReachabilityTree(root=0)
-        tree.insert_walk([0, 1, 2])
-        tree.insert_walk([0, 1, 3])
-        prefixes = dict(
-            (tuple(path), weight) for path, weight in tree.iter_prefixes()
-        )
+        prefixes = prefix_weights(WalkTrie.from_walks([[0, 1, 2], [0, 1, 3]]))
         assert prefixes[(0, 1)] == 2
         assert prefixes[(0, 1, 2)] == 1
         assert prefixes[(0, 1, 3)] == 1
@@ -27,12 +24,9 @@ class TestInsertion:
     def test_paper_figure3_example(self):
         """Figure 3: tree of (a,b,c) and (a,c,a), then insert (a,b,a)."""
         a, b, c = 0, 1, 2
-        tree = ReachabilityTree(root=a)
-        tree.insert_walk([a, b, c])
-        tree.insert_walk([a, c, a])
-        tree.insert_walk([a, b, a])
-        prefixes = dict((tuple(p), w) for p, w in tree.iter_prefixes())
-        assert tree.num_walks == 3  # r1.weight = 3
+        trie = WalkTrie.from_walks([[a, b, c], [a, c, a], [a, b, a]])
+        prefixes = prefix_weights(trie)
+        assert trie.num_walks == 3  # r1.weight = 3
         assert prefixes[(a, b)] == 2  # r2.weight = 2
         assert prefixes[(a, b, c)] == 1
         assert prefixes[(a, c)] == 1
@@ -40,26 +34,23 @@ class TestInsertion:
         assert prefixes[(a, b, a)] == 1  # the new node r6
 
     def test_wrong_root_rejected(self):
-        tree = ReachabilityTree(root=0)
-        with pytest.raises(ValueError):
-            tree.insert_walk([1, 0])
+        with pytest.raises(ValueError, match="share their start"):
+            WalkTrie.from_walks([[0, 1], [1, 0]])
 
     def test_empty_walk_rejected(self):
-        tree = ReachabilityTree(root=0)
-        with pytest.raises(ValueError):
-            tree.insert_walk([])
+        # an empty walk lacks the shared start node
+        with pytest.raises(ValueError, match="share their start"):
+            WalkTrie.from_walks([[0, 1], []])
 
     def test_singleton_walks_add_no_prefixes(self):
-        tree = ReachabilityTree(root=4)
-        tree.insert_walk([4])
-        assert tree.num_tree_nodes() == 0
-        assert tree.num_walks == 1
+        trie = WalkTrie.from_walks([[4]])
+        assert trie.num_tree_nodes == 0
+        assert trie.num_walks == 1
+        assert list(trie.iter_prefixes()) == []
 
 
 class TestInvariants:
     def _random_walks(self, seed, count=200):
-        import numpy as np
-
         rng = np.random.default_rng(seed)
         walks = []
         for _ in range(count):
@@ -69,21 +60,18 @@ class TestInvariants:
         return walks
 
     def test_children_weights_bounded_by_parent(self):
-        walks = self._random_walks(1)
-        tree = ReachabilityTree.from_walks(walks)
-
-        def check(node: TreeNode):
-            child_total = sum(child.weight for child in node.children.values())
-            assert child_total <= node.weight
-            for child in node.children.values():
-                check(child)
-
-        check(tree.root)
+        trie = WalkTrie.from_walks(self._random_walks(1))
+        parent_weights = np.array([trie.num_walks])
+        for level in trie.levels:
+            child_totals = np.bincount(
+                level.parents, weights=level.weights, minlength=len(parent_weights)
+            )
+            assert np.all(child_totals <= parent_weights)
+            parent_weights = level.weights
 
     def test_prefix_weights_equal_walk_prefix_counts(self):
         walks = self._random_walks(2)
-        tree = ReachabilityTree.from_walks(walks)
-        for path, weight in tree.iter_prefixes():
+        for path, weight in WalkTrie.from_walks(walks).iter_prefixes():
             expected = sum(
                 1 for walk in walks if tuple(walk[: len(path)]) == tuple(path)
             )
@@ -91,25 +79,20 @@ class TestInvariants:
 
     def test_every_walk_prefix_is_in_tree(self):
         walks = self._random_walks(3, count=50)
-        tree = ReachabilityTree.from_walks(walks)
-        prefixes = {tuple(p) for p, _ in tree.iter_prefixes()}
+        prefixes = set(prefix_weights(WalkTrie.from_walks(walks)))
         for walk in walks:
             for i in range(2, len(walk) + 1):
                 assert tuple(walk[:i]) in prefixes
 
     def test_max_depth(self):
-        tree = ReachabilityTree(root=0)
-        tree.insert_walk([0, 1, 2, 3, 4])
-        tree.insert_walk([0, 1])
-        assert tree.max_depth() == 5
+        assert WalkTrie.from_walks([[0, 1, 2, 3, 4], [0, 1]]).max_depth == 5
 
     def test_max_depth_bare_root(self):
-        assert ReachabilityTree(root=0).max_depth() == 1
+        assert WalkTrie.from_walks([[0]]).max_depth == 1
 
     def test_from_walks_requires_nonempty(self):
-        with pytest.raises(ValueError):
-            ReachabilityTree.from_walks([])
+        with pytest.raises(ValueError, match="at least one walk"):
+            WalkTrie.from_walks([])
 
     def test_repr(self):
-        tree = ReachabilityTree.from_walks([[0, 1], [0, 2]])
-        assert "walks=2" in repr(tree)
+        assert "walks=2" in repr(WalkTrie.from_walks([[0, 1], [0, 2]]))

@@ -1,15 +1,16 @@
 """Integer artifacts of the prefix trie: walk arrays and multiplicities.
 
 The array sampler (:func:`~repro.core.walks.sample_walk_arrays`) and the
-list sampler the loop engine uses draw the same RNG stream in the same
-order, and :class:`~repro.core.walk_trie.WalkTrie` holds exactly the
-prefixes and multiplicities of :class:`~repro.core.tree.ReachabilityTree`.
+list sampler (:func:`~repro.core.walks.sample_walk_batch`) draw the same RNG
+stream in the same order, and :class:`~repro.core.walk_trie.WalkTrie` holds
+exactly the walk batch's distinct prefixes with their multiplicities.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.core.tree import ReachabilityTree
 from repro.core.walk_trie import WalkTrie
 from repro.core.walks import sample_walk_arrays, sample_walk_batch
 
@@ -30,14 +31,15 @@ class TestWalkAndTrieArtifacts:
     def test_trie_multiplicities_match_reachability_tree(self, tiny_wiki_csr):
         rng = np.random.default_rng(3)
         walks = sample_walk_batch(tiny_wiki_csr, 5, 300, 0.7, rng, 7)
-        tree = ReachabilityTree.from_walks(walks)
+        expected = Counter(
+            tuple(walk[:i]) for walk in walks for i in range(2, len(walk) + 1)
+        )
         trie = WalkTrie.from_walks(walks)
-        assert trie.num_walks == tree.num_walks == 300
-        assert trie.num_tree_nodes == tree.num_tree_nodes()
-        assert trie.max_depth == tree.max_depth()
-        tree_prefixes = {tuple(p): w for p, w in tree.iter_prefixes()}
+        assert trie.num_walks == 300
+        assert trie.num_tree_nodes == len(expected)
+        assert trie.max_depth == max(len(walk) for walk in walks)
         trie_prefixes = {tuple(p): w for p, w in trie.iter_prefixes()}
-        assert trie_prefixes == tree_prefixes
+        assert trie_prefixes == dict(expected)
 
     def test_trie_rejects_mixed_roots_and_empty_batches(self):
         with pytest.raises(ValueError, match="share their start"):

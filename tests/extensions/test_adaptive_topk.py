@@ -6,6 +6,7 @@ import pytest
 from repro.datasets import TOY_DECAY
 from repro.errors import QueryError
 from repro.extensions.adaptive_topk import AdaptiveTopK
+from repro.graph import DiGraph
 
 
 class TestCorrectness:
@@ -32,6 +33,18 @@ class TestCorrectness:
     def test_method_label(self, toy):
         adaptive = AdaptiveTopK(toy, c=TOY_DECAY, eps_a=0.1, seed=3)
         assert adaptive.topk(0, 2).method == "probesim-adaptive"
+
+    def test_topk_applies_truncation_compensation(self):
+        """Top-k scores get single_source's §4.1 recentring: with
+        compensation on, no non-query score falls below ``eps_t / 2``."""
+        graph = DiGraph.from_edges(
+            [(0, 1), (1, 0), (2, 0), (2, 1), (3, 2), (4, 3), (5, 4)]
+        )
+        adaptive = AdaptiveTopK(graph, eps_a=0.2, seed=3,
+                                compensate_truncation=True, strategy="batch")
+        top = adaptive.topk(0, 5)
+        assert 0 not in top.nodes.tolist()
+        assert top.scores.min() >= adaptive.config.budget.eps_t / 2.0
 
     def test_deterministic_given_seed(self, toy):
         a = AdaptiveTopK(toy, c=TOY_DECAY, eps_a=0.1, seed=4).topk(0, 3)

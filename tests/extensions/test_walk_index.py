@@ -111,8 +111,13 @@ class TestInvalidation:
         index = WalkIndex(toy, c=TOY_DECAY, eps_a=0.1, seed=13)
         assert index.payload_bytes() == 0
         index.warm([0])
-        tree_nodes = index._trees[0].num_tree_nodes() + 1
-        assert index.payload_bytes() >= 16 * tree_nodes
+        trie_bytes = sum(
+            array.nbytes
+            for level in index._tries[0].levels
+            for array in (level.nodes, level.parents, level.weights)
+        )
+        assert trie_bytes > 0
+        assert index.payload_bytes() >= trie_bytes
         assert index.payload_bytes() < index.index_bytes()  # no object headers
 
     def test_repr(self, toy):
