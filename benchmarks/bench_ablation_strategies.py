@@ -1,18 +1,30 @@
-"""E-A2 — ablation: basic vs batch vs randomized vs hybrid (§3.2, §4.2-4.4).
+"""E-A2 — ablation: basic vs batch vs randomized vs hybrid (§3.2, §4.2-4.4),
+plus native, batch's vectorized trie sweep.
 
 The batching claim: deduplicating shared walk prefixes in the reachability
 tree reduces the number of PROBE invocations; hybrid adds the worst-case
-escape hatch.  Also ablates the deterministic-probe backend (python dicts vs
-vectorized numpy).
+escape hatch.  Also ablates the deterministic probe itself (the hash-map
+transliteration of Algorithm 2 vs the vectorized numpy probe) over the same
+trie prefixes.
 """
 
+import numpy as np
 import pytest
 
-from conftest import SCALE, emit_table, get_ground_truth, get_queries, make_probesim
+from conftest import (
+    SCALE,
+    emit_table,
+    get_csr,
+    get_ground_truth,
+    get_queries,
+    make_probesim,
+)
+from repro.core.engine import QueryStats
+from repro.core.probe import probe_deterministic, probe_deterministic_python
 from repro.eval.metrics import abs_error_max
 
 DATASET = "wiki-vote"
-STRATEGIES = ["basic", "batch", "randomized", "hybrid"]
+STRATEGIES = ["basic", "batch", "randomized", "hybrid", "native"]
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -44,7 +56,7 @@ def test_ablation_strategy(benchmark, strategy):
 
 def test_ablation_batching_reduces_probes(benchmark):
     """The §4.2 claim, measured: batch probes <= basic probes on the same
-    walk multiset (identical seed)."""
+    walk multiset (identical seed, so identical walk steps)."""
     query = get_queries(DATASET, 1)[0]
 
     def run_both():
@@ -67,17 +79,36 @@ def test_ablation_batching_reduces_probes(benchmark):
         ],
         "Ablation: batching saves probes (same walks)",
     )
+    assert batch_stats.walk_length_total == basic_stats.walk_length_total
     assert batch_stats.num_probes <= basic_stats.num_probes
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "python"])
-def test_ablation_backend(benchmark, backend):
-    """numpy frontier propagation vs the dict-based reference backend."""
+def _densify(scores: dict[int, float], n: int) -> np.ndarray:
+    dense = np.zeros(n, dtype=np.float64)
+    dense[list(scores)] = list(scores.values())
+    return dense
+
+
+@pytest.mark.parametrize("probe", ["vectorized", "python"])
+def test_ablation_probe(benchmark, probe):
+    """numpy frontier propagation vs the dict-based reference probe, timed
+    over one query's trie prefixes; both must give the same scores."""
     query = get_queries(DATASET, 1)[0]
-    engine = make_probesim(
-        DATASET, eps_a=0.15, strategy="batch", backend=backend, num_walks=300
-    )
-    result = benchmark.pedantic(
-        engine.single_source, args=(query,), rounds=2, iterations=1
-    )
-    assert result.score(query) == 1.0
+    engine = make_probesim(DATASET, eps_a=0.15, strategy="batch", num_walks=300)
+    prefixes = list(engine._sample_trie(query, QueryStats()).iter_prefixes())
+    csr = get_csr(DATASET)
+    sqrt_c, eps_p = engine.config.sqrt_c, engine.config.prune_threshold()
+
+    def run_probes():
+        if probe == "python":
+            return [
+                _densify(probe_deterministic_python(csr, prefix, sqrt_c, eps_p),
+                         csr.num_nodes)
+                for prefix, _ in prefixes
+            ]
+        return [probe_deterministic(csr, prefix, sqrt_c, eps_p) for prefix, _ in prefixes]
+
+    scores = benchmark.pedantic(run_probes, rounds=2, iterations=1)
+    expected = [probe_deterministic(csr, prefix, sqrt_c, eps_p) for prefix, _ in prefixes]
+    for got, want in zip(scores, expected):
+        np.testing.assert_allclose(got, want, atol=1e-12)

@@ -1,11 +1,12 @@
 """E-B1 — native engine vs per-prefix loop engine.
 
-The tentpole claim of the native engine (``engine="native"``,
+The tentpole claim of the native engine (``strategy="native"``,
 :mod:`repro.core.native`): replacing the per-prefix probe loop with one
 level-synchronous array sweep over the prefix trie turns the dominant
 per-query cost into a handful of numpy/scipy operations per trie level.
-This bench measures both engines across graph sizes, single-query and
-service-batch shapes.  Native walks come from a counter RNG, so
+This bench measures it against the per-prefix loop of
+``strategy="batch"`` across graph sizes, single-query and service-batch
+shapes.  Native walks come from a counter RNG, so
 loop-vs-native is a same-statistics comparison, not a same-walks one;
 correctness is held by the engine's loop-oracle and hash-map oracle
 suites.  Headline: **>= 5x single-query over the loop engine at
@@ -60,10 +61,10 @@ def get_graph(n: int, m: int) -> CSRGraph:
     return _graphs[(n, m)]
 
 
-def make_engine(csr: CSRGraph, engine: str) -> ProbeSim:
+def make_engine(csr: CSRGraph, strategy: str) -> ProbeSim:
+    """Algorithm 3 on the loop (``"batch"``) or the trie sweep (``"native"``)."""
     return ProbeSim(
-        csr, strategy="batch", engine=engine, c=0.6, eps_a=0.1,
-        num_walks=NUM_WALKS, seed=3,
+        csr, strategy=strategy, c=0.6, eps_a=0.1, num_walks=NUM_WALKS, seed=3,
     )
 
 
@@ -85,7 +86,7 @@ def time_single_query(n: int, m: int) -> dict:
     # steady state every serving tier sees
     probe = make_engine(csr, "native")
     probe.single_source(query)
-    loop_s = best_of(lambda: make_engine(csr, "loop").single_source(query), rounds=4)
+    loop_s = best_of(lambda: make_engine(csr, "batch").single_source(query), rounds=4)
     native_s = best_of(
         lambda: make_engine(csr, "native").single_source(query), rounds=4
     )
@@ -104,7 +105,7 @@ def time_query_batch(n: int, m: int, num_queries: int) -> dict:
     csr = get_graph(n, m)
     queries = [(n // 4 + i) % n for i in range(num_queries)]
     loop_s = best_of(
-        lambda: make_engine(csr, "loop").single_source_many(queries), rounds=1
+        lambda: make_engine(csr, "batch").single_source_many(queries), rounds=1
     )
     native_s = best_of(
         lambda: make_engine(csr, "native").single_source_many(queries), rounds=1

@@ -1,9 +1,9 @@
 """Native engine: the serving hot path, demonstrated.
 
-One ProbeSim configuration, two execution engines:
+One ProbeSim configuration, Algorithm 3 on two code paths:
 
-- ``engine="loop"``   — the paper's per-prefix probe loop (oracle path);
-- ``engine="native"`` — all sampled walks enter a prefix trie and every
+- ``strategy="batch"``  — the paper's per-prefix probe loop (oracle path);
+- ``strategy="native"`` — all sampled walks enter a prefix trie and every
   trie level advances as one array operation over its distinct prefixes.
 
 The demo checks three things end to end: the two engines agree within the
@@ -22,13 +22,12 @@ from repro.utils.timer import Timer
 graph = erdos_renyi_graph(800, num_edges=4_000, seed=11)
 print(f"graph: {graph}")
 
-CONFIG = dict(c=0.6, eps_a=0.1, delta=0.1, strategy="batch",
-              num_walks=800, seed=42)
+CONFIG = dict(c=0.6, eps_a=0.1, delta=0.1, num_walks=800, seed=42)
 QUERY = 17
 
 # -- same answers, different execution ------------------------------------
-loop_engine = ProbeSim(graph, engine="loop", **CONFIG)
-native_engine = ProbeSim(graph, engine="native", **CONFIG)
+loop_engine = ProbeSim(graph, strategy="batch", **CONFIG)
+native_engine = ProbeSim(graph, strategy="native", **CONFIG)
 
 with Timer() as t_loop:
     loop_result = loop_engine.single_source(QUERY)

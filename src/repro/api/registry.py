@@ -162,8 +162,8 @@ def capability_rows() -> list[dict[str, object]]:
 # --------------------------------------------------------------------- #
 
 _PROBESIM_KEYS = (
-    "c", "eps_a", "delta", "seed", "num_walks", "max_walk_length", "backend",
-    "engine", "sampling_fraction", "truncation_fraction", "pruning_fraction",
+    "c", "eps_a", "delta", "seed", "num_walks", "max_walk_length",
+    "sampling_fraction", "truncation_fraction", "pruning_fraction",
     "compensate_truncation", "prune", "hybrid_switch_constant",
 )
 _PROBESIM_PROBE = {"eps_a": 0.2, "delta": 0.1, "num_walks": 60}
@@ -177,6 +177,7 @@ def _register_builtins() -> None:
     from repro.baselines.sling import SLINGIndex
     from repro.baselines.topsim import TopSim
     from repro.baselines.tsf import TSFIndex
+    from repro.core.config import STRATEGIES
     from repro.core.engine import ProbeSim
     from repro.extensions.adaptive_topk import AdaptiveTopK
     from repro.extensions.walk_index import WalkIndex
@@ -189,12 +190,12 @@ def _register_builtins() -> None:
             return ProbeSim(graph, **config)
         return factory
 
-    def probesim_caps(strategy: str, vectorized: bool = False) -> Capabilities:
+    def probesim_caps(strategy: str) -> Capabilities:
         """ProbeSim's capability profile (index-free, O(m) sync)."""
         return Capabilities(
             method=f"probesim-{strategy}", exact=False, index_based=False,
             supports_dynamic=True, incremental_updates=False,
-            vectorized=vectorized, parallel_safe=True,
+            vectorized=strategy == "native", parallel_safe=True,
         )
 
     register(
@@ -205,36 +206,15 @@ def _register_builtins() -> None:
         probe_config=_PROBESIM_PROBE,
         capabilities=probesim_caps("hybrid"),
     )
-    for strategy in ("basic", "batch", "randomized", "hybrid"):
+    for strategy in STRATEGIES:
         register(
             f"probesim-{strategy}",
             probesim_factory(strategy),
             summary=f"ProbeSim pinned to the {strategy!r} strategy",
             config_keys=_PROBESIM_KEYS,
             probe_config=_PROBESIM_PROBE,
-            # engine="auto" routes the deterministic dedup strategy through
-            # the native engine (repro.core.native)
-            capabilities=probesim_caps(strategy, vectorized=strategy == "batch"),
+            capabilities=probesim_caps(strategy),
         )
-
-    def probesim_native_factory(graph, **config):
-        """ProbeSim pinned to the native engine (serving hot path)."""
-        config.setdefault("strategy", "batch")
-        return ProbeSim(graph, engine="native", **config)
-
-    register(
-        "probesim-native",
-        probesim_native_factory,
-        summary="ProbeSim on the native engine (serving hot path); "
-                "bit-reproducible per (seed, query)",
-        config_keys=tuple(k for k in _PROBESIM_KEYS if k != "engine") + ("strategy",),
-        probe_config=_PROBESIM_PROBE,
-        capabilities=Capabilities(
-            method="probesim-native", exact=False, index_based=False,
-            supports_dynamic=True, incremental_updates=False, vectorized=True,
-            parallel_safe=True,
-        ),
-    )
 
     def walkindex_factory(graph, **config):
         """ProbeSim behind the §7 walk-trie cache."""

@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from repro.api.estimator import Capabilities, SimRankEstimator
-from repro.core.probe import probe_deterministic_vectorized
+from repro.core.probe import probe_deterministic
 from repro.core.results import SimRankResult
 from repro.errors import ConfigurationError, QueryError
 from repro.graph.csr import as_csr
@@ -171,7 +171,7 @@ class TopSim(SimRankEstimator):
         with timer:
             scores = np.zeros(self._csr.num_nodes, dtype=np.float64)
             for prefix, prob in self.enumerate_prefixes(query):
-                scores += prob * probe_deterministic_vectorized(
+                scores += prob * probe_deterministic(
                     self._csr, prefix, self.sqrt_c
                 )
             scores[query] = 1.0

@@ -71,7 +71,7 @@ import argparse
 import sys
 
 from repro.api.registry import capability_rows, create, get_entry, method_names
-from repro.core.config import ENGINES
+from repro.core.config import STRATEGIES
 from repro.datasets import DATASETS, load_dataset
 from repro.errors import ConfigurationError, ReproError
 from repro.eval.reporting import format_table, markdown_table, write_json_report
@@ -94,7 +94,6 @@ def _method_config(args) -> dict:
         "eps_a": args.eps_a,
         "delta": args.delta,
         "strategy": args.strategy,
-        "engine": args.engine,
         "seed": args.seed,
         "num_walks": args.num_walks,
         "depth": args.depth,
@@ -124,14 +123,9 @@ def _add_query_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--c", type=float, default=0.6, help="decay factor")
     parser.add_argument("--eps-a", type=float, default=0.1, dest="eps_a")
     parser.add_argument("--delta", type=float, default=0.01)
-    parser.add_argument("--strategy", default=None,
-                        choices=("basic", "batch", "randomized", "hybrid"),
-                        help="probesim strategy (default: the engine's hybrid)")
-    parser.add_argument("--engine", default=None, choices=ENGINES,
-                        help="probesim probe execution: per-prefix 'loop' "
-                             "or the vectorized 'native' trie sweep "
-                             "(bit-reproducible per seed+query) "
-                             "(default auto: native for --strategy batch)")
+    parser.add_argument("--strategy", default=None, choices=STRATEGIES,
+                        help="probesim strategy (default: the engine's hybrid; "
+                             "'native' is the vectorized trie sweep)")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--num-walks", type=int, default=None, dest="num_walks",
                         help="override the theoretical walk count (probesim/mc)")

@@ -10,19 +10,20 @@ Public surface:
 :class:`~repro.core.results.SimRankResult` / :class:`~repro.core.results.TopKResult`
     query result containers.
 :class:`~repro.core.walk_trie.WalkTrie`
-    Algorithm 3's walk prefix trie, which both engines probe (see below).
+    Algorithm 3's walk prefix trie, which both code paths probe (see below).
 
-Execution engines — the trie-sharing idea
------------------------------------------
+Two code paths for Algorithm 3 — the trie-sharing idea
+-------------------------------------------------------
 
-ProbeSim's per-query cost is dominated by probing the sampled √c-walks.  The
-**loop engine** (``engine="loop"``) follows the paper literally: every
-distinct walk prefix in the walk trie is probed by its own frontier
-propagation, so a batch of ``R`` walks pays ``O(sum_t depth_t)``
-interpreter-driven propagation steps.
+ProbeSim's per-query cost is dominated by probing the sampled √c-walks.
+``ProbeSimConfig.strategy`` alone picks the code path.  The **loop**
+strategies follow the paper literally; ``strategy="batch"`` probes every
+distinct walk prefix in the walk trie by its own frontier propagation, so a
+batch of ``R`` walks pays ``O(sum_t depth_t)`` interpreter-driven
+propagation steps.
 
-The **native engine** (``engine="native"``, :mod:`repro.core.native`)
-exploits two algebraic facts:
+``strategy="native"`` (:mod:`repro.core.native`) estimates the same
+Algorithm 3 quantity and exploits two algebraic facts:
 
 1. all prefixes ending at the same trie level have the same number of
    propagation steps left, and
@@ -37,15 +38,14 @@ each column at its parent's graph node.  Its walks come from a counter RNG
 keyed on ``(seed, query)``, so an answer never depends on call order or
 batch composition; see ``benchmarks/bench_native_engine.py`` for timings.
 
-When to prefer which engine:
+When to prefer which:
 
-- ``native`` (default for ``strategy="batch"`` via ``engine="auto"``):
-  throughput — large graphs, many walks, serving.
-- ``loop``: the cross-validation oracle (it is the transliteration of
-  Algorithms 1-3), the ``python`` probe backend on mutable graphs, and the
-  ``randomized``/``hybrid`` strategies, whose probes draw RNG per path.
+- ``native``: throughput — large graphs, many walks, serving.
+- ``batch``: the cross-validation oracle (it is the transliteration of
+  Algorithm 3), and with ``basic``, ``randomized`` and ``hybrid`` the
+  paper's ablations, whose probes run per prefix or draw RNG per path.
 
-On one walk set the two engines agree node-for-node to float round-off
+On one walk set the two paths agree node-for-node to float round-off
 (bit-for-bit when every intermediate is exactly representable): the
 loop-oracle suite in ``tests/core`` feeds loop-sampled walks to
 :func:`repro.core.native.probe_trie` and compares with

@@ -17,7 +17,7 @@ The guarantee holds whenever::
 
 :class:`ErrorBudget` solves this split from user-chosen fractions and
 verifies the inequality; :class:`ProbeSimConfig` bundles the budget with the
-execution strategy knobs.
+strategy, which alone picks the code path a query runs on.
 """
 
 from __future__ import annotations
@@ -28,14 +28,9 @@ from dataclasses import dataclass, replace
 from repro.errors import BudgetError, ConfigurationError
 from repro.utils.validation import check_positive_int, check_probability
 
-#: strategies implemented by the engine (see repro.core.engine).
-STRATEGIES = ("basic", "batch", "randomized", "hybrid")
-
-#: deterministic-probe backends.
-BACKENDS = ("vectorized", "python")
-
-#: probe-execution engines (see repro.core.native for "native").
-ENGINES = ("auto", "loop", "native")
+#: strategies implemented by the engine (see repro.core.engine); the
+#: strategy alone picks the code path ("native" is repro.core.native).
+STRATEGIES = ("basic", "batch", "randomized", "hybrid", "native")
 
 
 @dataclass(frozen=True)
@@ -129,25 +124,14 @@ class ProbeSimConfig:
         ``"batch"``    — Algorithm 3, probes deduplicated via the
         reverse-reachability tree;
         ``"randomized"`` — Algorithm 1 with the randomized PROBE (Alg. 4);
-        ``"hybrid"``   — §4.4, batch + per-path deterministic/randomized switch.
-    backend:
-        Deterministic probe implementation: ``"vectorized"`` (numpy/scipy,
-        default) or ``"python"`` (dict-based reference; used for
-        cross-validation and for running directly on a mutable DiGraph).
-    engine:
-        How probes are *executed*: ``"loop"`` runs one probe per distinct
-        prefix through the per-walk code path (the oracle engine);
-        ``"native"`` (:mod:`repro.core.native`) runs walk sampling, trie
-        construction and a hybrid sparse/dense level sweep as array
+        ``"hybrid"``   — §4.4, batch + per-path deterministic/randomized switch;
+        ``"native"``   — Algorithm 3's estimate as one vectorized sweep
+        over the walk trie (:mod:`repro.core.native`): walk sampling, trie
+        construction and a hybrid sparse/dense level sweep run as array
         operations, driven by a counter-based RNG keyed on
-        ``(seed, query, walk, step)`` — every query's bits depend only on
+        ``(seed, query, walk, step)``, so every query's bits depend only on
         ``(config, graph, seed, query)``, never on batch composition.
-        The default ``"auto"`` picks ``"native"`` for the deterministic
-        dedup strategy (``strategy="batch"`` on the vectorized backend) and
-        ``"loop"`` everywhere else (``basic`` is the per-walk ablation
-        baseline; ``randomized``/``hybrid`` draw RNG inside individual
-        probes).  ``"native"`` requires the ``batch`` or ``basic`` strategy
-        and the vectorized backend.
+        ``"batch"`` is the per-prefix loop that ``"native"`` is held to.
     sampling_fraction / truncation_fraction / pruning_fraction:
         Theorem 2 budget split, see :class:`ErrorBudget`.
     compensate_truncation:
@@ -179,8 +163,6 @@ class ProbeSimConfig:
     eps_a: float = 0.1
     delta: float = 0.01
     strategy: str = "hybrid"
-    backend: str = "vectorized"
-    engine: str = "auto"
     sampling_fraction: float = 0.7
     truncation_fraction: float = 0.2
     pruning_fraction: float = 0.1
@@ -199,26 +181,6 @@ class ProbeSimConfig:
             raise ConfigurationError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
             )
-        if self.backend not in BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
-            )
-        if self.engine == "native":
-            if self.strategy in ("randomized", "hybrid"):
-                raise ConfigurationError(
-                    f"engine={self.engine!r} shares deterministic probes across "
-                    f"the prefix trie; strategy {self.strategy!r} draws RNG "
-                    "inside individual probes — use engine='loop' (or 'auto')"
-                )
-            if self.backend != "vectorized":
-                raise ConfigurationError(
-                    f"engine={self.engine!r} is inherently vectorized; "
-                    "backend='python' is only available with engine='loop'"
-                )
         if self.num_walks is not None:
             check_positive_int("num_walks", self.num_walks)
         if self.max_walk_length is not None:
@@ -250,20 +212,6 @@ class ProbeSimConfig:
     @property
     def sqrt_c(self) -> float:
         return math.sqrt(self.c)
-
-    def resolved_engine(self) -> str:
-        """The engine a query will actually run on (``"loop"``/``"native"``).
-
-        ``"auto"`` resolves to the native engine for the deterministic dedup
-        strategy (``"batch"``) on the vectorized backend, where it estimates
-        the same Algorithm 3 quantity with no per-prefix interpreter loop,
-        and to the loop engine everywhere else.
-        """
-        if self.engine != "auto":
-            return self.engine
-        if self.strategy == "batch" and self.backend == "vectorized":
-            return "native"
-        return "loop"
 
     def walk_count(self, num_nodes: int) -> int:
         """``nr = ceil(3 c / eps^2 * ln(n / delta))`` (Alg. 1 line 1), unless

@@ -23,15 +23,13 @@ Strategies (``ProbeSimConfig.strategy``):
     §4.4: batch over the trie; each path starts deterministic and switches to
     ``weight`` randomized continuations when its frontier grows past
     ``c0 * weight * n`` out-degree mass.
-
-Orthogonal to the strategy, ``ProbeSimConfig.engine`` selects how probes are
-*executed*: ``"loop"`` is the per-prefix code path below, and ``"native"``
-runs walk sampling with trie construction (one pass) and a hybrid
-sparse/dense level sweep as array operations (:mod:`repro.core.native`),
-with a counter RNG keyed on ``(seed, query)`` that makes every query's
-bits independent of call order and batch composition.  ``"auto"`` (the
-default) picks ``native`` for the deterministic ``batch`` strategy on the
-vectorized backend and ``loop`` otherwise.
+``native``
+    Algorithm 3's estimate without the per-prefix loop: walk sampling with
+    trie construction (one pass) and a hybrid sparse/dense level sweep run
+    as array operations (:mod:`repro.core.native`), with a counter RNG
+    keyed on ``(seed, query)`` that makes every query's bits independent
+    of call order and batch composition.  ``batch`` is its paper-literal
+    oracle.
 """
 
 from __future__ import annotations
@@ -127,12 +125,12 @@ class ProbeSim(SimRankEstimator):
     def capabilities(self) -> Capabilities:
         """Approximate, index-free, dynamic-friendly (O(m) sync)."""
         return Capabilities(
-            method=self._method_label(),
+            method=f"probesim-{self.config.strategy}",
             exact=False,
             index_based=False,
             supports_dynamic=True,
             incremental_updates=False,
-            vectorized=self.config.resolved_engine() == "native",
+            vectorized=self.config.strategy == "native",
             parallel_safe=True,
         )
 
@@ -150,7 +148,7 @@ class ProbeSim(SimRankEstimator):
             scores=estimates,
             num_walks=stats.num_walks,
             elapsed=timer.elapsed,
-            method=self._method_label(),
+            method=f"probesim-{self.config.strategy}",
         )
 
     # topk() and single_source_many() are inherited from SimRankEstimator:
@@ -160,12 +158,6 @@ class ProbeSim(SimRankEstimator):
     # ------------------------------------------------------------------ #
     # strategy dispatch
     # ------------------------------------------------------------------ #
-
-    def _method_label(self) -> str:
-        """Result/capability label: strategy, or the explicit execution engine."""
-        if self.config.engine == "native":
-            return "probesim-native"
-        return f"probesim-{self.config.strategy}"
 
     def _finalize(self, estimates: np.ndarray, query: int) -> np.ndarray:
         """Pin s(q, q) = 1 and apply the §4.1 truncation compensation."""
@@ -179,9 +171,9 @@ class ProbeSim(SimRankEstimator):
         return estimates
 
     def _run(self, query: int, stats: QueryStats) -> np.ndarray:
-        if self.config.resolved_engine() == "native":
-            return self._run_native_engine(query, stats)
         strategy = self.config.strategy
+        if strategy == "native":
+            return self._run_native_engine(query, stats)
         if strategy in ("batch", "hybrid"):
             return self._run_batch(query, stats, hybrid=strategy == "hybrid")
         walks = self._sample_walks(query, stats)
@@ -274,9 +266,7 @@ class ProbeSim(SimRankEstimator):
         eps_p = cfg.prune_threshold()
         for walk in walks:
             for i in range(2, len(walk) + 1):
-                acc += probe_deterministic(
-                    self._csr, walk[:i], cfg.sqrt_c, eps_p, backend=cfg.backend
-                )
+                acc += probe_deterministic(self._csr, walk[:i], cfg.sqrt_c, eps_p)
                 stats.num_probes += 1
         acc /= stats.num_walks
         return acc
@@ -323,7 +313,7 @@ class ProbeSim(SimRankEstimator):
                 contribution = self._probe_path_hybrid(prefix, weight, eps_p, stats)
             else:
                 contribution = weight * probe_deterministic(
-                    self._csr, prefix, cfg.sqrt_c, eps_p, backend=cfg.backend
+                    self._csr, prefix, cfg.sqrt_c, eps_p
                 )
             acc += contribution
         acc /= nr

@@ -1,6 +1,6 @@
 """Native ProbeSim hot path: vectorized walks, prefix trie, hybrid sweep.
 
-``engine="native"`` answers a deterministic-strategy query in two
+``strategy="native"`` answers an Algorithm 3 query in two
 array-at-a-time stages: counter-RNG walk sampling (:mod:`.rng`) that
 builds the prefix trie's levels (:class:`~repro.core.walk_trie.WalkTrie`)
 as the walks step, so walks and trie are one pass, and a hybrid

@@ -5,19 +5,20 @@ Given a partial √c-walk ``(u_1, ..., u_i)``, PROBE computes, for every node
 an independent √c-walk from ``v`` reaches ``u_i`` at step ``i`` while avoiding
 ``u_{i-1}, ..., u_1`` at the corresponding earlier steps (Definition 4).
 
-Two interchangeable implementations:
+Two implementations of one quantity:
+
+:func:`probe_deterministic`
+    The probe every engine path runs: frontier propagation over dense
+    numpy score vectors.  Small frontiers are expanded with per-node CSR
+    slices; once the frontier's out-degree mass passes a threshold it
+    switches to one sparse matvec per iteration
+    (``next = sqrt(c) * B @ score`` with ``B[v, x] = 1/|I(v)|``), so each
+    iteration costs at most O(m) in C speed.
 
 :func:`probe_deterministic_python`
     Faithful transliteration of Algorithm 2 over hash maps.  Works on both
-    :class:`~repro.graph.digraph.DiGraph` and CSR snapshots; used as the
-    cross-validation oracle and for dynamic graphs.
-
-:func:`probe_deterministic_vectorized`
-    Frontier propagation over dense numpy score vectors.  Small frontiers are
-    expanded with per-node CSR slices; once the frontier's out-degree mass
-    passes a threshold it switches to one sparse matvec per iteration
-    (``next = sqrt(c) * B @ score`` with ``B[v, x] = 1/|I(v)|``), so each
-    iteration costs at most O(m) in C speed.
+    :class:`~repro.graph.digraph.DiGraph` and CSR snapshots; the reference
+    the tests hold :func:`probe_deterministic` to.
 
 Both honour Pruning rule 2: after iteration ``j``, entries with
 ``score * sqrt(c)^(i - j - 1) <= eps_p`` are dropped before descending.
@@ -146,7 +147,7 @@ def frontier_edge_budget(graph: CSRGraph, dense_frontier_fraction: float = 0.25)
     return max(64.0, dense_frontier_fraction * max(graph.num_edges, 1))
 
 
-def probe_deterministic_vectorized(
+def probe_deterministic(
     graph: CSRGraph,
     prefix: Sequence[int],
     sqrt_c: float,
@@ -178,24 +179,3 @@ def probe_deterministic_vectorized(
             break
     return score
 
-
-def probe_deterministic(
-    graph,
-    prefix: Sequence[int],
-    sqrt_c: float,
-    eps_p: float = 0.0,
-    backend: str = "vectorized",
-) -> np.ndarray:
-    """Backend-dispatching deterministic PROBE returning a dense score array."""
-    if backend == "vectorized":
-        if not isinstance(graph, CSRGraph):
-            graph = CSRGraph.from_digraph(graph)
-        return probe_deterministic_vectorized(graph, prefix, sqrt_c, eps_p)
-    if backend == "python":
-        scores = probe_deterministic_python(graph, prefix, sqrt_c, eps_p)
-        n = graph.num_nodes
-        dense = np.zeros(n, dtype=np.float64)
-        for node, value in scores.items():
-            dense[node] = value
-        return dense
-    raise QueryError(f"unknown probe backend {backend!r}")

@@ -50,6 +50,7 @@ class WalkIndex(SimRankEstimator):
         self._engine = ProbeSim(graph, config=config, **overrides)
         self._tries: dict[int, WalkTrie] = {}
         self._touched: dict[int, set[int]] = {}  # graph node -> cached query nodes
+        self._stale = False  # graph mutated since the engine's last snapshot
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -143,13 +144,13 @@ class WalkIndex(SimRankEstimator):
     def apply_update(self, update: EdgeUpdate) -> None:
         """Invalidate cached tries whose walk distribution the update stales.
 
-        The caller mutates the graph itself (and the engine refreshes its
-        snapshot); this method only evicts cache entries that visit the
-        update's *target* node, whose in-neighbour list changed.
+        The caller mutates the graph itself; this method evicts the cache
+        entries that visit the update's *target* node, whose in-neighbour
+        list changed, and marks the engine's snapshot stale.  The engine
+        re-snapshots once, before the next query, not once per update.
         """
-        self._engine.sync()
-        stale_queries = self._touched.get(update.target, set()).copy()
-        for query in stale_queries:
+        self._stale = True
+        for query in list(self._touched.get(update.target, ())):
             self._evict(query)
 
     def invalidate_all(self) -> None:
@@ -158,6 +159,7 @@ class WalkIndex(SimRankEstimator):
         self._tries.clear()
         self._touched.clear()
         self._engine.sync()
+        self._stale = False
 
     def index_bytes(self) -> int:
         """Actual Python memory of the cached tries + incidence map."""
@@ -190,6 +192,9 @@ class WalkIndex(SimRankEstimator):
     # ------------------------------------------------------------------ #
 
     def _trie_for(self, query: int) -> WalkTrie:
+        if self._stale:  # one re-snapshot per update burst, not per update
+            self._engine.sync()
+            self._stale = False
         trie = self._tries.get(query)
         if trie is not None:
             self._hits += 1
@@ -199,19 +204,27 @@ class WalkIndex(SimRankEstimator):
         engine._check_query(query)
         trie = engine._sample_trie(query, QueryStats())
         self._tries[query] = trie
-        visited = {trie.root}.union(*(level.nodes.tolist() for level in trie.levels))
-        for node in visited:
+        for node in _visited(trie):
             self._touched.setdefault(node, set()).add(query)
         return trie
 
     def _evict(self, query: int) -> None:
-        if self._tries.pop(query, None) is not None:
-            self._evictions += 1
-        for queries in self._touched.values():
+        """Drop ``query``'s trie and its incidence entries (its nodes only)."""
+        trie = self._tries.pop(query)
+        self._evictions += 1
+        for node in _visited(trie):
+            queries = self._touched[node]
             queries.discard(query)
+            if not queries:
+                del self._touched[node]
 
     def __repr__(self) -> str:
         return (
             f"WalkIndex(cached={self.num_cached}, hits={self._hits}, "
             f"misses={self._misses}, evictions={self._evictions})"
         )
+
+
+def _visited(trie: WalkTrie) -> set[int]:
+    """Every graph node the trie's walks visit (root included)."""
+    return {trie.root}.union(*(level.nodes.tolist() for level in trie.levels))

@@ -34,11 +34,13 @@ freshness-for-throughput trade as the driver's ``sync_every`` knob.
 Callers needing strictly fresh hits use rebuild maintenance (every sync
 turns the whole cache over) or disable caching.
 
-The cache is coordinator-side and thread-safe: the workload driver's
-thread executor probes it from many threads, the process executor from the
-dispatch loop.  Counters must therefore be read through
-:meth:`ResultCache.snapshot` (one locked read), never field-by-field — a
-report assembled from unlocked reads can embed torn hit/miss pairs.
+The cache is coordinator-side: every executor probes it from the
+coordinator's dispatch loop only.  It stays locked all the same, because
+a caller may read it from another thread while the service runs
+(``repro serve``'s ``/metrics``, say).  Counters must therefore be read
+through :meth:`ResultCache.snapshot` (one locked read), never
+field-by-field — a report assembled from unlocked reads can embed torn
+hit/miss pairs.
 Capacity is bounded by LRU eviction; ``capacity == 0`` disables caching
 entirely (every :meth:`ResultCache.get` misses).
 """

@@ -106,6 +106,13 @@ EXECUTORS = ("process", "thread", "sequential")
 #: maintenance paths the service can run updates through.
 MAINTENANCE_MODES = ("auto", "delta", "rebuild")
 
+#: ``multiprocessing`` start method of the process executor.
+START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+
+#: seconds to wait on a worker reply before the worker is treated as hung
+#: and replaced (a liveness backstop, not a latency budget).
+RPC_TIMEOUT = 300.0
+
 
 class WorkerCrashed(RuntimeError):
     """Internal signal: a worker process died; the dispatcher will revive it."""
@@ -456,13 +463,10 @@ class ParallelSimRankService(QueryServiceBase):
         on the calling thread) or ``"sequential"``
         (in-process workers run one after another — the determinism
         oracle).  All three run the same dispatch and maintenance
-        schedule, so their answers are bit-identical.
-    start_method:
-        ``multiprocessing`` start method for the process executor
-        (default: ``fork`` where available, else ``spawn``).
-    rpc_timeout:
-        Seconds to wait on a worker reply before the worker is treated as
-        hung and replaced (a liveness backstop, not a latency budget).
+        schedule, so their answers are bit-identical.  Worker processes
+        start with :data:`START_METHOD` (``fork`` where available, else
+        ``spawn``), and a worker silent for :data:`RPC_TIMEOUT` seconds is
+        treated as hung and replaced.
 
     Always :meth:`close` the service (or use it as a context manager):
     that tears down the pool and unlinks the shared-memory segments.  A
@@ -482,9 +486,7 @@ class ParallelSimRankService(QueryServiceBase):
         maintenance: str = "auto",
         delta_log_capacity: int = 256,
         executor: str = "process",
-        start_method: str | None = None,
         allow_unsafe: bool = False,
-        rpc_timeout: float = 300.0,
         snapshot=None,
         store=None,
     ) -> None:
@@ -518,7 +520,6 @@ class ParallelSimRankService(QueryServiceBase):
         self.workers = int(workers)
         self.executor = executor
         self.auto_sync = auto_sync
-        self.rpc_timeout = float(rpc_timeout)
         self.cache = ResultCache(cache_size)
         self._digraph = graph if isinstance(graph, DiGraph) else None
         self._mounts: dict[str, tuple[str, dict]] = {}
@@ -595,10 +596,7 @@ class ParallelSimRankService(QueryServiceBase):
                     self._epoch = self._shm.current_epoch()
                 else:
                     self._csr = csr
-            if start_method is None:
-                available = multiprocessing.get_all_start_methods()
-                start_method = "fork" if "fork" in available else "spawn"
-            self._ctx = multiprocessing.get_context(start_method)
+            self._ctx = multiprocessing.get_context(START_METHOD)
             for index in range(self.workers):
                 self._workers.append(self._spawn(index))
             for index in range(self.workers):
@@ -681,7 +679,7 @@ class ParallelSimRankService(QueryServiceBase):
                 self._maintenance == "delta",
             ),
         ))
-        self._expect_ok(worker.recv(self.rpc_timeout))
+        self._expect_ok(worker.recv(RPC_TIMEOUT))
 
     def _revive(self, index: int) -> None:
         """Respawn a dead worker at the live graph state.
@@ -697,7 +695,7 @@ class ParallelSimRankService(QueryServiceBase):
         worker = self._workers[index]
         for payload in self._delta_payloads:
             worker.send(("delta", payload))
-            self._expect_ok(worker.recv(self.rpc_timeout))
+            self._expect_ok(worker.recv(RPC_TIMEOUT))
         with self._stats_lock:
             self.stats.worker_restarts += 1
 
@@ -726,7 +724,7 @@ class ParallelSimRankService(QueryServiceBase):
         """Send one message per worker, gather replies, healing crashes.
 
         ``assignments`` maps worker index → message.  Crashed (or hung —
-        ``rpc_timeout`` is the liveness backstop) workers are revived and
+        :data:`RPC_TIMEOUT` is the liveness backstop) workers are revived and
         their message re-sent.  Estimator-level errors raise only after
         every in-flight reply has been drained, so the request/reply pipes
         can never desynchronise.
@@ -749,7 +747,7 @@ class ParallelSimRankService(QueryServiceBase):
                     crashed.append(index)
             for index in sent:
                 try:
-                    reply = self._workers[index].recv(self.rpc_timeout)
+                    reply = self._workers[index].recv(RPC_TIMEOUT)
                 except (WorkerCrashed, TimeoutError):
                     # a hung worker is indistinguishable from a dead one,
                     # and its late reply would poison the pipe: replace it

@@ -187,6 +187,16 @@ class SharedCSRGraph:
         ``delta_capacity > 0`` additionally allocates the bounded edge-delta
         log segment (that many ``(kind, source, target)`` entries).
         """
+        return cls._create_owner(
+            base_name, delta_capacity, lambda shared: shared.publish(graph)
+        )
+
+    @classmethod
+    def _create_owner(
+        cls, base_name: str | None, delta_capacity: int, place_epoch0
+    ) -> "SharedCSRGraph":
+        """Control segment, optional delta log, then ``place_epoch0(shared)``;
+        on any failure every segment made so far is unlinked."""
         base_name = base_name or f"psim-{os.getpid()}-{secrets.token_hex(4)}"
         control = shared_memory.SharedMemory(
             name=base_name, create=True, size=_CONTROL_BYTES
@@ -206,7 +216,7 @@ class SharedCSRGraph:
                 )
                 shared._segments["dlog"] = dlog
                 shared._map_delta_log(dlog)
-            shared.publish(graph)
+            place_epoch0(shared)
         except BaseException:
             shared.close()
             raise
@@ -231,36 +241,17 @@ class SharedCSRGraph:
         generation and retires the mapping, and ``delta_capacity`` carries
         small bursts exactly as with :meth:`create`.
         """
-        base_name = base_name or f"psim-{os.getpid()}-{secrets.token_hex(4)}"
-        control = shared_memory.SharedMemory(
-            name=base_name, create=True, size=_CONTROL_BYTES
-        )
-        shared = cls(base_name, control, owner=True)
-        try:
-            shared._control_view[:] = (-1, 0)
-            if delta_capacity < 0:
-                raise GraphError(
-                    f"delta_capacity must be >= 0, got {delta_capacity}"
-                )
-            if delta_capacity:
-                shared.delta_capacity = int(delta_capacity)
-                dlog = shared_memory.SharedMemory(
-                    name=f"{base_name}-dlog", create=True,
-                    size=delta_capacity * _DELTA_FIELDS * 8,
-                )
-                shared._segments["dlog"] = dlog
-                shared._map_delta_log(dlog)
+        def map_snapshot(shared: "SharedCSRGraph") -> None:
             mapped = MappedSnapshot.open(path)
             shared._segments[0] = mapped
             shared._descriptor = ShmGraphDescriptor(
-                base_name, 0, mapped.header.num_nodes, mapped.header.num_edges,
-                shared.delta_capacity, snapshot_path=str(path),
+                shared.base_name, 0, mapped.header.num_nodes,
+                mapped.header.num_edges, shared.delta_capacity,
+                snapshot_path=str(path),
             )
             shared._control_view[0] = 0
-        except BaseException:
-            shared.close()
-            raise
-        return shared
+
+        return cls._create_owner(base_name, delta_capacity, map_snapshot)
 
     def publish(self, graph) -> int:
         """Write a new graph generation and bump the epoch counter.

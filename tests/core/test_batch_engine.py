@@ -1,12 +1,11 @@
-"""Suite for the engine that serves ``strategy="batch"`` by default.
+"""Suite for Algorithm 3's two code paths: ``strategy="native"``.
 
-With ``engine="auto"`` the batch strategy (Algorithm 3: one shared probe per
-distinct walk prefix) runs on the native trie-sharing engine; every other
-strategy, and the pure-python backend, stays on the loop engine.  These
-tests go through that default route — ``ProbeSim(graph, strategy="batch")``
-with no engine named — and pin what it promises: oracle agreement, batch
-composition independence, routing, labels, stats and sync.  The native
-engine's own tiers (bit-reproducibility, loop oracle) live in
+Algorithm 3 (one shared probe per distinct walk prefix) runs either as the
+per-prefix loop (``strategy="batch"``) or as the native trie sweep
+(``strategy="native"``); the strategy alone picks the path.  These tests
+pin what the native path promises next to the loop: oracle agreement,
+batch composition independence, rejected knobs, labels, stats and sync.
+The native engine's own tiers (bit-reproducibility, loop oracle) live in
 ``test_native_engine.py``.
 """
 
@@ -49,8 +48,8 @@ def ragged():
 
 
 def batch_engine(graph, **overrides):
-    """The engine ``strategy="batch"`` runs on when no engine is named."""
-    return ProbeSim(graph, strategy="batch", **overrides)
+    """Algorithm 3 on the native trie sweep."""
+    return ProbeSim(graph, strategy="native", **overrides)
 
 
 def replay_walks(graph, query, seed, num_walks, sqrt_c, max_len):
@@ -78,11 +77,11 @@ class TestNodeForNodeEquivalence:
     """Scores agree with what the walks imply, node for node."""
 
     def test_isolated_query_scores_zero_everywhere_else(self, ragged):
-        """A query with no in-edges never moves: both the default batch
-        engine and the loop engine score it 1 and everything else 0."""
+        """A query with no in-edges never moves: both the native sweep and
+        the batch loop score it 1 and everything else 0."""
         cfg = dict(c=0.6, eps_a=0.2, seed=1, num_walks=64)
         for engine in (batch_engine(ragged, **cfg),
-                       ProbeSim(ragged, strategy="batch", engine="loop", **cfg)):
+                       ProbeSim(ragged, strategy="batch", **cfg)):
             result = engine.single_source(43)
             assert result.score(43) == 1.0
             assert np.all(np.delete(result.scores, 43) == 0.0)
@@ -117,49 +116,35 @@ class TestBitwiseEquivalence:
 class TestEngineSurface:
     """Configuration, dispatch, labels and capability advertising."""
 
-    def test_auto_resolves_batched_only_for_batch_strategy(self):
-        assert ProbeSimConfig(strategy="batch").resolved_engine() == "native"
-        assert ProbeSimConfig(strategy="basic").resolved_engine() == "loop"
-        assert ProbeSimConfig(strategy="hybrid").resolved_engine() == "loop"
-        assert ProbeSimConfig(strategy="randomized").resolved_engine() == "loop"
-        assert (
-            ProbeSimConfig(strategy="batch", backend="python").resolved_engine()
-            == "loop"
-        )
-        assert (
-            ProbeSimConfig(strategy="batch", engine="loop").resolved_engine()
-            == "loop"
-        )
-
     def test_batched_rejects_randomized_strategies_and_python_backend(self):
-        with pytest.raises(ConfigurationError, match="draws RNG"):
+        """Native is a strategy, so it cannot be combined with another one
+        or with a probe backend: those spellings no longer exist."""
+        with pytest.raises(TypeError):
             ProbeSimConfig(strategy="hybrid", engine="native")
-        with pytest.raises(ConfigurationError, match="draws RNG"):
+        with pytest.raises(TypeError):
             ProbeSimConfig(strategy="randomized", engine="native")
-        with pytest.raises(ConfigurationError, match="inherently vectorized"):
-            ProbeSimConfig(strategy="batch", backend="python", engine="native")
-        # the native engine replaced the separate "batched" engine
-        with pytest.raises(ConfigurationError, match="engine must be one of"):
-            ProbeSimConfig(strategy="batch", engine="batched")
+        with pytest.raises(TypeError):
+            ProbeSimConfig(strategy="native", **{"backend": "python"})
+        with pytest.raises(ConfigurationError, match="strategy must be one of"):
+            ProbeSimConfig(strategy="batched")
 
     def test_labels_and_capabilities(self, toy):
-        auto = batch_engine(toy, eps_a=0.2, seed=1)
-        explicit = ProbeSim(toy, strategy="batch", engine="native",
-                            eps_a=0.2, seed=1)
-        loop = ProbeSim(toy, strategy="batch", engine="loop", eps_a=0.2, seed=1)
-        assert auto.capabilities().vectorized
-        assert explicit.capabilities().vectorized
+        """The label is always ``probesim-<strategy>``, and only native is
+        vectorized."""
+        native = batch_engine(toy, eps_a=0.2, seed=1)
+        loop = ProbeSim(toy, strategy="batch", eps_a=0.2, seed=1)
+        assert native.capabilities().vectorized
         assert not loop.capabilities().vectorized
-        assert auto.single_source(0).method == "probesim-batch"
-        assert explicit.single_source(0).method == "probesim-native"
-        assert "vectorized" in auto.capabilities().as_row()
+        assert native.single_source(0).method == "probesim-native"
+        assert loop.single_source(0).method == "probesim-batch"
+        assert "vectorized" in native.capabilities().as_row()
 
     def test_batched_stats_count_shared_probes(self, tiny_wiki):
         """Both engines run one shared probe per distinct walk prefix, as
         Algorithm 3 prescribes, over the same walk budget."""
         cfg = dict(eps_a=0.15, seed=9, num_walks=400)
         batched = batch_engine(tiny_wiki, **cfg)
-        loop = ProbeSim(tiny_wiki, strategy="batch", engine="loop", **cfg)
+        loop = ProbeSim(tiny_wiki, strategy="batch", **cfg)
         batched.single_source(11)
         loop.single_source(11)
         assert batched.last_stats.num_walks == loop.last_stats.num_walks == 400

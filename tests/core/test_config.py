@@ -84,8 +84,12 @@ class TestProbeSimConfig:
             ProbeSimConfig(strategy="magic")
 
     def test_invalid_backend(self):
-        with pytest.raises(ConfigurationError):
-            ProbeSimConfig(backend="cuda")
+        """The strategy alone picks the code path: there is no backend or
+        engine knob to set."""
+        with pytest.raises(TypeError):
+            ProbeSimConfig(**{"backend": "cuda"})
+        with pytest.raises(TypeError):
+            ProbeSimConfig(engine="native")
 
     def test_invalid_probabilities(self):
         for kwargs in ({"c": 1.5}, {"eps_a": 0.0}, {"delta": 1.0}):

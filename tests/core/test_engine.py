@@ -4,14 +4,12 @@ the Theorem 1/2 accuracy guarantee, dynamic refresh, and diagnostics."""
 import numpy as np
 import pytest
 
-from repro.core.config import ProbeSimConfig
+from repro.core.config import STRATEGIES, ProbeSimConfig
 from repro.core.engine import ProbeSim
 from repro.core.walk_trie import WalkTrie
 from repro.datasets import TOY_DECAY
 from repro.errors import QueryError
 from repro.eval.metrics import abs_error_max
-
-STRATEGIES = ("basic", "batch", "randomized", "hybrid")
 
 
 class TestAccuracyGuarantee:
@@ -35,29 +33,20 @@ class TestAccuracyGuarantee:
             truth = tiny_wiki_truth.single_source(query)
             assert abs_error_max(result.scores, truth, query) <= 0.1
 
-    def test_python_backend_matches_guarantee(self, toy, toy_truth):
-        engine = ProbeSim(
-            toy, c=TOY_DECAY, eps_a=0.05, delta=0.01, strategy="batch",
-            backend="python", seed=13,
-        )
-        result = engine.single_source(0)
-        assert abs_error_max(result.scores, toy_truth.single_source(0), 0) <= 0.05
-
     def test_basic_and_batch_agree_exactly_with_same_walks(self, toy):
         """With identical seeds the walk sets coincide, and batch probing is a
         pure dedup of basic probing — estimates must match to fp error.
 
-        Pinned to ``engine="loop"``: only the per-prefix engine prunes each
-        probe individually, which is what makes dedup bit-compatible with
-        per-walk probing under Pruning rule 2.  (The native engine never
-        prunes scores; its link to the loop engine is the loop-oracle suite
-        in tests/core/test_native_engine.py.)"""
+        The batch strategy probes per prefix, pruning each probe
+        individually, which is what makes dedup bit-compatible with
+        per-walk probing under Pruning rule 2.  (``strategy="native"`` never
+        prunes scores; its link to the loop is the loop-oracle suite in
+        tests/core/test_native_engine.py.)"""
         basic = ProbeSim(
             toy, c=TOY_DECAY, eps_a=0.1, strategy="basic", seed=123, num_walks=500
         ).single_source(0)
         batch = ProbeSim(
-            toy, c=TOY_DECAY, eps_a=0.1, strategy="batch", engine="loop",
-            seed=123, num_walks=500,
+            toy, c=TOY_DECAY, eps_a=0.1, strategy="batch", seed=123, num_walks=500,
         ).single_source(0)
         np.testing.assert_allclose(basic.scores, batch.scores, atol=1e-10)
 
@@ -177,7 +166,7 @@ class TestDiagnostics:
         )
         basic.single_source(11)
         batch = ProbeSim(
-            tiny_wiki, eps_a=0.15, delta=0.1, strategy="batch", seed=7, num_walks=800
+            tiny_wiki, eps_a=0.15, delta=0.1, strategy="native", seed=7, num_walks=800
         )
         batch.single_source(11)
         assert batch.last_stats.num_probes < basic.last_stats.num_probes
@@ -195,15 +184,14 @@ class TestDiagnostics:
 
     def test_estimate_from_tree_matches_batch(self, toy):
         """The public tree-probing hook used by WalkIndex must equal the
-        batch strategy's estimate for the same tree (loop engine: the hook
-        probes per prefix, so only the per-prefix engine is bit-compatible
-        with it under pruning)."""
+        batch strategy's estimate for the same tree (both probe per prefix,
+        so they are bit-compatible under pruning)."""
         engine = ProbeSim(toy, c=TOY_DECAY, eps_a=0.1, strategy="batch",
-                          engine="loop", seed=21, num_walks=300)
+                          seed=21, num_walks=300)
         result = engine.single_source(0)
         # rebuild the same walks by reusing the seed
         engine2 = ProbeSim(toy, c=TOY_DECAY, eps_a=0.1, strategy="batch",
-                           engine="loop", seed=21, num_walks=300)
+                           seed=21, num_walks=300)
         from repro.core.engine import QueryStats
 
         stats = QueryStats()
@@ -223,10 +211,10 @@ class TestQuerySeeded:
     HTTP coalescer (repro.server.coalesce) relies on for bit-exact
     micro-batching."""
 
-    @pytest.mark.parametrize("engine_kind", ["loop", "native"])
-    def test_grouping_invariant(self, tiny_wiki, engine_kind):
+    @pytest.mark.parametrize("strategy", ["batch", "native"], ids=["loop", "native"])
+    def test_grouping_invariant(self, tiny_wiki, strategy):
         kwargs = dict(
-            c=0.6, eps_a=0.15, delta=0.1, strategy="batch", engine=engine_kind,
+            c=0.6, eps_a=0.15, delta=0.1, strategy=strategy,
             seed=31, num_walks=200,
         )
         queries = [10, 50, 10, 3]

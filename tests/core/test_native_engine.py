@@ -1,4 +1,4 @@
-"""Correctness suite for the native engine (``engine="native"``).
+"""Correctness suite for the native engine (``strategy="native"``).
 
 Five tiers of guarantees are pinned here:
 
@@ -21,8 +21,8 @@ Five tiers of guarantees are pinned here:
    forcing every level sparse or every level dense gives the hybrid's
    scores, and every level makes exactly one call through the primitive
    seam that instrumentation (``perfbench/replay.py``) counts.
-5. **Surface** — config validation, ``auto`` routing, capabilities and
-   labels, registry construction, stats, and sync.
+5. **Surface** — config validation, capabilities and labels, registry
+   construction, stats, and sync.
 
 The replay seam ties the one-pass sampler the engine runs to the
 two-pass composition (``sample_walks`` -> ``WalkTrie.from_walk_arrays``)
@@ -73,8 +73,7 @@ def ragged():
 
 
 def native_engine(graph, **overrides):
-    overrides.setdefault("strategy", "batch")
-    return ProbeSim(graph, engine="native", **overrides)
+    return ProbeSim(graph, strategy="native", **overrides)
 
 
 def replay_walks(graph, query, seed, num_walks, sqrt_c, max_len):
@@ -100,7 +99,7 @@ def oracle_estimate(graph, walks, sqrt_c):
 
 def loop_engine(graph, **overrides):
     """The loop engine running Algorithm 3 (``strategy="batch"``)."""
-    return ProbeSim(graph, strategy="batch", engine="loop", **overrides)
+    return ProbeSim(graph, strategy="batch", **overrides)
 
 
 def native_on_walks(graph, walks, sqrt_c):
@@ -409,26 +408,19 @@ class TestSweepShape:
 
 
 class TestEngineSurface:
-    """Tier 5: config, routing, capabilities, registry, stats, sync."""
-
-    def test_auto_resolves_to_native_for_batch_strategy(self):
-        """The full ``auto`` routing table is pinned in test_batch_engine.py."""
-        assert ProbeSimConfig(strategy="batch").resolved_engine() == "native"
-        for strategy in ("basic", "batch"):
-            assert (
-                ProbeSimConfig(strategy=strategy, engine="native").resolved_engine()
-                == "native"
-            )
+    """Tier 5: config, capabilities, registry, stats, sync."""
 
     def test_native_rejects_randomized_strategies_and_python_backend(self):
-        with pytest.raises(ConfigurationError, match="draws RNG"):
+        """Native is one of the strategies; no engine or backend knob can
+        pair it with a randomized strategy or the hash-map probe."""
+        with pytest.raises(TypeError):
             ProbeSimConfig(strategy="hybrid", engine="native")
-        with pytest.raises(ConfigurationError, match="draws RNG"):
+        with pytest.raises(TypeError):
             ProbeSimConfig(strategy="randomized", engine="native")
-        with pytest.raises(ConfigurationError, match="inherently vectorized"):
-            ProbeSimConfig(strategy="batch", backend="python", engine="native")
-        with pytest.raises(ConfigurationError, match="engine must be one of"):
-            ProbeSimConfig(engine="turbo")
+        with pytest.raises(TypeError):
+            ProbeSimConfig(strategy="native", **{"backend": "python"})
+        with pytest.raises(ConfigurationError, match="strategy must be one of"):
+            ProbeSimConfig(strategy="turbo")
 
     def test_resolve_impl_returns_the_numpy_primitives(self):
         assert native.resolve_impl() is fallback
@@ -441,11 +433,9 @@ class TestEngineSurface:
         assert caps.vectorized and caps.parallel_safe
         assert caps.as_row()["vectorized"] is True
         assert engine.single_source(0).method == "probesim-native"
-        auto = ProbeSim(toy, strategy="batch", seed=1)
-        assert auto.capabilities().vectorized
-        assert auto.single_source(0).method == "probesim-batch"
-        assert not ProbeSim(toy, strategy="batch", engine="loop",
-                            seed=1).capabilities().vectorized
+        loop = ProbeSim(toy, strategy="batch", seed=1)
+        assert not loop.capabilities().vectorized
+        assert loop.single_source(0).method == "probesim-batch"
 
     def test_registry_constructs_the_native_engine(self, toy):
         est = create("probesim-native", toy, c=0.25, eps_a=0.2, seed=3)
@@ -508,7 +498,7 @@ class TestEngineSurface:
             gc.enable()
 
     def test_walk_budget_matches_other_engines(self, toy):
-        shared = dict(c=0.25, eps_a=0.1, delta=0.2, strategy="batch", seed=0)
-        loop = ProbeSim(toy, engine="loop", **shared)
-        nat = ProbeSim(toy, engine="native", **shared)
+        shared = dict(c=0.25, eps_a=0.1, delta=0.2, seed=0)
+        loop = ProbeSim(toy, strategy="batch", **shared)
+        nat = ProbeSim(toy, strategy="native", **shared)
         assert loop.single_source(0).num_walks == nat.single_source(0).num_walks

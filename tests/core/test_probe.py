@@ -8,11 +8,7 @@ exactly (as fractions, not just to the printed rounding).
 import numpy as np
 import pytest
 
-from repro.core.probe import (
-    probe_deterministic,
-    probe_deterministic_python,
-    probe_deterministic_vectorized,
-)
+from repro.core.probe import probe_deterministic, probe_deterministic_python
 from repro.core.walks import sample_sqrt_c_walk
 from repro.datasets.toy import node_id
 from repro.errors import QueryError
@@ -147,7 +143,7 @@ class TestBackendsAgree:
             if len(walk) < 2:
                 continue
             sparse_scores = probe_deterministic_python(toy, walk, SQRT_C_TOY, eps_p)
-            dense_scores = probe_deterministic_vectorized(
+            dense_scores = probe_deterministic(
                 toy_csr, walk, SQRT_C_TOY, eps_p
             )
             rebuilt = {
@@ -165,7 +161,7 @@ class TestBackendsAgree:
             if len(walk) < 2:
                 continue
             sparse_scores = probe_deterministic_python(tiny_wiki, walk, sqrt_c)
-            dense_scores = probe_deterministic_vectorized(tiny_wiki_csr, walk, sqrt_c)
+            dense_scores = probe_deterministic(tiny_wiki_csr, walk, sqrt_c)
             for node, value in sparse_scores.items():
                 assert dense_scores[node] == pytest.approx(value, abs=1e-12)
             assert np.count_nonzero(dense_scores) == len(sparse_scores)
@@ -177,27 +173,13 @@ class TestBackendsAgree:
         walk = sample_sqrt_c_walk(tiny_wiki_csr, 3, sqrt_c, rng, max_length=5)
         if len(walk) < 2:
             walk = [3] + [int(tiny_wiki_csr.in_neighbors(3)[0])]
-        via_slices = probe_deterministic_vectorized(
+        via_slices = probe_deterministic(
             tiny_wiki_csr, walk, sqrt_c, dense_frontier_fraction=1e9
         )
-        via_matvec = probe_deterministic_vectorized(
+        via_matvec = probe_deterministic(
             tiny_wiki_csr, walk, sqrt_c, dense_frontier_fraction=1e-9
         )
         np.testing.assert_allclose(via_slices, via_matvec, atol=1e-12)
-
-    def test_dispatcher_backends(self, toy, toy_csr):
-        walk = _walk("a", "b", "a")
-        out_py = probe_deterministic(toy, walk, SQRT_C_TOY, backend="python")
-        out_vec = probe_deterministic(toy_csr, walk, SQRT_C_TOY, backend="vectorized")
-        np.testing.assert_allclose(out_py, out_vec, atol=1e-12)
-
-    def test_dispatcher_converts_digraph_for_vectorized(self, toy):
-        out = probe_deterministic(toy, _walk("a", "b"), SQRT_C_TOY, backend="vectorized")
-        assert out[node_id("d")] == pytest.approx(0.5)
-
-    def test_dispatcher_unknown_backend(self, toy):
-        with pytest.raises(QueryError):
-            probe_deterministic(toy, _walk("a", "b"), SQRT_C_TOY, backend="gpu")
 
 
 class TestEdgeCases:
@@ -205,7 +187,7 @@ class TestEdgeCases:
         with pytest.raises(QueryError):
             probe_deterministic_python(toy, [0], SQRT_C_TOY)
         with pytest.raises(QueryError):
-            probe_deterministic_vectorized(toy_csr, [0], SQRT_C_TOY)
+            probe_deterministic(toy_csr, [0], SQRT_C_TOY)
 
     def test_dead_frontier_returns_empty(self):
         # 1 -> 0; probing (0, 1): node 1 has no out-neighbours besides...
@@ -218,7 +200,7 @@ class TestEdgeCases:
             toy, _walk("a", "b", "a", "b"), SQRT_C_TOY, eps_p=1.0
         )
         assert scores == {}
-        dense = probe_deterministic_vectorized(
+        dense = probe_deterministic(
             CSRGraph.from_digraph(toy), _walk("a", "b", "a", "b"), SQRT_C_TOY, eps_p=1.0
         )
         assert not np.any(dense)
@@ -237,8 +219,8 @@ class TestEdgeCases:
             walk = sample_sqrt_c_walk(tiny_wiki, start, sqrt_c, rng, max_length=5)
             if len(walk) < 3:
                 continue
-            full = probe_deterministic_vectorized(tiny_wiki_csr, walk, sqrt_c)
-            pruned = probe_deterministic_vectorized(tiny_wiki_csr, walk, sqrt_c, eps_p)
+            full = probe_deterministic(tiny_wiki_csr, walk, sqrt_c)
+            pruned = probe_deterministic(tiny_wiki_csr, walk, sqrt_c, eps_p)
             diff = full - pruned
             assert diff.min() >= -1e-12
             assert diff.max() <= eps_p + 1e-12

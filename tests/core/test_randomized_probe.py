@@ -9,7 +9,7 @@ deterministic probe with tight CLT tolerances.
 import numpy as np
 import pytest
 
-from repro.core.probe import probe_deterministic_vectorized
+from repro.core.probe import probe_deterministic
 from repro.core.randomized_probe import (
     probe_randomized,
     probe_randomized_from_membership,
@@ -29,7 +29,7 @@ def _walk(*names):
 class TestUnbiasedness:
     def test_matches_deterministic_on_paper_example(self, toy_csr):
         prefix = _walk("a", "b", "a", "b")
-        truth = probe_deterministic_vectorized(toy_csr, prefix, SQRT_C_TOY)
+        truth = probe_deterministic(toy_csr, prefix, SQRT_C_TOY)
         rng = np.random.default_rng(42)
         trials = 40_000
         counts = np.zeros(toy_csr.num_nodes)
@@ -42,7 +42,7 @@ class TestUnbiasedness:
 
     def test_matches_deterministic_on_short_prefix(self, toy_csr):
         prefix = _walk("a", "b")
-        truth = probe_deterministic_vectorized(toy_csr, prefix, SQRT_C_TOY)
+        truth = probe_deterministic(toy_csr, prefix, SQRT_C_TOY)
         rng = np.random.default_rng(7)
         trials = 30_000
         counts = np.zeros(toy_csr.num_nodes)
@@ -62,7 +62,7 @@ class TestUnbiasedness:
                 walk = candidate
                 break
         assert walk is not None
-        truth = probe_deterministic_vectorized(tiny_wiki_csr, walk, sqrt_c)
+        truth = probe_deterministic(tiny_wiki_csr, walk, sqrt_c)
         trials = 12_000
         counts = np.zeros(tiny_wiki_csr.num_nodes)
         for _ in range(trials):
@@ -110,7 +110,7 @@ class TestMechanics:
         n = 12
         edges = [(0, v) for v in range(1, n)] + [(v, 0) for v in range(1, n)]
         csr = CSRGraph.from_edges(edges)
-        truth = probe_deterministic_vectorized(csr, [5, 0], np.sqrt(0.6))
+        truth = probe_deterministic(csr, [5, 0], np.sqrt(0.6))
         rng = np.random.default_rng(9)
         trials = 20_000
         counts = np.zeros(n)
@@ -139,7 +139,7 @@ class TestContinuationFromMembership:
         randomized reproduces the final deterministic marginals (the §4.4
         hybrid's correctness argument)."""
         prefix = _walk("a", "b", "a", "b")
-        truth = probe_deterministic_vectorized(toy_csr, prefix, SQRT_C_TOY)
+        truth = probe_deterministic(toy_csr, prefix, SQRT_C_TOY)
         # deterministic level after iteration 0 (H_1): probe of suffix...
         # compute H_1 directly: expand {b} avoiding u_3 = a.
         h1 = np.zeros(toy_csr.num_nodes)

@@ -153,8 +153,7 @@ class TestDeterminism:
         from repro.core.walks import sample_walk_arrays
         from repro.utils.rng import derive_stream
 
-        loop = ProbeSim(tiny_wiki, strategy="batch", engine="loop",
-                        eps_a=0.15, seed=77, num_walks=300)
+        loop = ProbeSim(tiny_wiki, strategy="batch", eps_a=0.15, seed=77, num_walks=300)
         loop_walks = loop._sample_walks(9, QueryStats())
         nodes, lengths = sample_walk_arrays(
             loop.graph, 9, 300, loop.config.sqrt_c, derive_stream(77, 9),

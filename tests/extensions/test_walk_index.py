@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core import engine as engine_module
 from repro.datasets import TOY_DECAY
 from repro.errors import QueryError
 from repro.eval.metrics import abs_error_max
 from repro.extensions.walk_index import WalkIndex
 from repro.graph import EdgeUpdate
+from repro.graph.dynamic import MutationSampler
 
 
 class TestCaching:
@@ -122,3 +124,58 @@ class TestInvalidation:
 
     def test_repr(self, toy):
         assert "WalkIndex" in repr(WalkIndex(toy, c=TOY_DECAY, eps_a=0.1, seed=14))
+
+
+def _trie_nodes(trie) -> set[int]:
+    """Every graph node a cached trie's walks visit."""
+    return {trie.root}.union(*(level.nodes.tolist() for level in trie.levels))
+
+
+class TestMaintenanceCost:
+    """Update maintenance touches only what the updates affect."""
+
+    CONFIG = dict(eps_a=0.15, delta=0.1, num_walks=100)
+
+    def test_evictions_keep_the_incidence_map_exact(self, tiny_wiki):
+        """After update bursts evict cached tries, the node -> query map
+        holds exactly the surviving tries' nodes, none with an empty set."""
+        graph = tiny_wiki.copy()
+        index = WalkIndex(graph, seed=21, eps_a=0.15, delta=0.1, num_walks=20)
+        index.warm(range(50))
+        sampler = MutationSampler(graph, seed=3, copy=False)
+        for _ in range(3):
+            cached = index.num_cached
+            index.apply_updates(sampler.sample_many(2))
+            assert 0 < index.num_cached < cached
+            expected = set().union(*(_trie_nodes(t) for t in index._tries.values()))
+            assert set(index._touched) == expected
+            assert all(index._touched.values())
+
+    def test_update_burst_does_not_rebuild_the_csr(self, tiny_wiki, monkeypatch):
+        """A burst marks the engine stale; the next query re-snapshots once."""
+        graph = tiny_wiki.copy()
+        index = WalkIndex(graph, seed=22, **self.CONFIG)
+        index.warm([1, 2, 3])
+        rebuilds = []
+        as_csr = engine_module.as_csr
+        monkeypatch.setattr(
+            engine_module, "as_csr", lambda g: rebuilds.append(g) or as_csr(g)
+        )
+        sampler = MutationSampler(graph, seed=4, copy=False)
+        index.apply_updates(sampler.sample_many(10))
+        assert rebuilds == []
+        index.single_source(7)
+        index.single_source(8)
+        assert len(rebuilds) == 1
+
+    def test_first_query_after_burst_matches_a_fresh_index(self, tiny_wiki):
+        graph = tiny_wiki.copy()
+        index = WalkIndex(graph, seed=23, **self.CONFIG)
+        index.warm([1, 2, 3])
+        sampler = MutationSampler(graph, seed=5, copy=False)
+        index.apply_updates(sampler.sample_many(10))
+        fresh = WalkIndex(graph.copy(), seed=23, **self.CONFIG)
+        for query in (7, 1):
+            np.testing.assert_array_equal(
+                index.single_source(query).scores, fresh.single_source(query).scores
+            )

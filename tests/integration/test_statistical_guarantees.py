@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro import ProbeSim
+from repro.core.config import STRATEGIES
 from repro.datasets import TOY_DECAY
 from repro.eval.metrics import abs_error_max
 
@@ -16,7 +17,7 @@ from repro.eval.metrics import abs_error_max
 class TestUnbiasedness:
     """Lemma 1: E[s~(u, v)] = s(u, v) for every strategy."""
 
-    @pytest.mark.parametrize("strategy", ["basic", "batch", "randomized", "hybrid"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_mean_estimate_converges_to_truth(self, toy, toy_truth, strategy):
         query = 0
         truth = toy_truth.single_source(query)
@@ -43,7 +44,7 @@ class TestUnbiasedness:
         for seed in range(runs):
             engine = ProbeSim(
                 toy, c=TOY_DECAY, eps_a=0.2, delta=0.2, seed=seed,
-                num_walks=150, max_walk_length=2, strategy="batch",
+                num_walks=150, max_walk_length=2, strategy="native",
             )
             total += engine.single_source(query).scores
         mean = total / runs
@@ -87,8 +88,8 @@ class TestGuaranteeRate:
 
 class TestEngineGuaranteeRegression:
     """Seeded regression: the Chernoff-derived walk budget keeps the
-    empirical max error within eps_a at the configured delta — on the loop
-    engine *and* the native engine (whose counter RNG draws an entirely
+    empirical max error within eps_a at the configured delta — on the batch
+    strategy's per-prefix loop *and* on native (whose counter RNG draws an entirely
     different walk set, so it needs its own statistical verification).  Seeds are fixed, so any
     future change to walk sampling, trie sharing or pruning that breaks
     the (eps_a, delta) guarantee fails this test deterministically."""
@@ -97,36 +98,36 @@ class TestEngineGuaranteeRegression:
     DELTA = 0.2
     SEEDS = range(30)
 
-    @pytest.mark.parametrize("engine", ["loop", "native"])
-    def test_chernoff_budget_holds_on_toy(self, toy, toy_truth, engine):
+    @pytest.mark.parametrize("strategy", ["batch", "native"], ids=["loop", "native"])
+    def test_chernoff_budget_holds_on_toy(self, toy, toy_truth, strategy):
         query = 0
         truth = toy_truth.single_source(query)
         failures = 0
         for seed in self.SEEDS:
             probe = ProbeSim(
                 toy, c=TOY_DECAY, eps_a=self.EPS_A, delta=self.DELTA,
-                strategy="batch", engine=engine, seed=seed,
+                strategy=strategy, seed=seed,
             )
             err = abs_error_max(probe.single_source(query).scores, truth, query)
             failures += err > self.EPS_A
         assert failures / len(self.SEEDS) <= self.DELTA
 
     def test_engines_share_one_walk_budget(self, toy):
-        """Both engines size the batch from the same Theorem 1 bound —
-        batching changes execution, never the statistical contract."""
+        """The loop and native paths size the batch from the same Theorem 1
+        bound — batching changes execution, never the statistical contract."""
         loop = ProbeSim(toy, c=TOY_DECAY, eps_a=self.EPS_A, delta=self.DELTA,
-                        strategy="batch", engine="loop", seed=0)
+                        strategy="batch", seed=0)
         nat = ProbeSim(toy, c=TOY_DECAY, eps_a=self.EPS_A, delta=self.DELTA,
-                       strategy="batch", engine="native", seed=0)
+                       strategy="native", seed=0)
         assert loop.single_source(0).num_walks == nat.single_source(0).num_walks
 
-    @pytest.mark.parametrize("engine", ["loop", "native"])
-    def test_batched_queries_keep_the_guarantee(self, toy, toy_truth, engine):
+    @pytest.mark.parametrize("strategy", ["batch", "native"], ids=["loop", "native"])
+    def test_batched_queries_keep_the_guarantee(self, toy, toy_truth, strategy):
         """single_source_many answers carry the same per-query guarantee."""
         queries = [0, 2, 5]
         probe = ProbeSim(
             toy, c=TOY_DECAY, eps_a=self.EPS_A, delta=0.05,
-            strategy="batch", engine=engine, seed=1234,
+            strategy=strategy, seed=1234,
         )
         for result in probe.single_source_many(queries):
             truth = toy_truth.single_source(result.query)
@@ -145,7 +146,7 @@ class TestConvergenceRate:
             for seed in range(12):
                 engine = ProbeSim(
                     toy, c=TOY_DECAY, eps_a=0.2, delta=0.2, seed=seed,
-                    num_walks=num_walks, strategy="batch",
+                    num_walks=num_walks, strategy="native",
                 )
                 errors.append(
                     abs_error_max(engine.single_source(query).scores, truth, query)

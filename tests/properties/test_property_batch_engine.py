@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import native
-from repro.core.probe import probe_deterministic_vectorized
+from repro.core.probe import probe_deterministic
 from repro.core.walk_trie import WalkTrie
 from repro.core.walks import sample_walk_batch, truncation_length
 from repro.graph import CSRGraph, DiGraph
@@ -96,7 +96,7 @@ class TestProbeInvariants:
         shared = probe_trie(csr, trie)
         expected = np.zeros(csr.num_nodes)
         for prefix, weight in trie.iter_prefixes():
-            expected += weight * probe_deterministic_vectorized(csr, prefix, SQRT_C)
+            expected += weight * probe_deterministic(csr, prefix, SQRT_C)
         np.testing.assert_allclose(shared, expected, rtol=0, atol=1e-9)
 
     @given(graph_walks())
@@ -126,7 +126,7 @@ class TestProbeInvariants:
         csr, _, walks = data
         trie = WalkTrie.from_walks(walks)
         for prefix, _ in trie.iter_prefixes():
-            scores = probe_deterministic_vectorized(csr, prefix, SQRT_C)
+            scores = probe_deterministic(csr, prefix, SQRT_C)
             assert scores.min() >= 0.0
             assert scores.max() <= SQRT_C ** (len(prefix) - 1) + 1e-12
 

@@ -6,10 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.probe import (
-    probe_deterministic_python,
-    probe_deterministic_vectorized,
-)
+from repro.core.probe import probe_deterministic, probe_deterministic_python
 from repro.core.walks import sample_sqrt_c_walk
 from repro.graph import CSRGraph, DiGraph
 
@@ -57,7 +54,7 @@ class TestProbeInvariants:
             return
         csr = CSRGraph.from_digraph(g)
         sparse_scores = probe_deterministic_python(g, prefix, sqrt_c)
-        dense = probe_deterministic_vectorized(csr, prefix, sqrt_c)
+        dense = probe_deterministic(csr, prefix, sqrt_c)
         assert np.count_nonzero(dense) == len(sparse_scores)
         for node, value in sparse_scores.items():
             assert abs(dense[node] - value) < 1e-12
@@ -83,8 +80,8 @@ class TestProbeInvariants:
             return
         sqrt_c = 0.7
         csr = CSRGraph.from_digraph(g)
-        full = probe_deterministic_vectorized(csr, prefix, sqrt_c)
-        pruned = probe_deterministic_vectorized(csr, prefix, sqrt_c, eps_p)
+        full = probe_deterministic(csr, prefix, sqrt_c)
+        pruned = probe_deterministic(csr, prefix, sqrt_c, eps_p)
         diff = full - pruned
         assert diff.min() >= -1e-12
         assert diff.max() <= (len(prefix) - 1) * eps_p + 1e-12

@@ -130,6 +130,7 @@ class TestQueryCommands:
             ["--method", "tsf", "--rg", "20", "--rq", "2"],
             ["--method", "sling"],
             ["--method", "probesim", "--strategy", "basic", "--num-walks", "200"],
+            ["--method", "probesim", "--strategy", "native", "--num-walks", "200"],
             ["--method", "probesim-walkindex", "--num-walks", "100"],
             ["--method", "probesim-adaptive", "--num-walks", "100"],
         ],
@@ -141,6 +142,11 @@ class TestQueryCommands:
         )
         assert code == 0
         assert "top-2" in capsys.readouterr().out
+
+    def test_engine_option_is_gone(self, toy_path):
+        """The strategy alone picks the code path: --engine is not an option."""
+        with pytest.raises(SystemExit):
+            main(["topk", toy_path, "--query", "0", "--k", "2", "--engine", "native"])
 
     def test_bad_query_node_is_clean_error(self, toy_path, capsys):
         code = main(["topk", toy_path, "--query", "99", "--k", "2", "--seed", "1"])
