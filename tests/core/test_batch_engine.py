@@ -118,7 +118,7 @@ class TestEngineSurface:
 
     def test_batched_rejects_randomized_strategies_and_python_backend(self):
         """Native is a strategy, so it cannot be combined with another one
-        or with a probe backend: those spellings no longer exist."""
+        or with a probe backend: ``engine=`` and ``backend=`` are TypeErrors."""
         with pytest.raises(TypeError):
             ProbeSimConfig(strategy="hybrid", engine="native")
         with pytest.raises(TypeError):
