@@ -56,31 +56,35 @@ def test_ablation_strategy(benchmark, strategy):
 
 def test_ablation_batching_reduces_probes(benchmark):
     """The §4.2 claim, measured: batch probes <= basic probes on the same
-    walk multiset (identical seed, so identical walk steps)."""
+    walk multiset.  Every strategy draws one walk set per (seed, query),
+    so all five take the same walk steps."""
     query = get_queries(DATASET, 1)[0]
 
-    def run_both():
-        basic = make_probesim(DATASET, eps_a=0.1, strategy="basic", seed=7)
-        basic.single_source(query)
-        batch = make_probesim(DATASET, eps_a=0.1, strategy="batch", seed=7)
-        batch.single_source(query)
-        return basic.last_stats, batch.last_stats
+    def run_all():
+        stats = {}
+        for strategy in STRATEGIES:
+            engine = make_probesim(DATASET, eps_a=0.1, strategy=strategy, seed=7)
+            engine.single_source(query)
+            stats[strategy] = engine.last_stats
+        return stats
 
-    basic_stats, batch_stats = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    stats = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    basic, batch = stats["basic"], stats["batch"]
     emit_table(
         "ablation_strategies",
         [
             {
                 "metric": "probe invocations",
-                "basic": basic_stats.num_probes,
-                "batch": batch_stats.num_probes,
-                "saved": basic_stats.num_probes - batch_stats.num_probes,
+                "basic": basic.num_probes,
+                "batch": batch.num_probes,
+                "saved": basic.num_probes - batch.num_probes,
             }
         ],
         "Ablation: batching saves probes (same walks)",
     )
-    assert batch_stats.walk_length_total == basic_stats.walk_length_total
-    assert batch_stats.num_probes <= basic_stats.num_probes
+    steps = {name: s.walk_length_total for name, s in stats.items()}
+    assert len(set(steps.values())) == 1, steps
+    assert batch.num_probes <= basic.num_probes
 
 
 def _densify(scores: dict[int, float], n: int) -> np.ndarray:

@@ -6,10 +6,9 @@ level-synchronous array sweep over the prefix trie turns the dominant
 per-query cost into a handful of numpy/scipy operations per trie level.
 This bench measures it against the per-prefix loop of
 ``strategy="batch"`` across graph sizes, single-query and service-batch
-shapes.  Native walks come from a counter RNG, so
-loop-vs-native is a same-statistics comparison, not a same-walks one;
-correctness is held by the engine's loop-oracle and hash-map oracle
-suites.  Headline: **>= 5x single-query over the loop engine at
+shapes.  Every strategy draws its walks from the same counter RNG, so
+on one seed both engines probe the same walks; correctness is held by the
+engine's loop-oracle and hash-map oracle suites.  Headline: **>= 5x single-query over the loop engine at
 n ~ 10k, R ~ 1000**.  ``--json`` writes the gate report
 (``benchmarks/baselines/BENCH_native.json`` is the committed baseline).
 

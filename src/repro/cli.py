@@ -82,38 +82,32 @@ from repro.storage.ingest import DEFAULT_CHUNK_EDGES
 METHODS = tuple(method_names())
 
 
-def _method_config(args) -> dict:
-    """Distill the CLI's option superset down to the selected method's knobs.
+#: every method knob the CLI exposes; a subcommand without one leaves it None
+_CONFIG_OPTIONS = (
+    "c", "eps_a", "delta", "strategy", "seed", "num_walks", "depth",
+    "rg", "rq", "theta", "d_mode", "d_samples",
+)
 
-    Options left at ``None`` are dropped so each method keeps its own
-    defaults; everything else is filtered against the registry entry's
-    declared ``config_keys``.
+
+def _method_config(args, name: str) -> dict:
+    """Distill the CLI's option superset down to method ``name``'s knobs.
+
+    Options left at ``None`` (or absent from the subcommand) are dropped so
+    each method keeps its own defaults; everything else is filtered against
+    the registry entry's declared ``config_keys``.
     """
-    values = {
-        "c": args.c,
-        "eps_a": args.eps_a,
-        "delta": args.delta,
-        "strategy": args.strategy,
-        "seed": args.seed,
-        "num_walks": args.num_walks,
-        "depth": args.depth,
-        "rg": args.rg,
-        "rq": args.rq,
-        "theta": args.theta,
-        "d_mode": args.d_mode,
-        "d_samples": args.d_samples,
-    }
-    entry = get_entry(args.method)
+    keys = get_entry(name).config_keys
+    values = {key: getattr(args, key, None) for key in _CONFIG_OPTIONS}
     return {
         key: value
         for key, value in values.items()
-        if key in entry.config_keys and value is not None
+        if key in keys and value is not None
     }
 
 
 def _build_method(args, graph):
     """Instantiate the requested query method through the registry."""
-    return create(args.method, graph, **_method_config(args))
+    return create(args.method, graph, **_method_config(args, args.method))
 
 
 def _add_query_options(parser: argparse.ArgumentParser) -> None:
@@ -276,18 +270,7 @@ def _cmd_workload(args) -> int:
         max_update_batch=args.update_batch,
         seed=args.seed,
     )
-    configs = {}
-    shared = {
-        "c": args.c, "eps_a": args.eps_a, "delta": args.delta, "seed": args.seed,
-        "num_walks": args.num_walks, "depth": args.depth, "rg": args.rg,
-        "rq": args.rq, "theta": args.theta,
-    }
-    for name in methods:
-        keys = get_entry(name).config_keys
-        configs[name] = {
-            key: value for key, value in shared.items()
-            if key in keys and value is not None
-        }
+    configs = {name: _method_config(args, name) for name in methods}
     try:
         result = run_workload(
             graph, trace, methods, configs=configs,
@@ -326,27 +309,10 @@ def _serve_graph(args):
     raise ConfigurationError("serve/loadgen need a graph path or --dataset")
 
 
-def _serve_method_configs(args, methods: list[str]) -> dict[str, dict]:
-    """Per-method config dicts from the serve option set."""
-    shared = {
-        "c": args.c, "eps_a": args.eps_a, "delta": args.delta,
-        "seed": args.seed, "num_walks": args.num_walks,
-    }
-    configs = {}
-    for name in methods:
-        keys = get_entry(name).config_keys
-        configs[name] = {
-            key: value for key, value in shared.items()
-            if key in keys and value is not None
-        }
-    return configs
-
-
 def _cmd_serve(args) -> int:
     import asyncio
     import signal
 
-    from repro.api.service import SimRankService
     from repro.parallel.pool import ParallelSimRankService
     from repro.server import ServerConfig, SimRankHTTPApp
 
@@ -365,19 +331,15 @@ def _cmd_serve(args) -> int:
 
         store = PersistentGraphStore.open(args.store)
     methods = [name.strip() for name in args.methods.split(",") if name.strip()]
-    configs = _serve_method_configs(args, methods)
-    if args.workers > 0 or persistent:
-        # persistent sources always serve through the parallel service —
-        # with workers=0 its in-process sequential oracle stands in for
-        # the plain SimRankService
-        service = ParallelSimRankService(
-            graph, methods=tuple(methods), configs=configs,
-            workers=max(args.workers, 1), cache_size=args.cache_size,
-            executor="process" if args.workers > 0 else "sequential",
-            snapshot=args.snapshot, store=store,
-        )
-    else:
-        service = SimRankService(graph, methods=tuple(methods), configs=configs)
+    # every source serves through the parallel service; with workers=0
+    # its in-process sequential executor runs the one replica
+    service = ParallelSimRankService(
+        graph, methods=tuple(methods),
+        configs={name: _method_config(args, name) for name in methods},
+        workers=max(args.workers, 1), cache_size=args.cache_size,
+        executor="process" if args.workers > 0 else "sequential",
+        snapshot=args.snapshot, store=store,
+    )
     app = SimRankHTTPApp(service, ServerConfig(
         host=args.host,
         port=args.port,
@@ -650,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "service)")
     serve.add_argument("--cache-size", type=int, default=0, dest="cache_size",
                        help="update-aware result cache capacity "
-                            "(workers > 0 only; 0 disables)")
+                            "(0 disables)")
     serve.add_argument("--no-coalesce", action="store_true", dest="no_coalesce",
                        help="dispatch each request individually (micro-batching off)")
     serve.add_argument("--coalesce-max-batch", type=int, default=64,

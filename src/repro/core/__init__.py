@@ -37,6 +37,8 @@ one ``csr @ dense`` product once a level's support is wide), and zeroes
 each column at its parent's graph node.  Its walks come from a counter RNG
 keyed on ``(seed, query)``, so an answer never depends on call order or
 batch composition; see ``benchmarks/bench_native_engine.py`` for timings.
+Every strategy samples through that counter RNG, so one seeded query
+draws one walk set whichever path probes it.
 
 When to prefer which:
 
@@ -45,11 +47,11 @@ When to prefer which:
   Algorithm 3), and with ``basic``, ``randomized`` and ``hybrid`` the
   paper's ablations, whose probes run per prefix or draw RNG per path.
 
-On one walk set the two paths agree node-for-node to float round-off
-(bit-for-bit when every intermediate is exactly representable): the
-loop-oracle suite in ``tests/core`` feeds loop-sampled walks to
-:func:`repro.core.native.probe_trie` and compares with
-:meth:`ProbeSim.estimate_from_tree <repro.core.engine.ProbeSim.estimate_from_tree>`.
+Without pruning, ``batch`` and ``native`` on one seed agree node-for-node
+to float round-off (bit-for-bit when every intermediate is exactly
+representable); with it, ``batch`` drops at most the Pruning rule 2 mass
+that ``native`` keeps.  ``tests/core/test_native_engine.py`` holds the two
+to this.
 """
 
 from repro.core.config import ErrorBudget, ProbeSimConfig
@@ -58,7 +60,7 @@ from repro.core.probe import probe_deterministic
 from repro.core.randomized_probe import probe_randomized
 from repro.core.results import SimRankResult, TopKResult
 from repro.core.walk_trie import WalkTrie
-from repro.core.walks import sample_sqrt_c_walk, sample_walk_arrays, truncation_length
+from repro.core.walks import sample_sqrt_c_walk, truncation_length
 
 __all__ = [
     "ErrorBudget",
@@ -70,6 +72,5 @@ __all__ = [
     "probe_deterministic",
     "probe_randomized",
     "sample_sqrt_c_walk",
-    "sample_walk_arrays",
     "truncation_length",
 ]

@@ -24,12 +24,16 @@ Strategies (``ProbeSimConfig.strategy``):
     ``weight`` randomized continuations when its frontier grows past
     ``c0 * weight * n`` out-degree mass.
 ``native``
-    Algorithm 3's estimate without the per-prefix loop: walk sampling with
-    trie construction (one pass) and a hybrid sparse/dense level sweep run
-    as array operations (:mod:`repro.core.native`), with a counter RNG
-    keyed on ``(seed, query)`` that makes every query's bits independent
-    of call order and batch composition.  ``batch`` is its paper-literal
-    oracle.
+    Algorithm 3's estimate without the per-prefix loop: a hybrid
+    sparse/dense level sweep over the walk trie, run as array operations
+    (:mod:`repro.core.native`).  ``batch`` is its paper-literal oracle.
+
+Every strategy samples its walks the same way: the counter-RNG sampler of
+:mod:`repro.core.native` steps walk ``i`` from its own key, derived from
+``(seed, query, i)``.  With an integer seed a query's walks are thus
+independent of call order and batch composition, and every strategy draws
+the same walk set.  ``batch`` and ``native`` then differ only by
+float round-off and by the mass Pruning rule 2 drops in ``batch``.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import numpy as np
 from repro.api.estimator import Capabilities, SimRankEstimator
 from repro.core import native
 from repro.core.config import ProbeSimConfig
+from repro.core.native import fallback
 from repro.core.probe import (
     frontier_edge_budget,
     probe_deterministic,
@@ -53,7 +58,6 @@ from repro.core.randomized_probe import (
 )
 from repro.core.results import SimRankResult
 from repro.core.walk_trie import WalkTrie
-from repro.core.walks import sample_walk_arrays
 from repro.errors import QueryError
 from repro.graph.csr import CSRGraph, as_csr
 from repro.utils.rng import as_generator, is_int_seed, query_stream
@@ -77,6 +81,13 @@ class QueryStats:
     @property
     def mean_walk_length(self) -> float:
         return self.walk_length_total / self.num_walks if self.num_walks else 0.0
+
+
+def _count_walks(trie: WalkTrie, stats: QueryStats) -> None:
+    """Record a trie's walk count and total walk length in ``stats``."""
+    stats.num_walks = trie.num_walks
+    # every walk contributes its root step plus one per surviving level
+    stats.walk_length_total = trie.num_walks + sum(trie.level_weight_sums())
 
 
 class ProbeSim(SimRankEstimator):
@@ -213,9 +224,7 @@ class ProbeSim(SimRankEstimator):
             self._native_base(query),
             native.resolve_impl(),
         )
-        stats.num_walks = trie.num_walks
-        # every walk contributes its root step plus one per surviving level
-        stats.walk_length_total = trie.num_walks + sum(trie.level_weight_sums())
+        _count_walks(trie, stats)
         stats.num_tree_nodes = trie.num_tree_nodes
         stats.num_probes = trie.num_tree_nodes
         scores /= trie.num_walks
@@ -236,28 +245,46 @@ class ProbeSim(SimRankEstimator):
         """
         self._rng = query_stream(self.config.seed, self._rng, query)
 
-    def _sample_walk_arrays(
-        self, query: int, stats: QueryStats
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The query's ``nr`` √c-walks as padded ``(nodes, lengths)`` arrays."""
+    def _walk_bases(self, query: int) -> np.ndarray:
+        """Begin ``query`` and return the counter-RNG bases of its ``nr`` walks.
+
+        Every strategy draws the same walk ``i`` from base ``i`` (native's
+        :func:`~repro.core.native.walk_bases` over :meth:`_native_base`), so
+        with an integer seed one ``(seed, query)`` pins one walk set across
+        strategies; PROBE draws keep the query's :func:`query_stream`.
+        """
         self._begin_query(query)
-        cfg = self.config
-        nr = cfg.walk_count(self._csr.num_nodes)
-        nodes, lengths = sample_walk_arrays(
-            self._csr, query, nr, cfg.sqrt_c, self._rng,
-            max_length=cfg.walk_truncation(),
-        )
-        stats.num_walks = nr
-        stats.walk_length_total = int(lengths.sum())
-        return nodes, lengths
+        nr = self.config.walk_count(self._csr.num_nodes)
+        return native.walk_bases(self._native_base(query), nr)
 
     def _sample_walks(self, query: int, stats: QueryStats) -> list[list[int]]:
-        nodes, lengths = self._sample_walk_arrays(query, stats)
+        """The query's √c-walks as node lists, in walk order."""
+        csr = self._csr
+        cfg = self.config
+        nodes, lengths = fallback.sample_walks(
+            csr.in_indptr, csr.in_indices, csr.in_degrees,
+            self._walk_bases(query), query, cfg.sqrt_c, cfg.walk_truncation(),
+        )
+        stats.num_walks = len(lengths)
+        stats.walk_length_total = int(lengths.sum())
         return [nodes[i, :length].tolist() for i, length in enumerate(lengths.tolist())]
 
-    def _sample_trie(self, query: int, stats: QueryStats) -> WalkTrie:
-        """The query's walk trie, built straight from the sampled arrays."""
-        return WalkTrie.from_walk_arrays(*self._sample_walk_arrays(query, stats))
+    def _sample_trie(
+        self, query: int, stats: QueryStats, bases: np.ndarray | None = None
+    ) -> WalkTrie:
+        """The walk trie of ``bases`` (default: the query's ``nr`` walks),
+        built while the walks step."""
+        if bases is None:
+            bases = self._walk_bases(query)
+        csr = self._csr
+        cfg = self.config
+        levels = fallback.sample_trie_levels(
+            csr.in_indptr, csr.in_indices, csr.in_degrees,
+            bases, query, cfg.sqrt_c, cfg.walk_truncation(),
+        )
+        trie = WalkTrie(query, len(bases), levels)
+        _count_walks(trie, stats)
+        return trie
 
     def _run_basic(self, walks: list[list[int]], stats: QueryStats) -> np.ndarray:
         cfg = self.config

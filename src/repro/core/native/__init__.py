@@ -6,7 +6,9 @@ builds the prefix trie's levels (:class:`~repro.core.walk_trie.WalkTrie`)
 as the walks step, so walks and trie are one pass, and a hybrid
 sparse/dense level sweep (:mod:`.engine`).  The sampler and the sweep's
 per-level primitives live in :mod:`.fallback` — numpy/scipy code with no
-compiler dependency.
+compiler dependency.  The sampler is ProbeSim's only walk sampler: the
+per-prefix strategies, adaptive top-k and the walk index draw their walks
+through it too.
 
 :func:`resolve_impl` returns that primitive namespace and is the seam the
 sweep takes it through, so instrumentation can wrap it (count or time

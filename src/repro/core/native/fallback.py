@@ -122,25 +122,29 @@ def sample_walks(
     sqrt_c: float,
     max_len: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All walks as a padded ``(count, max_len)`` matrix plus their lengths.
+    """All walks as a padded ``(count, longest)`` matrix plus their lengths.
 
     Row ``i`` is walk ``i`` padded with ``-1``; the input of
-    :meth:`~repro.core.walk_trie.WalkTrie.from_walk_arrays`.  The engine
-    itself builds trie levels while stepping (:func:`sample_trie_levels`);
-    this consumer of the same steps serves callers that want the walks.
+    :meth:`~repro.core.walk_trie.WalkTrie.from_walk_arrays`.  The matrix is
+    as wide as the longest walk drawn, not ``max_len``, which may be a
+    loose safety cap.  Trie-building callers step straight into levels
+    instead (:func:`sample_trie_levels`); this consumer of the same steps
+    serves callers that want the walks themselves.
     """
     count = len(bases)
-    nodes = np.full((count, max_len), -1, dtype=np.int32)
-    nodes[:, 0] = query
     lengths = np.ones(count, dtype=np.int64)
     lanes = np.arange(count)
-    steps = _live_steps(
+    steps = []
+    for keep, nxt in _live_steps(
         in_indptr, in_indices, in_degrees, bases, query, sqrt_c, max_len
-    )
-    for depth, (keep, nxt) in enumerate(steps, start=1):
+    ):
         lanes = lanes[keep]
-        nodes[lanes, depth] = nxt
         lengths[lanes] += 1
+        steps.append((lanes, nxt))
+    nodes = np.full((count, len(steps) + 1), -1, dtype=np.int32)
+    nodes[:, 0] = query
+    for depth, (lanes, nxt) in enumerate(steps, start=1):
+        nodes[lanes, depth] = nxt
     return nodes, lengths
 
 

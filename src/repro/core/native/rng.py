@@ -1,11 +1,11 @@
-"""Counter-based RNG for the native engine (splitmix64 streams).
+"""Counter-based RNG for ProbeSim's walks (splitmix64 streams).
 
-The loop engine threads one ``numpy.random.Generator`` through a whole
-walk batch, so a walk's randomness depends on every draw made before it —
-correct, but inherently sequential and batch-shaped.  The native engine
-instead derives every random draw from a *counter*: a 64-bit key built
-from ``(seed, query, walk_id, step, lane)`` and pushed through the
-splitmix64 finalizer.  Consequences:
+A ``numpy.random.Generator`` threaded through a walk batch makes each
+walk's randomness depend on every draw made before it — correct, but
+inherently sequential and batch-shaped.  The walk sampler every ProbeSim
+strategy shares instead derives each random draw from a *counter*: a
+64-bit key built from ``(seed, query, walk_id, step, lane)`` and pushed
+through the splitmix64 finalizer.  Consequences:
 
 - bit-reproducible per ``(seed, query)`` — a query's walks are a pure
   function of the key material, independent of batch composition and

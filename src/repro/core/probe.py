@@ -57,12 +57,8 @@ def probe_deterministic_python(
     i = len(prefix)
     scores: dict[int, float] = {prefix[-1]: 1.0}
 
-    if isinstance(graph, DiGraph):
-        out_neighbors = graph.out_neighbors
-        in_degree = graph.in_degree
-    else:
-        out_neighbors = graph.out_neighbors
-        in_degree = graph.in_degree
+    out_neighbors = graph.out_neighbors
+    in_degree = graph.in_degree
 
     for j in range(i - 1):
         # Pruning rule 2: drop entries whose eventual contribution is <= eps_p.

@@ -3,12 +3,11 @@
 ProbeSim's Algorithm 3 (§4.2) probes every distinct walk prefix once,
 weighted by how many of the query's √c-walks share it: the reverse
 reachability tree of the walk batch.  :class:`WalkTrie` is that tree,
-flattened into per-level numpy arrays, and every engine builds it this
-way.  The native engine builds the levels while it samples
-(:func:`repro.core.native.fallback.sample_trie_levels`); the loop engine,
-the walk cache and adaptive top-k build them with
-:meth:`WalkTrie.from_walk_arrays`, in one vectorised pass over padded walk
-arrays:
+flattened into per-level numpy arrays.  ProbeSim builds the levels while
+it samples the walks (:func:`repro.core.native.fallback.sample_trie_levels`),
+for every strategy, the walk cache and adaptive top-k alike;
+:meth:`WalkTrie.from_walk_arrays` builds the same levels in one vectorised
+pass over padded walk arrays, for callers that hold the walks themselves:
 
 - level ``d`` (depth ``d`` nodes, ``d >= 2``) holds three parallel arrays:
   ``nodes`` (graph node of each distinct length-``d`` prefix), ``parents``
@@ -69,8 +68,8 @@ class WalkTrie:
         """Build the trie from padded walk arrays in O(total walk length).
 
         ``nodes``/``lengths`` are the output of
-        :func:`~repro.core.walks.sample_walk_arrays`: row ``i`` holds walk
-        ``i`` padded with ``-1``.  All walks must share ``nodes[:, 0]`` (the
+        :func:`~repro.core.native.fallback.sample_walks`: row ``i`` holds
+        walk ``i`` padded with ``-1``.  All walks must share ``nodes[:, 0]`` (the
         query node — √c-walks from one source).
         """
         count = len(nodes)

@@ -34,8 +34,6 @@ from repro.api.estimator import Capabilities, SimRankEstimator
 from repro.core.config import ProbeSimConfig
 from repro.core.engine import ProbeSim, QueryStats
 from repro.core.results import SimRankResult, TopKResult
-from repro.core.walk_trie import WalkTrie
-from repro.core.walks import sample_walk_arrays
 from repro.errors import QueryError
 from repro.utils.timer import Timer
 
@@ -106,29 +104,28 @@ class AdaptiveTopK(SimRankEstimator):
         engine = self._engine
         engine._check_query(query)
         cfg = engine.config
-        graph = engine.graph
-        n = graph.num_nodes
+        n = engine.graph.num_nodes
         if k >= n:
             raise QueryError(f"k={k} must be smaller than n={n}")
 
         walk_cap = cfg.walk_count(n)
         max_rounds = max(1, math.ceil(math.log2(walk_cap / self.initial_batch)) + 1)
-        max_len = cfg.walk_truncation()
 
         timer = Timer()
         with timer:
-            # walks and hybrid switches draw from the query's own stream
-            engine._begin_query(query)
+            # batch b takes the next slice of the query's walk bases, so a
+            # run to the cap probes exactly the engine's own walk set
+            bases = engine._walk_bases(query)
             score_sum = np.zeros(n, dtype=np.float64)
             total_walks = 0
             batch_size = self.initial_batch
             stopped_early = False
             while total_walks < walk_cap:
                 batch = min(batch_size, walk_cap - total_walks)
-                trie = WalkTrie.from_walk_arrays(*sample_walk_arrays(
-                    graph, query, batch, cfg.sqrt_c, engine._rng, max_length=max_len
-                ))
-                stats = QueryStats(num_walks=batch)
+                stats = QueryStats()
+                trie = engine._sample_trie(
+                    query, stats, bases[total_walks:total_walks + batch]
+                )
                 # estimate_from_tree returns the batch mean; re-weight to sum
                 score_sum += batch * engine.estimate_from_tree(trie, stats)
                 total_walks += batch

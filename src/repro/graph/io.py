@@ -9,6 +9,7 @@ dense ``0..n-1`` range the library requires.
 from __future__ import annotations
 
 import gzip
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from repro.errors import DatasetError
@@ -19,6 +20,32 @@ def _open_text(path: Path, mode: str):
     if path.suffix == ".gz":
         return gzip.open(path, mode + "t", encoding="utf-8")
     return open(path, mode, encoding="utf-8")
+
+
+def parse_edge_lines(
+    lines: Iterable[str], path: Path, comments: str = "#", relabel: bool = True
+) -> Iterator[tuple[int, int, int]]:
+    """Yield ``(lineno, source, target)`` for every edge line of a SNAP file.
+
+    Blank lines and lines starting with ``comments`` are skipped, and
+    columns past the second are ignored.  A malformed line raises
+    :class:`DatasetError` naming ``path:lineno``; so does a negative id when
+    ``relabel`` is off, because verbatim ids index the node range.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith(comments):
+            continue
+        parts = line.split()
+        if len(parts) < 2:
+            raise DatasetError(f"{path}:{lineno}: expected 'source target', got {line!r}")
+        try:
+            source, target = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{lineno}: non-integer node id in {line!r}") from exc
+        if not relabel and (source < 0 or target < 0):
+            raise DatasetError(f"{path}:{lineno}: negative node id with relabel=False")
+        yield lineno, source, target
 
 
 def read_edge_list(
@@ -61,17 +88,7 @@ def read_edge_list(
         return node
 
     with _open_text(path, "r") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith(comments):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise DatasetError(f"{path}:{lineno}: expected 'source target', got {line!r}")
-            try:
-                raw_s, raw_t = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise DatasetError(f"{path}:{lineno}: non-integer node id in {line!r}") from exc
+        for lineno, raw_s, raw_t in parse_edge_lines(handle, path, comments, relabel):
             source, target = intern(raw_s), intern(raw_t)
             if source == target:
                 if drop_self_loops:

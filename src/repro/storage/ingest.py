@@ -6,9 +6,9 @@ paper's billion-edge regime.  :func:`ingest_edge_list` builds the *same* CSR
 snapshot in bounded memory instead:
 
 Pass 1 (parse + count + spill)
-    The text file is streamed line by line exactly as ``read_edge_list``
-    parses it (same comment handling, relabelling order, self-loop policy,
-    error messages); surviving edges are spilled to a temporary binary file
+    The text file is streamed line by line through the parser
+    ``read_edge_list`` uses (:func:`repro.graph.io.parse_edge_lines`), with
+    its relabelling order and self-loop policy; surviving edges are spilled to a temporary binary file
     through a fixed-size chunk buffer while per-node in/out degree counters
     grow.  Memory: O(nodes + chunk).
 
@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.errors import DatasetError
 from repro.graph.csr import payload_layout
-from repro.graph.io import _open_text
+from repro.graph.io import _open_text, parse_edge_lines
 from repro.storage.snapshot import (
     HEADER_BYTES,
     SnapshotHeader,
@@ -169,31 +169,13 @@ def _ingest(
 
     # ---- pass 1: parse, relabel, count degrees, spill fixed-size chunks ----
     with _open_text(path, "r") as handle, open(spill_path, "wb") as spill:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith(comments):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise DatasetError(
-                    f"{path}:{lineno}: expected 'source target', got {line!r}"
-                )
-            try:
-                raw_s, raw_t = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise DatasetError(
-                    f"{path}:{lineno}: non-integer node id in {line!r}"
-                ) from exc
+        for lineno, raw_s, raw_t in parse_edge_lines(handle, path, comments, relabel):
             lines += 1
             # interning order matches read_edge_list: ids register before
             # the self-loop check, so dropped lines still claim labels
             if relabel:
                 source, target = intern(raw_s), intern(raw_t)
             else:
-                if raw_s < 0 or raw_t < 0:
-                    raise DatasetError(
-                        f"{path}:{lineno}: negative node id with relabel=False"
-                    )
                 source, target = raw_s, raw_t
             if source == target:
                 if drop_self_loops:

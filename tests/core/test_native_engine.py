@@ -8,10 +8,12 @@ Five tiers of guarantees are pinned here:
    ``single_source_many`` batch composition return byte-identical scores
    (the counter RNG is keyed by ``(seed, query, walk, step)``, so no call
    shares stream state).
-2. **Loop oracle** — fed the loop engine's own walks, the native sweep
-   (:func:`repro.core.native.probe_trie`) reproduces the loop engine's
-   Algorithm 3 estimate (:meth:`ProbeSim.estimate_from_tree`) to float
-   round-off, and bit-for-bit on dyadic graphs.
+2. **Loop oracle** — every strategy draws its walks through native's
+   counter RNG, so on one seed ``strategy="batch"`` (Algorithm 3's
+   per-prefix loop) probes exactly native's walk set.  With pruning off
+   the two answers agree to float round-off, and bit-for-bit on dyadic
+   graphs; with pruning on, ``native - batch`` is the mass Pruning rule 2
+   drops in the loop, so it lies in ``[0, bound]``.
 3. **Oracle agreement** — on dyadic graphs (``c = 0.25``, power-of-two
    in-degrees and walk budget) every probe intermediate is exactly
    representable, so native scores are bit-for-bit equal to the hash-map
@@ -22,7 +24,7 @@ Five tiers of guarantees are pinned here:
    scores, and every level makes exactly one call through the primitive
    seam that instrumentation (``perfbench/replay.py``) counts.
 5. **Surface** — config validation, capabilities and labels, registry
-   construction, stats, and sync.
+   construction, stats (shared with the loop), and sync.
 
 The replay seam ties the one-pass sampler the engine runs to the
 two-pass composition (``sample_walks`` -> ``WalkTrie.from_walk_arrays``)
@@ -39,7 +41,7 @@ from scipy import sparse
 from repro.api.registry import create
 from repro.core import native
 from repro.core.config import ProbeSimConfig
-from repro.core.engine import ProbeSim, QueryStats
+from repro.core.engine import ProbeSim
 from repro.core.native import fallback
 from repro.core.native import engine as native_engine_module
 from repro.core.native.rng import stream_base, walk_bases
@@ -102,19 +104,13 @@ def loop_engine(graph, **overrides):
     return ProbeSim(graph, strategy="batch", **overrides)
 
 
-def native_on_walks(graph, walks, sqrt_c):
-    """The native sweep over a given walk set, normalized like the loop's."""
-    ctx = native.make_context(as_csr(graph), sqrt_c)
-    trie = WalkTrie.from_walks(walks)
-    return native.probe_trie(ctx, trie, native.resolve_impl()) / len(walks)
-
-
 def loop_oracle_pair(graph, query, **cfg):
-    """(native, loop) Algorithm 3 estimates on one loop-sampled walk set."""
-    engine = loop_engine(graph, prune=False, **cfg)
-    walks = engine._sample_walks(query, QueryStats())
-    expected = engine.estimate_from_tree(WalkTrie.from_walks(walks))
-    return native_on_walks(graph, walks, engine.config.sqrt_c), expected
+    """(native, batch) answers to one query on the same seed, unpruned."""
+    return tuple(
+        ProbeSim(graph, strategy=strategy, prune=False, **cfg)
+        .single_source(query).scores
+        for strategy in ("native", "batch")
+    )
 
 
 class TestBitReproducibility:
@@ -151,6 +147,19 @@ class TestBitReproducibility:
         for one, many in zip(singles, pair_a + pair_b):
             np.testing.assert_array_equal(one, many.scores)
 
+    def test_batched_many_bitwise_equals_looped_singles(self, tiny_wiki):
+        """A multi-query call is bit-identical to per-query calls on a
+        separately built engine, pruning on or off."""
+        queries = [11, 3, 50, 3, 11]
+        for prune in (True, False):
+            a = native_engine(tiny_wiki, eps_a=0.15, seed=41, prune=prune)
+            b = native_engine(tiny_wiki, eps_a=0.15, seed=41, prune=prune)
+            singles = [a.single_source(q) for q in queries]
+            many = b.single_source_many(queries)
+            assert [r.query for r in many] == queries
+            for one, shared in zip(singles, many):
+                np.testing.assert_array_equal(one.scores, shared.scores)
+
     def test_seeds_and_queries_produce_distinct_streams(self, tiny_wiki):
         a = native_engine(tiny_wiki, eps_a=0.15, seed=1).single_source(11)
         b = native_engine(tiny_wiki, eps_a=0.15, seed=2).single_source(11)
@@ -176,22 +185,33 @@ class TestBitReproducibility:
 
 
 class TestLoopOracle:
-    """Tier 2: on the loop engine's walks, the native sweep reproduces the
-    loop engine's per-prefix Algorithm 3 estimate."""
+    """Tier 2: on one seed the per-prefix loop (``batch``) and the native
+    sweep probe one walk set, so they give one Algorithm 3 estimate."""
 
     @pytest.mark.parametrize("query", [0, 3, 5])
     def test_toy_matches_loop_engine(self, toy, query):
-        got, expected = loop_oracle_pair(
-            toy, query, c=TOY_DECAY, eps_a=0.1, seed=29, num_walks=400, **EXACT)
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        for seed in (29, 30, 31):
+            got, expected = loop_oracle_pair(
+                toy, query, c=TOY_DECAY, eps_a=0.1, seed=seed, num_walks=400,
+                **EXACT)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("query", [0, 7, 40, 42])
     def test_ragged_graph_matches_loop_engine(self, ragged, query):
         """Dangling nodes, a disconnected pair (40, 41) and fully isolated
         nodes (42, 43) flow through both engines identically."""
-        got, expected = loop_oracle_pair(
-            ragged, query, c=0.6, eps_a=0.15, seed=17, num_walks=300, **EXACT)
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        for seed in (17, 18, 19):
+            got, expected = loop_oracle_pair(
+                ragged, query, c=0.6, eps_a=0.15, seed=seed, num_walks=300,
+                **EXACT)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [3, 8, 13])
+    def test_tiny_wiki_matches_loop_engine(self, tiny_wiki, seed):
+        for query in (0, 11, 50, 199):
+            got, expected = loop_oracle_pair(
+                tiny_wiki, query, eps_a=0.15, seed=seed, num_walks=300, **EXACT)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_dyadic_graph_engines_bitwise_identical(self, dyadic, seed):
@@ -204,26 +224,26 @@ class TestLoopOracle:
     def test_matches_python_oracle_node_for_node(self, toy):
         engine = loop_engine(toy, c=TOY_DECAY, eps_a=0.1, seed=61,
                              num_walks=256, prune=False, **EXACT)
-        walks = engine._sample_walks(2, QueryStats())
-        got = native_on_walks(toy, walks, engine.config.sqrt_c)
+        got = engine.single_source(2).scores
+        walks = replay_walks(toy, 2, 61, 256, engine.config.sqrt_c, 8)
         expected = oracle_estimate(toy, walks, engine.config.sqrt_c)
+        expected[2] = 1.0
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_pruned_runs_stay_within_rule2_budget(self, tiny_wiki):
         """With pruning on the engines diverge only by the loop engine's
         pruned mass (the native sweep never prunes scores), so the gap is
         one-sided and bounded by the Pruning rule 2 error budget."""
-        cfg = dict(c=0.6, eps_a=0.1, seed=23, num_walks=500)
-        loop = loop_engine(tiny_wiki, **cfg).single_source(11).scores
-        replay = loop_engine(tiny_wiki, **cfg)
-        walks = replay._sample_walks(11, QueryStats())
-        got = native_on_walks(tiny_wiki, walks, replay.config.sqrt_c)
-        got[11] = 1.0
-        budget = replay.config.budget
-        bound = (1.0 + budget.eps) / (1.0 - budget.sqrt_c) * budget.eps_p
-        diff = got - loop
-        assert diff.min() >= -1e-12  # native never loses mass loop kept
-        assert diff.max() <= bound + 1e-12
+        for seed in (23, 24):
+            cfg = dict(c=0.6, eps_a=0.1, seed=seed, num_walks=500)
+            loop = loop_engine(tiny_wiki, **cfg)
+            budget = loop.config.budget
+            bound = (1.0 + budget.eps) / (1.0 - budget.sqrt_c) * budget.eps_p
+            for query in (5, 11, 50):
+                diff = (native_engine(tiny_wiki, **cfg).single_source(query).scores
+                        - loop.single_source(query).scores)
+                assert diff.min() >= -1e-12  # native never loses mass loop kept
+                assert diff.max() <= bound + 1e-12
 
 
 def replay_composition(graph, query, seed):
@@ -294,10 +314,13 @@ class TestOracleAgreement:
         np.testing.assert_allclose(result.scores, expected, rtol=0, atol=1e-12)
 
     def test_isolated_query_scores_zero_everywhere_else(self, ragged):
-        result = native_engine(ragged, c=0.6, eps_a=0.2, seed=1,
-                               num_walks=64).single_source(43)
-        assert result.score(43) == 1.0
-        assert np.all(np.delete(result.scores, 43) == 0.0)
+        """A query with no in-edges never moves: both the native sweep and
+        the batch loop score it 1 and everything else 0."""
+        cfg = dict(c=0.6, eps_a=0.2, seed=1, num_walks=64)
+        for engine in (native_engine(ragged, **cfg), loop_engine(ragged, **cfg)):
+            result = engine.single_source(43)
+            assert result.score(43) == 1.0
+            assert np.all(np.delete(result.scores, 43) == 0.0)
 
 
 class LevelCounter:
@@ -419,8 +442,9 @@ class TestEngineSurface:
             ProbeSimConfig(strategy="randomized", engine="native")
         with pytest.raises(TypeError):
             ProbeSimConfig(strategy="native", **{"backend": "python"})
-        with pytest.raises(ConfigurationError, match="strategy must be one of"):
-            ProbeSimConfig(strategy="turbo")
+        for unknown in ("turbo", "batched"):
+            with pytest.raises(ConfigurationError, match="strategy must be one of"):
+                ProbeSimConfig(strategy=unknown)
 
     def test_resolve_impl_returns_the_numpy_primitives(self):
         assert native.resolve_impl() is fallback
@@ -445,13 +469,21 @@ class TestEngineSurface:
             est.single_source(0).scores, direct.single_source(0).scores)
 
     def test_stats_are_populated(self, tiny_wiki):
-        engine = native_engine(tiny_wiki, eps_a=0.15, seed=9, num_walks=400)
+        """Native and the batch loop run one shared probe per distinct walk
+        prefix, as Algorithm 3 prescribes, over one walk set."""
+        cfg = dict(eps_a=0.15, seed=9, num_walks=400)
+        engine = native_engine(tiny_wiki, **cfg)
+        loop = loop_engine(tiny_wiki, **cfg)
         engine.single_source(11)
+        loop.single_source(11)
         stats = engine.last_stats
         assert stats.num_walks == 400
         assert stats.num_tree_nodes > 0
         assert stats.num_probes == stats.num_tree_nodes
         assert stats.walk_length_total >= stats.num_walks
+        for field in ("num_walks", "num_probes", "num_tree_nodes",
+                      "walk_length_total"):
+            assert getattr(loop.last_stats, field) == getattr(stats, field)
 
     def test_stage_seconds_cover_the_query(self, tiny_wiki):
         engine = native_engine(tiny_wiki, eps_a=0.15, seed=9, num_walks=400)

@@ -1,9 +1,9 @@
 """Integer artifacts of the prefix trie: walk arrays and multiplicities.
 
-The array sampler (:func:`~repro.core.walks.sample_walk_arrays`) and the
-list sampler (:func:`~repro.core.walks.sample_walk_batch`) draw the same RNG
-stream in the same order, and :class:`~repro.core.walk_trie.WalkTrie` holds
-exactly the walk batch's distinct prefixes with their multiplicities.
+The one-pass trie sampler (:func:`~repro.core.native.fallback.sample_trie_levels`)
+and the padded-walk sampler (:func:`~repro.core.native.fallback.sample_walks`)
+draw the same counter-RNG walks, and :class:`~repro.core.walk_trie.WalkTrie`
+holds exactly the walk batch's distinct prefixes with their multiplicities.
 """
 
 from collections import Counter
@@ -11,26 +11,34 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.core.native import fallback
+from repro.core.native.rng import stream_base, walk_bases
 from repro.core.walk_trie import WalkTrie
-from repro.core.walks import sample_walk_arrays, sample_walk_batch
+
+
+def sampler_args(csr, query, seed, count, sqrt_c, max_len):
+    return (csr.in_indptr, csr.in_indices, csr.in_degrees,
+            walk_bases(stream_base(seed, query), count), query, sqrt_c, max_len)
 
 
 class TestWalkAndTrieArtifacts:
     """Fixed-seed walk sets and trie multiplicities are bit-identical."""
 
     def test_fixed_seed_walks_identical_across_samplers(self, tiny_wiki_csr):
-        r1 = np.random.default_rng(97)
-        r2 = np.random.default_rng(97)
-        walks = sample_walk_batch(tiny_wiki_csr, 11, 400, 0.7, r1, 9)
-        nodes, lengths = sample_walk_arrays(tiny_wiki_csr, 11, 400, 0.7, r2, 9)
-        assert [nodes[i, : lengths[i]].tolist() for i in range(400)] == walks
+        args = sampler_args(tiny_wiki_csr, 11, 97, 400, 0.7, 9)
+        nodes, lengths = fallback.sample_walks(*args)
+        walks = [nodes[i, : lengths[i]].tolist() for i in range(400)]
+        one_pass = WalkTrie(11, 400, fallback.sample_trie_levels(*args))
+        assert list(one_pass.iter_prefixes()) == list(
+            WalkTrie.from_walks(walks).iter_prefixes())
         # the padding never leaks valid node ids
         for i in range(400):
             assert np.all(nodes[i, lengths[i]:] == -1)
 
     def test_trie_multiplicities_match_reachability_tree(self, tiny_wiki_csr):
-        rng = np.random.default_rng(3)
-        walks = sample_walk_batch(tiny_wiki_csr, 5, 300, 0.7, rng, 7)
+        nodes, lengths = fallback.sample_walks(
+            *sampler_args(tiny_wiki_csr, 5, 3, 300, 0.7, 7))
+        walks = [nodes[i, : lengths[i]].tolist() for i in range(300)]
         expected = Counter(
             tuple(walk[:i]) for walk in walks for i in range(2, len(walk) + 1)
         )

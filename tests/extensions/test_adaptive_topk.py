@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.engine import ProbeSim
 from repro.datasets import TOY_DECAY
 from repro.errors import QueryError
 from repro.extensions.adaptive_topk import AdaptiveTopK
@@ -77,6 +78,19 @@ class TestAdaptivity:
         adaptive.topk(0, 3)
         assert not adaptive.last_stopped_early
         assert adaptive.last_walks_used == adaptive.config.walk_count(8)
+
+    @pytest.mark.parametrize("seed", [6, 16, 26])
+    def test_run_to_cap_probes_the_engines_walks(self, toy, seed):
+        """Doubling batches slice the query's walk bases in order, so a run
+        that never stops early probes exactly the full engine's walk set and
+        returns its top-k (the g/h tie keeps the rule from firing)."""
+        cfg = dict(c=TOY_DECAY, eps_a=0.1, delta=0.1, seed=seed, strategy="batch")
+        adaptive = AdaptiveTopK(toy, **cfg)
+        top = adaptive.topk(0, 3)
+        assert not adaptive.last_stopped_early
+        full = ProbeSim(toy, **cfg).topk(0, 3)
+        assert top.node_set() == full.node_set()
+        np.testing.assert_allclose(top.scores, full.scores, rtol=0, atol=1e-12)
 
     def test_walks_used_never_exceed_cap(self, tiny_wiki):
         adaptive = AdaptiveTopK(tiny_wiki, eps_a=0.15, delta=0.1, seed=7)

@@ -72,6 +72,18 @@ class TestReadEdgeList:
         with pytest.raises(DatasetError):
             read_edge_list(path)
 
+    def test_negative_id_without_relabel_names_the_line(self, tmp_path):
+        """Verbatim ids index the node range, so ``-1`` is a malformed line
+        reported with its position, as ``repro ingest`` reports it."""
+        from repro.storage import ingest_edge_list
+
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n-1 0\n")
+        with pytest.raises(DatasetError, match=r"g\.txt:2: negative node id"):
+            read_edge_list(path, relabel=False)
+        with pytest.raises(DatasetError, match=r"g\.txt:2: negative node id"):
+            ingest_edge_list(path, tmp_path / "g.csr", relabel=False)
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(DatasetError):
             read_edge_list(tmp_path / "nope.txt")

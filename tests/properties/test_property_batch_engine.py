@@ -13,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import native
+from repro.core.native import fallback
+from repro.core.native.rng import stream_base, walk_bases
 from repro.core.probe import probe_deterministic
 from repro.core.walk_trie import WalkTrie
-from repro.core.walks import sample_walk_batch, truncation_length
+from repro.core.walks import truncation_length
 from repro.graph import CSRGraph, DiGraph
 
 SQRT_C = 0.7
@@ -40,8 +42,11 @@ def graph_walks(draw):
     query = draw(st.integers(min_value=0, max_value=n - 1))
     count = draw(st.integers(min_value=1, max_value=80))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    rng = np.random.default_rng(seed)
-    walks = sample_walk_batch(csr, query, count, SQRT_C, rng, max_length=6)
+    nodes, lengths = fallback.sample_walks(
+        csr.in_indptr, csr.in_indices, csr.in_degrees,
+        walk_bases(stream_base(seed, query), count), query, SQRT_C, 6,
+    )
+    walks = [nodes[i, : lengths[i]].tolist() for i in range(count)]
     return csr, query, walks
 
 

@@ -196,6 +196,40 @@ class TestIngestCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestServeCommand:
+    def test_sequential_serve_honours_cache_size(self, monkeypatch):
+        """``--workers 0`` serves a dataset through the pool's sequential
+        executor, so ``--cache-size`` caches there as with workers."""
+        import repro.server as server_module
+
+        seen = {}
+
+        class Started(Exception):
+            pass
+
+        class InspectingApp:
+            def __init__(self, service, config):
+                self.service = service
+
+            async def start(self):
+                first = self.service.single_source(3)
+                second = self.service.single_source(3)
+                seen["same"] = first is second
+                seen["cache"] = getattr(self.service, "cache", None)
+                self.service.close()
+                raise Started
+
+        monkeypatch.setattr(server_module, "SimRankHTTPApp", InspectingApp)
+        with pytest.raises(Started):
+            main([
+                "serve", "--dataset", "wiki-vote", "--workers", "0",
+                "--cache-size", "16", "--port", "0", "--seed", "3",
+            ])
+        assert seen["cache"] is not None
+        assert seen["cache"].stats.hits == 1
+        assert seen["same"]
+
+
 class TestRecoverCommand:
     def test_reports_recovered_state(self, tmp_path, capsys):
         from repro.datasets import toy_graph
