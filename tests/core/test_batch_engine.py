@@ -1,12 +1,13 @@
-"""Suite for Algorithm 3's two code paths: ``strategy="native"``.
+"""Suite for Algorithm 3's per-prefix loop: ``strategy="batch"``.
 
 Algorithm 3 (one shared probe per distinct walk prefix) runs either as the
 per-prefix loop (``strategy="batch"``) or as the native trie sweep
-(``strategy="native"``); the strategy alone picks the path.  These tests
-pin what the native path promises next to the loop: oracle agreement,
-batch composition independence, rejected knobs, labels, stats and sync.
-The native engine's own tiers (bit-reproducibility, loop oracle) live in
-``test_native_engine.py``.
+(``strategy="native"``); the strategy alone picks the path, and both draw
+their walks through the counter-RNG sampler, so on one seed they probe one
+walk set.  These tests pin what the loop promises next to the sweep:
+oracle agreement, rejected knobs, labels, shared stats and sync.  The
+native engine's own tiers (bit-reproducibility, loop oracle, sweep shape)
+live in ``test_native_engine.py``.
 """
 
 import numpy as np
@@ -32,7 +33,7 @@ def dyadic():
     node (4), an isolated node (9) and a disconnected 2-cycle (7, 8).
 
     At ``c = 0.25`` every PROBE intermediate is a dyadic rational well
-    inside float53, so the engine and the oracle compute exact arithmetic
+    inside float53, so the engines and the oracle compute exact arithmetic
     and their outputs must agree bit-for-bit.
     """
     edges = [(1, 0), (2, 0), (0, 1), (3, 2), (6, 2), (0, 3), (1, 3), (2, 3),
@@ -47,13 +48,18 @@ def ragged():
     return DiGraph.from_edges(list(g.edges()) + [(40, 41)], num_nodes=44)
 
 
-def batch_engine(graph, **overrides):
+def loop_engine(graph, **overrides):
+    """Algorithm 3 as the per-prefix loop."""
+    return ProbeSim(graph, strategy="batch", **overrides)
+
+
+def native_engine(graph, **overrides):
     """Algorithm 3 on the native trie sweep."""
     return ProbeSim(graph, strategy="native", **overrides)
 
 
 def replay_walks(graph, query, seed, num_walks, sqrt_c, max_len):
-    """The walk set a seeded native query draws, as a list of walks."""
+    """The walk set a seeded query draws, as a list of walks."""
     csr = CSRGraph.from_digraph(graph)
     bases = walk_bases(stream_base(seed, query), num_walks)
     nodes, lengths = fallback.sample_walks(
@@ -77,40 +83,28 @@ class TestNodeForNodeEquivalence:
     """Scores agree with what the walks imply, node for node."""
 
     def test_isolated_query_scores_zero_everywhere_else(self, ragged):
-        """A query with no in-edges never moves: both the native sweep and
-        the batch loop score it 1 and everything else 0."""
+        """A query with no in-edges never moves: both the batch loop and
+        the native sweep score it 1 and everything else 0."""
         cfg = dict(c=0.6, eps_a=0.2, seed=1, num_walks=64)
-        for engine in (batch_engine(ragged, **cfg),
-                       ProbeSim(ragged, strategy="batch", **cfg)):
+        for engine in (loop_engine(ragged, **cfg), native_engine(ragged, **cfg)):
             result = engine.single_source(43)
             assert result.score(43) == 1.0
             assert np.all(np.delete(result.scores, 43) == 0.0)
 
 
 class TestBitwiseEquivalence:
-    """Bit-for-bit agreement where float arithmetic is exact, and wherever
-    only the grouping of queries changes."""
+    """Bit-for-bit agreement where float arithmetic is exact."""
 
     def test_dyadic_graph_oracle_bitwise_identical(self, dyadic):
+        """Unpruned, the loop and the sweep both equal the hash-map oracle
+        on the walks the seed draws."""
         cfg = dict(c=0.25, eps_a=0.1, seed=11, num_walks=128, **EXACT)
-        result = batch_engine(dyadic, **cfg).single_source(0)
         walks = replay_walks(dyadic, 0, 11, 128, 0.5, 8)
         expected = oracle_estimate(dyadic, walks, 0.5)
         expected[0] = 1.0
-        np.testing.assert_array_equal(result.scores, expected)
-
-    def test_batched_many_bitwise_equals_looped_singles(self, tiny_wiki):
-        """A multi-query call is bit-identical to per-query calls on two
-        separately built engines, pruning on or off."""
-        queries = [11, 3, 50, 3, 11]
-        for prune in (True, False):
-            a = batch_engine(tiny_wiki, eps_a=0.15, seed=41, prune=prune)
-            b = batch_engine(tiny_wiki, eps_a=0.15, seed=41, prune=prune)
-            singles = [a.single_source(q) for q in queries]
-            many = b.single_source_many(queries)
-            assert [r.query for r in many] == queries
-            for one, shared in zip(singles, many):
-                np.testing.assert_array_equal(one.scores, shared.scores)
+        for engine in (loop_engine(dyadic, **cfg), native_engine(dyadic, **cfg)):
+            np.testing.assert_array_equal(
+                engine.single_source(0).scores, expected)
 
 
 class TestEngineSurface:
@@ -131,8 +125,8 @@ class TestEngineSurface:
     def test_labels_and_capabilities(self, toy):
         """The label is always ``probesim-<strategy>``, and only native is
         vectorized."""
-        native = batch_engine(toy, eps_a=0.2, seed=1)
-        loop = ProbeSim(toy, strategy="batch", eps_a=0.2, seed=1)
+        native = native_engine(toy, eps_a=0.2, seed=1)
+        loop = loop_engine(toy, eps_a=0.2, seed=1)
         assert native.capabilities().vectorized
         assert not loop.capabilities().vectorized
         assert native.single_source(0).method == "probesim-native"
@@ -141,20 +135,22 @@ class TestEngineSurface:
 
     def test_batched_stats_count_shared_probes(self, tiny_wiki):
         """Both engines run one shared probe per distinct walk prefix, as
-        Algorithm 3 prescribes, over the same walk budget."""
+        Algorithm 3 prescribes, over one walk set, so their counts agree."""
         cfg = dict(eps_a=0.15, seed=9, num_walks=400)
-        batched = batch_engine(tiny_wiki, **cfg)
-        loop = ProbeSim(tiny_wiki, strategy="batch", **cfg)
-        batched.single_source(11)
+        native = native_engine(tiny_wiki, **cfg)
+        loop = loop_engine(tiny_wiki, **cfg)
+        native.single_source(11)
         loop.single_source(11)
-        assert batched.last_stats.num_walks == loop.last_stats.num_walks == 400
-        for stats in (batched.last_stats, loop.last_stats):
+        assert native.last_stats.num_walks == loop.last_stats.num_walks == 400
+        for stats in (native.last_stats, loop.last_stats):
             assert stats.num_probes == stats.num_tree_nodes > 0
             assert stats.walk_length_total >= stats.num_walks
+        for field in ("num_probes", "num_tree_nodes", "walk_length_total"):
+            assert getattr(loop.last_stats, field) == getattr(native.last_stats, field)
 
     def test_sync_refreshes_batched_engine(self, toy):
         graph = toy.copy()
-        engine = batch_engine(graph, eps_a=0.2, seed=3)
+        engine = loop_engine(graph, eps_a=0.2, seed=3)
         before = engine.single_source(0).scores.copy()
         graph.remove_edge(4, 1)
         engine.sync()
