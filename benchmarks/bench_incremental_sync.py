@@ -8,7 +8,7 @@ executor twice, differing only in the parallel service's maintenance path:
   generation, every worker rebuilds every estimator replica against it,
   and the whole result cache turns over — O(m) per burst (PR 4's only
   path);
-- **delta**: the burst is appended to the shared edge-delta log, workers
+- **delta**: the burst rides in a ``("delta", updates)`` RPC, workers
   absorb it in place via ``apply_updates`` (replica RNG streams continue),
   and only cache entries in the touched 1-hop neighborhood are dropped —
   O(Δ) per burst.

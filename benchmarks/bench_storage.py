@@ -52,6 +52,9 @@ SEED = 2017
 #: warm attach costs ~0.2 ms and its first two samples run cold, so the
 #: median needs more than a handful of samples to repeat within the gate
 ATTACH_REPEATS = 25
+#: ingest and cold start take seconds but swing ~20% run to run on a
+#: shared box, so each reports the median of a few samples
+STAGE_REPEATS = 3
 WAL_TAIL_UPDATES = 64
 #: cores the run pins itself to; the report records the pinned count as
 #: ``cores``, so any box with at least this many cores can gate.
@@ -72,15 +75,19 @@ def build_edge_list(workdir: Path, smoke: bool) -> Path:
     return path
 
 
-def timed(fn):
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
+def timed(fn, repeats: int = 1):
+    """``fn()``'s last result and the median of ``repeats`` timed calls."""
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        samples.append(time.perf_counter() - start)
+    return result, statistics.median(samples)
 
 
 def bench_ingest(source: Path, out: Path) -> dict:
     """Out-of-core ingest, digest-checked against the in-memory path."""
-    stats, seconds = timed(lambda: ingest_edge_list(source, out))
+    stats, seconds = timed(lambda: ingest_edge_list(source, out), STAGE_REPEATS)
     reference = CSRGraph.from_digraph(read_edge_list(source)).digest()
     assert stats.digest == reference, (
         "out-of-core ingest drifted from write_snapshot(read_edge_list(...))"
@@ -97,7 +104,7 @@ def bench_ingest(source: Path, out: Path) -> dict:
 def bench_cold_start(source: Path) -> dict:
     """The pre-storage restart path: re-read the text, rebuild the CSR."""
     csr, seconds = timed(
-        lambda: CSRGraph.from_digraph(read_edge_list(source))
+        lambda: CSRGraph.from_digraph(read_edge_list(source)), STAGE_REPEATS
     )
     return {
         "stage": "cold_start",

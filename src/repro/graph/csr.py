@@ -140,6 +140,28 @@ class CSRGraph:
         return cls(n, out_indptr, out_indices, in_indptr, in_indices)
 
     @classmethod
+    def from_payload(cls, buf, num_nodes: int, num_edges: int) -> "CSRGraph":
+        """A snapshot whose arrays are zero-copy views into a packed payload.
+
+        ``buf`` holds the adjacency arrays laid out by
+        :func:`payload_layout` — a shared-memory generation or the payload
+        region of an mmap-backed snapshot file — so the "load" is O(1)
+        whatever the graph size.
+        """
+        layout, _ = payload_layout(num_nodes, num_edges)
+        views = {
+            field: np.ndarray((count,), dtype=dtype, buffer=buf, offset=offset)
+            for field, dtype, offset, count in layout
+        }
+        return cls(
+            num_nodes,
+            views["out_indptr"],
+            views["out_indices"],
+            views["in_indptr"],
+            views["in_indices"],
+        )
+
+    @classmethod
     def from_edges(cls, edges, num_nodes: int | None = None) -> "CSRGraph":
         """Snapshot directly from an edge list (via a temporary DiGraph)."""
         return cls.from_digraph(DiGraph.from_edges(edges, num_nodes=num_nodes))

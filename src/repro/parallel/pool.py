@@ -58,18 +58,19 @@ Delta maintenance (O(Δ) instead of O(m) per update burst)
     When every mounted method advertises
     ``capabilities().incremental_updates`` (TSF's one-way-graph patching,
     the walk cache's fine-grained eviction), :meth:`~ParallelSimRankService.sync`
-    does not republish the graph at all.  The burst is appended to the
-    shared graph's bounded edge-delta log
-    (:meth:`~repro.parallel.shm.SharedCSRGraph.append_deltas`) and a
-    ``("delta", …)`` RPC tells each worker to read the new entries, apply
-    them in place to its local graph mirror, and notify its replicas via
-    ``apply_updates``, exactly like the sequential service's incremental
-    path.  The graph epoch stays put, so cached answers for untouched query
-    nodes stay warm (:meth:`~repro.parallel.cache.ResultCache.invalidate_nodes`
-    drops only the updated edges' 1-hop neighborhood).  When the bounded
-    log cannot hold a burst the service *compacts*: one ordinary epoch
-    rebuild folds every logged delta into a fresh CSR generation and
-    empties the log.  The ``maintenance`` knob selects the path —
+    does not republish the graph at all.  The burst rides in a
+    ``("delta", updates)`` RPC to every worker (on every executor), which
+    applies it in place to its local graph mirror and notifies its replicas
+    via ``apply_updates``, exactly like the sequential service's incremental
+    path.  The coordinator keeps the bursts shipped since the live epoch
+    was published, so a revived worker can be sent them again.  The graph
+    epoch stays put, so cached answers for untouched query nodes stay warm
+    (:meth:`~repro.parallel.cache.ResultCache.invalidate_nodes` drops only
+    the updated edges' 1-hop neighborhood).  Once :data:`COMPACT_AFTER`
+    updates have been shipped since the epoch the service *compacts*: one
+    ordinary epoch rebuild folds every shipped delta into a fresh CSR
+    generation and empties that record.  The ``maintenance`` knob selects
+    the path —
     ``"rebuild"`` forces epochs, ``"delta"`` requires incremental-capable
     mounts, ``"auto"`` (default) picks delta exactly when every mount
     supports it.
@@ -112,6 +113,12 @@ START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else 
 #: seconds to wait on a worker reply before the worker is treated as hung
 #: and replaced (a liveness backstop, not a latency budget).
 RPC_TIMEOUT = 300.0
+
+#: delta updates shipped since the live epoch after which a sync compacts
+#: (publishes a fresh generation) instead of shipping one more burst; it
+#: bounds a revived worker's replay and each worker mirror's drift from
+#: the shared CSR.
+COMPACT_AFTER = 256
 
 
 class WorkerCrashed(RuntimeError):
@@ -198,21 +205,6 @@ class _WorkerCore:
         """Epoch bump: reattach the new generation and rebuild replicas."""
         self.build(source, self.mounts, self.delta_mode)
 
-    def resolve_delta(self, payload) -> tuple[EdgeUpdate, ...]:
-        """Materialise one delta RPC payload into its update sequence.
-
-        ``("log", start, stop)`` reads the triples zero-copy from the
-        shared delta log (process executor); ``("inline", updates)``
-        carries them in the message (in-process executors — they have no
-        shared segment).  Both forms denote the same updates, so either
-        replays identically during crash recovery.
-        """
-        tag, *rest = payload
-        if tag == "log":
-            start, stop = rest
-            return self.shared.read_deltas(start, stop)
-        return tuple(rest[0])
-
     def apply_delta(self, updates: Sequence[EdgeUpdate]) -> None:
         """Absorb an update burst in place: O(Δ), no replica rebuild.
 
@@ -257,7 +249,7 @@ class _WorkerCore:
         elif command == "epoch":
             self.rebuild(payload)
         elif command == "delta":
-            self.apply_delta(self.resolve_delta(payload))
+            self.apply_delta(payload)
         elif command != "exit":
             raise ValueError(f"unknown command {command!r}")
         return None
@@ -452,10 +444,6 @@ class ParallelSimRankService(QueryServiceBase):
         to advertise ``capabilities().incremental_updates`` and a mutable
         :class:`DiGraph`), or ``"auto"`` (default: delta exactly when every
         mount supports it).  See the module docstring for the full model.
-    delta_log_capacity:
-        Bound of the shared edge-delta log (entries).  A sync whose
-        accumulated deltas would overflow the log *compacts* instead: one
-        full epoch rebuild folds the log into a fresh CSR generation.
     executor:
         ``"process"`` (default: worker processes over a shared-memory
         graph), ``"thread"`` (in-process workers answering queries on a
@@ -484,14 +472,12 @@ class ParallelSimRankService(QueryServiceBase):
         cache_size: int = 0,
         auto_sync: bool = True,
         maintenance: str = "auto",
-        delta_log_capacity: int = 256,
         executor: str = "process",
         allow_unsafe: bool = False,
         snapshot=None,
         store=None,
     ) -> None:
         check_positive_int("workers", workers)
-        check_positive_int("delta_log_capacity", delta_log_capacity)
         if executor not in EXECUTORS:
             raise ConfigurationError(
                 f"executor must be one of {EXECUTORS}, got {executor!r}"
@@ -543,17 +529,15 @@ class ParallelSimRankService(QueryServiceBase):
                 f"default_method {self._default!r} is not among "
                 f"{sorted(self._mounts)}"
             )
-        self.delta_log_capacity = int(delta_log_capacity)
         self._maintenance = self._resolve_maintenance(maintenance)
 
         self._epoch = 0
         self._graph_stale = False
         self._closed = False
-        self._single_rr = 0  # round-robin cursor for lone single_source calls
-        #: delta payloads shipped since the live epoch was published — the
-        #: stream a revived worker re-reads after its build
-        self._delta_payloads: list[tuple] = []
-        self._deltas_since_epoch = 0
+        self._single_rr = 0  # round-robin cursor for lone single_source/topk calls
+        #: delta bursts shipped since the live epoch was published — the
+        #: stream a revived worker is sent again after its build
+        self._delta_payloads: list[tuple[EdgeUpdate, ...]] = []
         self._pending_updates: list[EdgeUpdate] = []
         self._touched_pending: set[int] = set()
         self._store = store
@@ -586,13 +570,7 @@ class ParallelSimRankService(QueryServiceBase):
                 csr = as_csr(graph)
                 self._num_nodes = csr.num_nodes
                 if executor == "process":
-                    self._shm = SharedCSRGraph.create(
-                        csr,
-                        delta_capacity=(
-                            self.delta_log_capacity
-                            if self._maintenance == "delta" else 0
-                        ),
-                    )
+                    self._shm = SharedCSRGraph.create(csr)
                     self._epoch = self._shm.current_epoch()
                 else:
                     self._csr = csr
@@ -693,8 +671,8 @@ class ParallelSimRankService(QueryServiceBase):
         self._workers[index] = self._spawn(index)
         self._build_worker(index)
         worker = self._workers[index]
-        for payload in self._delta_payloads:
-            worker.send(("delta", payload))
+        for burst in self._delta_payloads:
+            worker.send(("delta", burst))
             self._expect_ok(worker.recv(RPC_TIMEOUT))
         with self._stats_lock:
             self.stats.worker_restarts += 1
@@ -707,7 +685,6 @@ class ParallelSimRankService(QueryServiceBase):
         barrier must not re-apply it.
         """
         self._delta_payloads = []
-        self._deltas_since_epoch = 0
         source = self._worker_source()
         self._rpc_all({w: ("epoch", source) for w in range(self.workers)})
 
@@ -784,12 +761,7 @@ class ParallelSimRankService(QueryServiceBase):
         cached = self.cache.get(key, node, self._epoch)
         if cached is not None:
             return cached
-        index = self._single_rr % self.workers
-        self._single_rr += 1
-        records = self._rpc_all(
-            {index: ("query", (key, "single_source", None, [(0, node)]))}
-        )[index]
-        result = records[0][1]
+        result = self._lone_query(key, "single_source", None, node)
         self.cache.put(key, node, self._epoch, result)
         return result
 
@@ -806,12 +778,14 @@ class ParallelSimRankService(QueryServiceBase):
         node = self._check_query_node(query)
         with self._stats_lock:
             self.stats.queries += 1
+        return self._lone_query(key, "topk", int(k), node)
+
+    def _lone_query(self, key: str, kind: str, k: int | None, node: int):
+        """Answer one op on the next worker in round-robin order."""
         index = self._single_rr % self.workers
         self._single_rr += 1
-        records = self._rpc_all(
-            {index: ("query", (key, "topk", int(k), [(0, node)]))}
-        )[index]
-        return records[0][1]
+        records = self._rpc_all({index: ("query", (key, kind, k, [(0, node)]))})
+        return records[index][0][1]
 
     def single_source_many(
         self, queries: Sequence[int], method: str | None = None
@@ -947,18 +921,19 @@ class ParallelSimRankService(QueryServiceBase):
     def sync(self) -> None:
         """Ship the accumulated graph mutations to the worker pool.
 
-        Delta path (resolved ``maintenance == "delta"``, and the bounded
-        log can hold the burst): append the pending updates to the shared
-        edge-delta log, RPC every worker to absorb them in place
-        (``apply_updates`` on each replica), and invalidate only the cache
-        entries whose query node falls in the touched neighborhood.  O(Δ);
-        the graph epoch does not move.
+        Delta path (resolved ``maintenance == "delta"``, and the epoch's
+        shipped deltas stay within :data:`COMPACT_AFTER`): send the pending
+        updates to every worker in a ``("delta", updates)`` RPC to absorb
+        in place (``apply_updates`` on each replica), and invalidate only
+        the cache entries whose query node falls in the touched
+        neighborhood.  O(Δ); the graph epoch does not move.
 
-        Rebuild path (``maintenance == "rebuild"``, or the log overflowed
-        — *compaction*): snapshot the coordinator graph, publish it as a
-        fresh shared-memory generation, rebuild every worker's replicas
-        against it, invalidate every superseded cache entry, and only then
-        unlink the previous generation.  O(m); empties the delta log.
+        Rebuild path (``maintenance == "rebuild"``, or the burst would pass
+        :data:`COMPACT_AFTER` — *compaction*): snapshot the coordinator
+        graph, publish it as a fresh shared-memory generation, rebuild every
+        worker's replicas against it, invalidate every superseded cache
+        entry, and only then unlink the previous generation.  O(m); empties
+        the epoch's delta record.
 
         Idempotent when nothing changed.  Wall-clock is charged to
         ``stats.maintenance_seconds`` split evenly across the mounted
@@ -983,8 +958,7 @@ class ParallelSimRankService(QueryServiceBase):
         use_delta = (
             self._maintenance == "delta"
             and bool(pending)
-            and self._deltas_since_epoch + len(pending)
-            <= self.delta_log_capacity
+            and sum(map(len, self._delta_payloads)) + len(pending) <= COMPACT_AFTER
         )
         delta_error: BaseException | None = None
         if use_delta:
@@ -993,10 +967,9 @@ class ParallelSimRankService(QueryServiceBase):
             except Exception as exc:
                 # a mid-burst failure (an estimator raising in
                 # apply_updates, a worker crash storm) can leave some
-                # mirrors updated and others not, with the burst already in
-                # the shared log: fall through to a healing compaction.
-                # The fresh generation rebuilds every replica from the
-                # coordinator graph and empties the log, so the service is
+                # mirrors updated and others not: fall through to a healing
+                # compaction.  The fresh generation rebuilds every replica
+                # from the coordinator graph, so the service is
                 # consistent again when the error surfaces — mirroring the
                 # sequential service's "synced over the applied prefix"
                 # guarantee.
@@ -1023,14 +996,8 @@ class ParallelSimRankService(QueryServiceBase):
 
     def _sync_delta(self, pending: tuple[EdgeUpdate, ...]) -> None:
         """O(Δ) maintenance: ship ``pending`` for in-place absorption."""
-        if self._shm is not None:
-            start, stop = self._shm.append_deltas(pending)
-            payload = ("log", start, stop)
-        else:
-            payload = ("inline", pending)
-        self._rpc_all({w: ("delta", payload) for w in range(self.workers)})
-        self._delta_payloads.append(payload)
-        self._deltas_since_epoch += len(pending)
+        self._rpc_all({w: ("delta", pending) for w in range(self.workers)})
+        self._delta_payloads.append(pending)
         self.cache.invalidate_nodes(self._touched_pending)
         with self._stats_lock:
             self.stats.delta_syncs += 1
@@ -1043,8 +1010,9 @@ class ParallelSimRankService(QueryServiceBase):
         """O(m) maintenance: publish a fresh epoch and rebarrier the pool.
 
         Under delta maintenance this is *compaction* — the new generation
-        folds every logged delta (plus the burst that overflowed the log)
-        into its CSR arrays, and the log resets to empty.
+        folds every shipped delta (plus the burst that would have passed
+        :data:`COMPACT_AFTER`) into its CSR arrays, and the epoch's delta
+        record resets to empty.
         """
         csr = CSRGraph.from_digraph(self._digraph)
         self._num_nodes = csr.num_nodes

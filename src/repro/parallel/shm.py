@@ -9,11 +9,11 @@ copying the graph.  :class:`SharedCSRGraph` is that shared-data half:
 Creator side (the service coordinator)
     :meth:`SharedCSRGraph.create` packs a :class:`~repro.graph.csr.CSRGraph`
     snapshot's adjacency payload (``SHM_LAYOUT`` order) into one
-    ``multiprocessing.shared_memory`` segment per graph *generation*, plus a
-    tiny control segment holding the current generation counter (the
-    *epoch*).  After graph mutations, :meth:`SharedCSRGraph.publish` writes
-    the new snapshot into a fresh segment and bumps the epoch; the old
-    segment stays mapped until every worker has moved over
+    ``multiprocessing.shared_memory`` segment per graph *generation*
+    (``{base_name}-g{epoch}``), starting at epoch 0.  After graph
+    mutations, :meth:`SharedCSRGraph.publish` writes the new snapshot into
+    a fresh segment and returns the next epoch; the old segment stays
+    mapped until every worker has moved over
     (:meth:`SharedCSRGraph.release_epoch`), so readers never observe a
     half-written graph.
 
@@ -21,26 +21,11 @@ Worker side
     :meth:`SharedCSRGraph.attach` maps the segment named by a (picklable)
     :class:`ShmGraphDescriptor` and rebuilds a :class:`CSRGraph` whose
     arrays are views straight into the shared buffer — no copy, O(1)
-    regardless of graph size.  :meth:`SharedCSRGraph.stale` compares the
-    attached epoch against the control segment's live counter, so workers
-    detect graph epochs without any message traffic;
-    :meth:`SharedCSRGraph.reattach` moves an attachment to a newer
-    generation.
-
-Edge-delta log (the O(Δ) maintenance path)
-    Publishing a fresh generation costs O(m) — the right price for a bulk
-    replacement, the wrong one for a handful of edge updates.  A
-    ``SharedCSRGraph`` created with ``delta_capacity > 0`` therefore also
-    carries one *delta log* segment (``{base_name}-dlog``): a bounded
-    append-only array of ``(kind, source, target)`` triples shared by every
-    generation.  The owner :meth:`append_deltas` small update bursts and
-    readers :meth:`read_deltas` them zero-copy, applying the deltas to
-    worker-local state in place instead of remapping a whole new CSR
-    generation.  The published entry count lives in the control segment and
-    is bumped only *after* the triples are written, so readers never see a
-    torn entry.  :meth:`publish` (compaction: the log overflowed, or a bulk
-    change arrived) folds everything into a fresh CSR generation and resets
-    the log to empty.
+    regardless of graph size.  Workers learn of a new epoch only through
+    the descriptor the coordinator sends in its barrier RPC, and
+    :meth:`SharedCSRGraph.reattach` moves an attachment onto it.  Edge
+    update bursts (delta maintenance) never touch shared memory: they ride
+    in the pool's ``("delta", updates)`` RPC.
 
 Lifecycle discipline
     Segments are named (they outlive processes), so leak hygiene matters:
@@ -66,28 +51,9 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph, as_csr, payload_layout
-from repro.graph.dynamic import EdgeUpdate
 from repro.storage.snapshot import MappedSnapshot
 
 __all__ = ["ShmGraphDescriptor", "SharedCSRGraph"]
-
-#: control segment payload: int64 epoch counter + int64 delta-log count.
-_CONTROL_BYTES = 16
-
-#: delta-log entry: (kind, source, target) int64 triples; kind codes below.
-_DELTA_FIELDS = 3
-_DELTA_KINDS = ("insert", "delete")
-
-
-def _segment_layout(num_nodes: int, num_edges: int):
-    """``[(field, dtype, offset, count)]`` for one generation's data segment.
-
-    Identical to the on-disk snapshot payload by construction — both sides
-    delegate to :func:`repro.graph.csr.payload_layout`, which is what lets a
-    :class:`~repro.storage.snapshot.MappedSnapshot` stand in for a
-    shared-memory segment byte for byte.
-    """
-    return payload_layout(num_nodes, num_edges)
 
 
 def _close_segment(segment: shared_memory.SharedMemory) -> None:
@@ -113,11 +79,9 @@ def _close_segment(segment: shared_memory.SharedMemory) -> None:
 class ShmGraphDescriptor:
     """Everything a worker needs to map one graph generation (picklable).
 
-    The data segment's name is derived — ``{base_name}-g{epoch}`` — so a
-    worker that learns a newer epoch (from the control counter) can attach
-    the matching segment without any further coordination.
-    ``delta_capacity > 0`` tells the worker to also map the (per-base,
-    generation-independent) edge-delta log segment.  A non-``None``
+    The data segment's name is derived — ``{base_name}-g{epoch}`` — so the
+    descriptor the coordinator sends with each epoch barrier names the
+    segment to attach without any further coordination.  A non-``None``
     ``snapshot_path`` means this generation's payload lives in an on-disk
     snapshot file rather than a shared-memory segment: workers ``mmap`` the
     file instead of attaching ``data_name`` (the kernel page cache then
@@ -128,7 +92,6 @@ class ShmGraphDescriptor:
     epoch: int
     num_nodes: int
     num_edges: int
-    delta_capacity: int = 0
     snapshot_path: str | None = None
 
     @property
@@ -136,40 +99,28 @@ class ShmGraphDescriptor:
         """Name of this generation's data segment."""
         return f"{self.base_name}-g{self.epoch}"
 
-    @property
-    def delta_name(self) -> str:
-        """Name of the shared edge-delta log segment."""
-        return f"{self.base_name}-dlog"
-
 
 class SharedCSRGraph:
-    """One CSR graph in shared memory, versioned by a generation counter.
+    """One CSR graph in shared memory, versioned by a generation number.
 
-    Construct with :meth:`create` (owner / coordinator side) or
-    :meth:`attach` (worker side); never directly.  Both sides expose
-    :attr:`graph` (a zero-copy :class:`CSRGraph`), :meth:`current_epoch`,
-    and :meth:`close`; see the module docstring for the full protocol.
+    Construct with :meth:`create` or :meth:`from_snapshot` (owner /
+    coordinator side) or :meth:`attach` (worker side); never directly.
+    Both sides expose :attr:`graph` (a zero-copy :class:`CSRGraph`),
+    :meth:`current_epoch`, and :meth:`close`; see the module docstring for
+    the full protocol.
     """
 
-    def __init__(self, base_name: str, control, owner: bool) -> None:
-        self.base_name = base_name
-        self._control = control
+    def __init__(self, base_name: str | None, owner: bool) -> None:
+        self.base_name = base_name or f"psim-{os.getpid()}-{secrets.token_hex(4)}"
         self._owner = owner
-        self._control_view: np.ndarray | None = np.ndarray(
-            (2,), dtype=np.int64, buffer=control.buf
-        )
         self._graph: CSRGraph | None = None
         self._descriptor: ShmGraphDescriptor | None = None
-        # owner: every still-linked generation (plus the "dlog" segment);
-        # attachment: current data seg
-        self._segments: dict[int | str, shared_memory.SharedMemory] = {}
+        # owner: every still-linked generation, by epoch; attachments keep
+        # their one mapped generation in _data and never unlink
+        self._segments: dict[int, shared_memory.SharedMemory] = {}
         self._data: shared_memory.SharedMemory | None = None
-        self._dlog: shared_memory.SharedMemory | None = None
-        self._delta_view: np.ndarray | None = None
-        self.delta_capacity = 0
         self._finalizer = weakref.finalize(
-            self, SharedCSRGraph._cleanup, base_name, control,
-            self._segments, owner,
+            self, SharedCSRGraph._cleanup, self._segments
         )
 
     # ------------------------------------------------------------------ #
@@ -177,58 +128,22 @@ class SharedCSRGraph:
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def create(
-        cls, graph, base_name: str | None = None, delta_capacity: int = 0
-    ) -> "SharedCSRGraph":
+    def create(cls, graph, base_name: str | None = None) -> "SharedCSRGraph":
         """Place ``graph``'s CSR snapshot in shared memory as epoch 0.
 
         ``base_name`` defaults to a collision-resistant ``psim-…`` name; it
         must be unique machine-wide (shared-memory names are global).
-        ``delta_capacity > 0`` additionally allocates the bounded edge-delta
-        log segment (that many ``(kind, source, target)`` entries).
         """
-        return cls._create_owner(
-            base_name, delta_capacity, lambda shared: shared.publish(graph)
-        )
-
-    @classmethod
-    def _create_owner(
-        cls, base_name: str | None, delta_capacity: int, place_epoch0
-    ) -> "SharedCSRGraph":
-        """Control segment, optional delta log, then ``place_epoch0(shared)``;
-        on any failure every segment made so far is unlinked."""
-        base_name = base_name or f"psim-{os.getpid()}-{secrets.token_hex(4)}"
-        control = shared_memory.SharedMemory(
-            name=base_name, create=True, size=_CONTROL_BYTES
-        )
-        shared = cls(base_name, control, owner=True)
+        shared = cls(base_name, owner=True)
         try:
-            shared._control_view[:] = (-1, 0)
-            if delta_capacity < 0:
-                raise GraphError(
-                    f"delta_capacity must be >= 0, got {delta_capacity}"
-                )
-            if delta_capacity:
-                shared.delta_capacity = int(delta_capacity)
-                dlog = shared_memory.SharedMemory(
-                    name=f"{base_name}-dlog", create=True,
-                    size=delta_capacity * _DELTA_FIELDS * 8,
-                )
-                shared._segments["dlog"] = dlog
-                shared._map_delta_log(dlog)
-            place_epoch0(shared)
+            shared.publish(graph)
         except BaseException:
             shared.close()
             raise
         return shared
 
     @classmethod
-    def from_snapshot(
-        cls,
-        path,
-        base_name: str | None = None,
-        delta_capacity: int = 0,
-    ) -> "SharedCSRGraph":
+    def from_snapshot(cls, path, base_name: str | None = None) -> "SharedCSRGraph":
         """Serve a graph straight from an on-disk snapshot file as epoch 0.
 
         The warm-attach path of the storage tier: instead of copying the CSR
@@ -237,41 +152,36 @@ class SharedCSRGraph:
         a descriptor carrying its path — workers map the same file, and the
         OS page cache keeps one physical copy no matter how many processes
         serve from it, surviving service restarts.  Mutations still work:
-        the first :meth:`publish` (compaction) writes a regular shm
-        generation and retires the mapping, and ``delta_capacity`` carries
-        small bursts exactly as with :meth:`create`.
+        the first :meth:`publish` writes a regular shm generation and
+        :meth:`release_epoch` retires the mapping.
         """
-        def map_snapshot(shared: "SharedCSRGraph") -> None:
-            mapped = MappedSnapshot.open(path)
-            shared._segments[0] = mapped
-            shared._descriptor = ShmGraphDescriptor(
-                shared.base_name, 0, mapped.header.num_nodes,
-                mapped.header.num_edges, shared.delta_capacity,
-                snapshot_path=str(path),
-            )
-            shared._control_view[0] = 0
-
-        return cls._create_owner(base_name, delta_capacity, map_snapshot)
+        shared = cls(base_name, owner=True)
+        mapped = shared._segments[0] = MappedSnapshot.open(path)
+        shared._descriptor = ShmGraphDescriptor(
+            shared.base_name, 0, mapped.header.num_nodes,
+            mapped.header.num_edges, snapshot_path=str(path),
+        )
+        return shared
 
     def publish(self, graph) -> int:
-        """Write a new graph generation and bump the epoch counter.
+        """Write a new graph generation; returns its epoch.
 
-        Allocates a fresh data segment (sizes may change between epochs),
-        copies the snapshot's payload in, and only then publishes the new
-        epoch in the control segment — workers polling :meth:`stale` can
-        never land on a partially written generation.  The previous
-        generation's segment remains valid until :meth:`release_epoch`.
-        Returns the new epoch.
+        Allocates a fresh data segment (sizes may change between epochs)
+        and copies the snapshot's payload in before the new descriptor
+        replaces the old one, so nothing ever names a partially written
+        generation.  The previous generation's segment remains valid until
+        :meth:`release_epoch`.
         """
         if not self._owner:
             raise GraphError("only the creating SharedCSRGraph can publish")
+        if not self._finalizer.alive:  # closed: a new segment would leak
+            raise GraphError("SharedCSRGraph is closed")
         csr = as_csr(graph)
-        epoch = self.current_epoch() + 1
+        epoch = 0 if self._descriptor is None else self._descriptor.epoch + 1
         descriptor = ShmGraphDescriptor(
-            self.base_name, epoch, csr.num_nodes, csr.num_edges,
-            self.delta_capacity,
+            self.base_name, epoch, csr.num_nodes, csr.num_edges
         )
-        layout, size = _segment_layout(csr.num_nodes, csr.num_edges)
+        layout, size = payload_layout(csr.num_nodes, csr.num_edges)
         segment = shared_memory.SharedMemory(
             name=descriptor.data_name, create=True, size=size
         )
@@ -292,10 +202,6 @@ class SharedCSRGraph:
         self._segments[epoch] = segment
         self._descriptor = descriptor
         self._graph = None  # rebuilt lazily against the new generation
-        # the fresh generation subsumes every logged delta: empty the log
-        # first so no reader can pair the new epoch with stale entries
-        self._control_view[1] = 0
-        self._control_view[0] = epoch
         return epoch
 
     def release_epoch(self, epoch: int) -> None:
@@ -316,18 +222,8 @@ class SharedCSRGraph:
     @classmethod
     def attach(cls, descriptor: ShmGraphDescriptor) -> "SharedCSRGraph":
         """Map the generation named by ``descriptor`` (zero-copy, read-only)."""
-        control = shared_memory.SharedMemory(name=descriptor.base_name)
-        shared = cls(descriptor.base_name, control, owner=False)
-        try:
-            shared._map_data(descriptor)
-            if descriptor.delta_capacity:
-                shared.delta_capacity = int(descriptor.delta_capacity)
-                shared._map_delta_log(
-                    shared_memory.SharedMemory(name=descriptor.delta_name)
-                )
-        except BaseException:
-            shared.close()
-            raise
+        shared = cls(descriptor.base_name, owner=False)
+        shared._map_data(descriptor)
         return shared
 
     def reattach(self, descriptor: ShmGraphDescriptor) -> None:
@@ -341,6 +237,7 @@ class SharedCSRGraph:
             raise GraphError("the creating side never reattaches; use publish")
         old = self._data
         self._graph = None
+        self._descriptor = None
         self._data = None
         if old is not None:
             _close_segment(old)
@@ -348,106 +245,26 @@ class SharedCSRGraph:
 
     def _map_data(self, descriptor: ShmGraphDescriptor) -> None:
         if descriptor.snapshot_path is not None:
-            segment = MappedSnapshot.open(descriptor.snapshot_path)
+            self._data = MappedSnapshot.open(descriptor.snapshot_path)
         else:
-            segment = shared_memory.SharedMemory(name=descriptor.data_name)
-        self._data = segment
+            self._data = shared_memory.SharedMemory(name=descriptor.data_name)
         self._descriptor = descriptor
-        self._graph = self._view_graph(segment, descriptor)
-
-    # ------------------------------------------------------------------ #
-    # edge-delta log
-    # ------------------------------------------------------------------ #
-
-    def _map_delta_log(self, segment: shared_memory.SharedMemory) -> None:
-        self._dlog = segment
-        self._delta_view = np.ndarray(
-            (self.delta_capacity, _DELTA_FIELDS), dtype=np.int64,
-            buffer=segment.buf,
-        )
-
-    def delta_count(self) -> int:
-        """Published entries currently in the shared edge-delta log."""
-        if self._control_view is None:
-            raise GraphError("SharedCSRGraph is closed")
-        return int(self._control_view[1])
-
-    def append_deltas(self, updates) -> tuple[int, int]:
-        """Append ``updates`` to the shared log; returns their ``[start, stop)``.
-
-        Owner-only.  The triples are written before the published count is
-        bumped, so a concurrent :meth:`read_deltas` can never observe a
-        half-written entry.  Raises :class:`GraphError` when the bounded log
-        cannot hold the burst — the caller's cue to compact via
-        :meth:`publish` instead.
-        """
-        if not self._owner:
-            raise GraphError("only the creating SharedCSRGraph can append deltas")
-        if self._delta_view is None:
-            raise GraphError("this SharedCSRGraph carries no delta log")
-        updates = list(updates)
-        start = self.delta_count()
-        stop = start + len(updates)
-        if stop > self.delta_capacity:
-            raise GraphError(
-                f"delta log overflow: {len(updates)} updates do not fit in "
-                f"{self.delta_capacity - start} free entries — compact by "
-                "publishing a fresh generation"
-            )
-        for row, update in enumerate(updates, start=start):
-            self._delta_view[row] = (
-                _DELTA_KINDS.index(update.kind), update.source, update.target
-            )
-        self._control_view[1] = stop
-        return start, stop
-
-    def read_deltas(self, start: int, stop: int) -> tuple[EdgeUpdate, ...]:
-        """The logged updates in ``[start, stop)``, as :class:`EdgeUpdate`\\ s."""
-        if self._delta_view is None:
-            raise GraphError("this SharedCSRGraph carries no delta log")
-        if not 0 <= start <= stop <= self.delta_count():
-            raise GraphError(
-                f"delta range [{start}, {stop}) outside the published log "
-                f"[0, {self.delta_count()})"
-            )
-        return tuple(
-            EdgeUpdate(_DELTA_KINDS[int(kind)], int(source), int(target))
-            for kind, source, target in self._delta_view[start:stop]
-        )
 
     # ------------------------------------------------------------------ #
     # both sides
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _view_graph(segment, descriptor: ShmGraphDescriptor) -> CSRGraph:
-        """A :class:`CSRGraph` whose arrays are views into ``segment``."""
-        layout, _ = _segment_layout(descriptor.num_nodes, descriptor.num_edges)
-        views = {
-            field: np.ndarray(
-                (count,), dtype=dtype, buffer=segment.buf, offset=offset
-            )
-            for field, dtype, offset, count in layout
-        }
-        return CSRGraph(
-            descriptor.num_nodes,
-            views["out_indptr"],
-            views["out_indices"],
-            views["in_indptr"],
-            views["in_indices"],
-        )
-
     @property
     def graph(self) -> CSRGraph:
         """Zero-copy CSR snapshot of the generation this handle is on."""
         if self._graph is None:
-            if self._owner:
-                epoch = self.current_epoch()
-                self._graph = self._view_graph(
-                    self._segments[epoch], self._descriptor
-                )
-            else:
-                raise GraphError("attachment is closed")
+            descriptor = self.descriptor
+            segment = (
+                self._segments[descriptor.epoch] if self._owner else self._data
+            )
+            self._graph = CSRGraph.from_payload(
+                segment.buf, descriptor.num_nodes, descriptor.num_edges
+            )
         return self._graph
 
     @property
@@ -458,18 +275,12 @@ class SharedCSRGraph:
         return self._descriptor
 
     def current_epoch(self) -> int:
-        """The live generation counter (read from the control segment)."""
-        if self._control_view is None:
-            raise GraphError("SharedCSRGraph is closed")
-        return int(self._control_view[0])
-
-    def stale(self) -> bool:
-        """True when a newer generation has been published than is mapped."""
-        return self.current_epoch() != self.descriptor.epoch
+        """The generation this handle serves (the owner's latest publish)."""
+        return self.descriptor.epoch
 
     def payload_bytes(self) -> int:
         """Bytes of shared adjacency payload in the live generation."""
-        _, size = _segment_layout(
+        _, size = payload_layout(
             self.descriptor.num_nodes, self.descriptor.num_edges
         )
         return size
@@ -482,39 +293,23 @@ class SharedCSRGraph:
         removed from the system so nothing leaks past the service.
         """
         self._graph = None
-        self._control_view = None
-        self._delta_view = None
         self._descriptor = None
         self._finalizer.detach()
-        if self._owner:
-            self._cleanup(self.base_name, self._control, self._segments, True)
-            self._segments = {}
-            self._dlog = None
-        else:
-            if self._data is not None:
-                _close_segment(self._data)
-                self._data = None
-            if self._dlog is not None:
-                _close_segment(self._dlog)
-                self._dlog = None
-            _close_segment(self._control)
+        self._cleanup(self._segments)  # empty on an attachment
+        self._segments.clear()
+        if self._data is not None:
+            _close_segment(self._data)
+            self._data = None
 
     @staticmethod
-    def _cleanup(base_name, control, segments, owner) -> None:
+    def _cleanup(segments) -> None:
         """Finalizer body: shared with :meth:`close` (must not touch self)."""
-        if not owner:  # pragma: no cover - attachments clean up in close()
-            return
         for segment in segments.values():
             _close_segment(segment)
             try:
                 segment.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
-        _close_segment(control)
-        try:
-            control.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
 
     def __enter__(self) -> "SharedCSRGraph":
         return self
@@ -523,6 +318,6 @@ class SharedCSRGraph:
         self.close()
 
     def __repr__(self) -> str:
-        state = "closed" if self._control_view is None else f"epoch={self.current_epoch()}"
+        state = "closed" if self._descriptor is None else f"epoch={self.current_epoch()}"
         role = "owner" if self._owner else "attachment"
         return f"SharedCSRGraph({self.base_name!r}, {role}, {state})"

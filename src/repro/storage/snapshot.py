@@ -38,8 +38,6 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from repro.errors import ReproError
 from repro.graph.csr import CSRGraph, as_csr, payload_layout
 
@@ -211,18 +209,7 @@ class MappedSnapshot:
 
     def graph(self) -> CSRGraph:
         """A :class:`CSRGraph` whose arrays are zero-copy views of the file."""
-        layout, _ = payload_layout(self.header.num_nodes, self.header.num_edges)
-        views = {
-            field: np.ndarray((count,), dtype=dtype, buffer=self.buf, offset=offset)
-            for field, dtype, offset, count in layout
-        }
-        return CSRGraph(
-            self.header.num_nodes,
-            views["out_indptr"],
-            views["out_indices"],
-            views["in_indptr"],
-            views["in_indices"],
-        )
+        return CSRGraph.from_payload(self.buf, self.header.num_nodes, self.header.num_edges)
 
     def close(self) -> None:
         """Release the mapping.  Matches ``SharedMemory.close`` semantics:

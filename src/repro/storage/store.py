@@ -177,8 +177,8 @@ class PersistentGraphStore:
 
     The serving layer drives this through two calls — :meth:`log` on every
     acknowledged burst (write-ahead, before replicas see it) and
-    :meth:`checkpoint` whenever it compacts its delta log into a fresh CSR
-    generation.  ``fsync=False`` trades the per-burst durability barrier
+    :meth:`checkpoint` whenever it publishes a fresh CSR generation (every
+    rebuild sync, compaction included).  ``fsync=False`` trades the per-burst durability barrier
     for throughput (the frames still stream to the OS immediately); the
     crash-safety *structure* is unaffected.
     """

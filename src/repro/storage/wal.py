@@ -1,11 +1,12 @@
 """Append-only write-ahead log of edge updates, CRC-framed per record.
 
-The on-disk twin of the shared-memory delta log
-(:meth:`repro.parallel.shm.SharedCSRGraph.append_deltas`): where the shm log
-makes an update burst visible to worker processes, this log makes it
-*durable*.  The serving layer appends each burst before shipping it
-(write-ahead), so after a crash the log holds every acknowledged burst and
-recovery replays it on top of the last snapshot.
+The durable twin of the pool's delta RPC
+(:class:`repro.parallel.pool.ParallelSimRankService`): where the
+``("delta", updates)`` message makes an update burst visible to the
+workers, this log makes it *durable*.  The serving layer appends each
+burst before shipping it (write-ahead), so after a crash the log holds
+every acknowledged burst and recovery replays it on top of the last
+snapshot.
 
 File layout (little-endian)::
 

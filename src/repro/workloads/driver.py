@@ -272,7 +272,7 @@ def _replay(
     """Replay ``trace`` for one method on a :class:`ParallelSimRankService`.
 
     The service owns the dedup, cache probing, positional split, the
-    epochs or delta log (per ``maintenance``) and the update-aware cache
+    epochs or delta bursts (per ``maintenance``) and the update-aware cache
     on every executor; the driver contributes the sync cadence and the
     deterministic digest.  Per-op latency is the service's own per-op
     time (:meth:`ParallelSimRankService.single_source_many_timed`).  With

@@ -15,6 +15,7 @@ from repro.api.service import SimRankService
 from repro.baselines.power import PowerMethod
 from repro.errors import ConfigurationError, QueryError
 from repro.graph.generators import erdos_renyi_graph
+from repro.parallel import pool
 from repro.parallel.pool import ParallelSimRankService
 
 from test_shm import segment_names
@@ -412,6 +413,21 @@ class TestDeltaMaintenance:
                 executor="sequential", maintenance="delta",
             )
 
+    def test_one_segment_per_live_generation(self, tiny_wiki, monkeypatch):
+        """Delta bursts travel in the RPC, so shared memory holds only the
+        generations: no control segment and no delta-log segment, before
+        or after delta syncs and a compaction."""
+        monkeypatch.setattr(pool, "COMPACT_AFTER", 3)
+        with make_incremental(tiny_wiki, "process") as service:
+            base = service._shm.base_name
+            assert segment_names(base) == [f"{base}-g0"]
+            service.apply_edges(added=[(0, 9), (5, 17)])   # delta
+            assert segment_names(base) == [f"{base}-g0"]
+            service.apply_edges(added=[(1, 9), (2, 9)])    # compacts
+            assert service.epoch == 1
+            assert segment_names(base) == [f"{base}-g1"]
+        assert segment_names(base) == []
+
     def test_delta_sync_does_not_publish_an_epoch(self, tiny_wiki):
         with make_incremental(tiny_wiki, "process") as service:
             service.single_source(3)
@@ -469,10 +485,9 @@ class TestDeltaMaintenance:
             again = service.single_source(3)
             assert again is not first  # recomputed against the new graph
 
-    def test_log_overflow_compacts_into_a_fresh_epoch(self, tiny_wiki):
-        with make_incremental(
-            tiny_wiki, "process", delta_log_capacity=3, cache_size=64
-        ) as service:
+    def test_log_overflow_compacts_into_a_fresh_epoch(self, tiny_wiki, monkeypatch):
+        monkeypatch.setattr(pool, "COMPACT_AFTER", 3)
+        with make_incremental(tiny_wiki, "process", cache_size=64) as service:
             service.single_source(3)
             service.apply_edges(added=[(0, 9), (5, 17)])   # fits: delta
             assert service.epoch == 0
@@ -486,11 +501,11 @@ class TestDeltaMaintenance:
             assert service.stats.delta_syncs == 2
             assert service.single_source(3).score(3) == 1.0
 
-    def test_compaction_matches_sequential_oracle(self, tiny_wiki):
+    def test_compaction_matches_sequential_oracle(self, tiny_wiki, monkeypatch):
+        monkeypatch.setattr(pool, "COMPACT_AFTER", 3)
+
         def run(executor):
-            with make_incremental(
-                tiny_wiki, executor, delta_log_capacity=3
-            ) as service:
+            with make_incremental(tiny_wiki, executor) as service:
                 return collect_with_bursts(service)
 
         for got, want in zip(run("process"), run("sequential")):
@@ -611,14 +626,13 @@ class TestDeltaMaintenance:
             assert service.stats.delta_updates == 1
             assert service.graph.has_edge(0, 9)
 
-    def test_failed_rebuild_retry_does_not_drop_the_burst(self, tiny_wiki):
+    def test_failed_rebuild_retry_does_not_drop_the_burst(self, tiny_wiki, monkeypatch):
         """If the rebuild/compaction attempt dies transiently, the pending
         record and the staleness flag must survive, so the retry actually
         delivers the mutations instead of shipping an empty delta and
         declaring the service clean."""
-        with make_incremental(
-            tiny_wiki, "sequential", auto_sync=False, delta_log_capacity=2
-        ) as service:
+        monkeypatch.setattr(pool, "COMPACT_AFTER", 2)
+        with make_incremental(tiny_wiki, "sequential", auto_sync=False) as service:
             service.apply_edges(added=[(0, 9), (5, 17), (1, 9)])  # > capacity
             original = service._rebarrier
 

@@ -87,21 +87,6 @@ class TestEpochs:
             assert owner.publish(CSRGraph.from_digraph(mutated)) == 1
             assert owner.current_epoch() == 1
 
-    def test_workers_detect_epochs_through_counter(self, csr, tiny_wiki):
-        """The control segment alone tells an attachment it is stale —
-        no message traffic needed."""
-        with SharedCSRGraph.create(csr) as owner:
-            attachment = SharedCSRGraph.attach(owner.descriptor)
-            try:
-                assert not attachment.stale()
-                owner.publish(CSRGraph.from_digraph(tiny_wiki))
-                assert attachment.stale()
-                attachment.reattach(owner.descriptor)
-                assert not attachment.stale()
-                assert attachment.descriptor.epoch == 1
-            finally:
-                attachment.close()
-
     def test_old_generation_serves_until_released(self, csr, tiny_wiki):
         with SharedCSRGraph.create(csr) as owner:
             old_descriptor = owner.descriptor
@@ -137,7 +122,7 @@ class TestLeakHygiene:
         owner = SharedCSRGraph.create(csr)
         owner.publish(CSRGraph.from_digraph(tiny_wiki))  # two live generations
         base = owner.base_name
-        assert len(segment_names(base)) == 3  # control + g0 + g1
+        assert segment_names(base) == [f"{base}-g0", f"{base}-g1"]
         owner.close()
         assert segment_names(base) == []
 
@@ -151,7 +136,7 @@ class TestLeakHygiene:
         try:
             with SharedCSRGraph.create(csr) as owner:
                 base = owner.base_name
-                assert len(segment_names(base)) == 2
+                assert segment_names(base) == [f"{base}-g0"]
                 raise RuntimeError("simulated serving failure")
         except RuntimeError:
             pass
@@ -185,73 +170,3 @@ class TestDescriptor:
     def test_data_name_derivation(self):
         descriptor = ShmGraphDescriptor("base", 7, 10, 20)
         assert descriptor.data_name == "base-g7"
-        assert descriptor.delta_name == "base-dlog"
-        assert descriptor.delta_capacity == 0  # rebuild-only by default
-
-
-class TestDeltaLog:
-    """The bounded edge-delta overlay: O(Δ) transport for small bursts."""
-
-    def updates(self):
-        from repro.graph import EdgeUpdate
-
-        return [EdgeUpdate("insert", 0, 9), EdgeUpdate("delete", 3, 1)]
-
-    def test_append_then_read_round_trips(self, csr):
-        with SharedCSRGraph.create(csr, delta_capacity=8) as owner:
-            attachment = SharedCSRGraph.attach(owner.descriptor)
-            try:
-                start, stop = owner.append_deltas(self.updates())
-                assert (start, stop) == (0, 2)
-                assert attachment.delta_count() == 2
-                assert list(attachment.read_deltas(start, stop)) == self.updates()
-            finally:
-                attachment.close()
-
-    def test_appends_accumulate_and_ranges_stay_readable(self, csr):
-        with SharedCSRGraph.create(csr, delta_capacity=8) as owner:
-            first = owner.append_deltas(self.updates())
-            second = owner.append_deltas(self.updates())
-            assert second == (2, 4)
-            # crash replay re-reads ranges shipped earlier in the epoch
-            assert list(owner.read_deltas(*first)) == self.updates()
-
-    def test_overflow_refused_not_truncated(self, csr):
-        with SharedCSRGraph.create(csr, delta_capacity=3) as owner:
-            owner.append_deltas(self.updates())
-            with pytest.raises(GraphError, match="overflow"):
-                owner.append_deltas(self.updates())
-            assert owner.delta_count() == 2  # the refused burst left no trace
-
-    def test_publish_compacts_log_to_empty(self, csr, tiny_wiki):
-        with SharedCSRGraph.create(csr, delta_capacity=8) as owner:
-            owner.append_deltas(self.updates())
-            mutated = tiny_wiki.copy()
-            mutated.add_edge(0, 9)
-            owner.publish(mutated)
-            assert owner.delta_count() == 0
-            with pytest.raises(GraphError, match="delta range"):
-                owner.read_deltas(0, 2)
-
-    def test_attachment_cannot_append(self, csr):
-        with SharedCSRGraph.create(csr, delta_capacity=4) as owner:
-            attachment = SharedCSRGraph.attach(owner.descriptor)
-            try:
-                with pytest.raises(GraphError, match="creating"):
-                    attachment.append_deltas(self.updates())
-            finally:
-                attachment.close()
-
-    def test_no_log_configured_raises(self, csr):
-        with SharedCSRGraph.create(csr) as owner:
-            with pytest.raises(GraphError, match="no delta log"):
-                owner.append_deltas(self.updates())
-
-    def test_log_segment_unlinked_on_close(self, csr):
-        if not HAVE_SHM_DIR:
-            pytest.skip("no /dev/shm to audit")
-        before = segment_names("psim-")
-        owner = SharedCSRGraph.create(csr, delta_capacity=4)
-        assert any(name.endswith("-dlog") for name in segment_names("psim-"))
-        owner.close()
-        assert segment_names("psim-") == before
