@@ -4,7 +4,9 @@
 array-at-a-time stages: counter-RNG walk sampling (:mod:`.rng`) that
 builds the prefix trie's levels (:class:`~repro.core.walk_trie.WalkTrie`)
 as the walks step, so walks and trie are one pass, and a hybrid
-sparse/dense level sweep (:mod:`.engine`).  The sampler and the sweep's
+sparse/dense level sweep (:mod:`.engine`) whose dense levels merge
+siblings before they propagate, so a dense product runs at the narrower
+parent width.  The sampler and the sweep's
 per-level primitives live in :mod:`.fallback` — numpy/scipy code with no
 compiler dependency.  The sampler is ProbeSim's only walk sampler: the
 per-prefix strategies, adaptive top-k and the walk index draw their walks

@@ -11,7 +11,16 @@ Cost model: a sparse level costs roughly its expansion flops (the
 out-degree sum over its entries) plus a pass over the entries; a dense
 one costs ``m * k_next`` multiply-adds in one ``csr @ dense`` product.
 Deep levels (a few hundred touched nodes) run sparse, shallow ones (ball
-unions) dense.
+unions) dense.  The level that switches is not propagated at all: its
+merged rows are held, and every dense level merges the held columns into
+its parents before its one product (:func:`.fallback.dense_level`), so
+the product a switch brings on runs at the next level's parent width and
+the sweep ends in one width-1 product at the root.  ``m * k_next`` thus
+overstates the dense cost of switching; the weights were re-checked by
+timing the sweep over every wiki-vote and hepph small query (2-core VM)
+with both scaled: x0.5 was within noise of x1 on both, x2 (and x0.25)
+was 1.3-1.4x slower on wiki-vote, and hepph (~0.1 ms a query) stayed
+within its noise at every scale, so they stay as tuned.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ class NativeContext:
 
     ``op`` is the probe operator ``sqrt_c * B`` (``B[v, x] = 1/|I(v)|``
     for every edge ``x -> v``) materialized once as a CSR whose rows are
-    the in-adjacency slices; dense levels propagate with ``op @ acc``.
+    the in-adjacency slices; dense levels propagate with ``op @ merged``.
     ``op_t`` is its transpose, whose rows are the out-adjacency slices;
     sparse levels expand with ``merged @ op_t``.
     """
@@ -109,8 +118,7 @@ def probe_trie(ctx: NativeContext, trie: WalkTrie, impl) -> np.ndarray:
         return np.zeros(n, dtype=np.float64)
     levels = trie.levels
     cur = None  # sparse phase state: k x n SparseRows, row c = column c
-    acc = None  # dense phase state: (n, k) float64
-    dense = False
+    held = None  # dense phase state: merged, unpropagated (see dense_level)
     for depth in range(trie.max_depth, 1, -1):
         level = levels[depth - 2]
         parents = level.parents
@@ -122,9 +130,9 @@ def probe_trie(ctx: NativeContext, trie: WalkTrie, impl) -> np.ndarray:
             k_next = len(nxt)
             next_nodes = nxt.nodes
         weights = level.weights.astype(np.float64)
-        if dense:
-            acc = impl.dense_level(
-                acc, level.nodes, weights, parents, ctx.op, next_nodes, k_next
+        if held is not None:
+            held = impl.dense_level(
+                held, level.nodes, weights, parents, ctx.op, k_next
             )
             continue
         # the level's entries: its scores so far plus one seed a column
@@ -140,17 +148,18 @@ def probe_trie(ctx: NativeContext, trie: WalkTrie, impl) -> np.ndarray:
             SWITCH_FLOP_WEIGHT * flops + SWITCH_PASS_WEIGHT * passes
             >= ctx.m * k_next
         ):
-            # merge while still sparse (cheap), densify the narrower
-            # merged matrix, and only propagate dense from here on.
-            dense = True
-            acc = impl.dense_propagate(
-                impl.sparse_to_dense(merged, n), ctx.op, next_nodes
-            )
+            # hold the merged rows unpropagated: the next level merges
+            # them into its parents before the first dense product.
+            held = merged
             cur = None
         else:
             cur = impl.sparse_propagate_zero(ctx.op_t, merged, next_nodes, n)
-    if dense:
-        return np.ascontiguousarray(acc[:, 0])
+    if held is not None:
+        if isinstance(held, SparseRows):  # the switch was the root's level
+            held = impl.sparse_to_dense(held, n)
+        root = np.array([trie.root], dtype=np.int64)
+        scores = impl.dense_propagate(held, ctx.op, root)
+        return np.ascontiguousarray(scores[:, 0])
     scores = np.zeros(n, dtype=np.float64)
     scores[cur.indices] = cur.data  # one row left: the root's column
     return scores

@@ -12,8 +12,12 @@ at a time, sparse on deep levels and dense on wide ones (see
 (:class:`SparseRows`; row ``c`` is trie column ``c``'s score vector):
 the sibling merge with seeds is one indicator product and the expansion
 is ``merged @ op_t``, both compiled CSR x CSR products costing O(flops).
-Dense levels hold ``(n, k)`` arrays: a flat ``bincount`` merges
-siblings and one ``op @ merged`` product propagates.
+The switch level's merged rows are held unpropagated; each dense level
+then merges its held columns into parents with one flat ``bincount``,
+propagates with one ``op @ merged`` product at the parent width, and
+corrects each prefix's first-meeting cell (:func:`dense_level`).  The
+held matrix is ``(n, k)`` after the first dense level, so no dense
+matrix is ever as wide as the switch level.
 
 Every answer is a pure function of (graph, walks): each product's
 operands come from the graph and the trie alone, and a compiled
@@ -247,43 +251,102 @@ def sparse_to_dense(merged: SparseRows, n: int) -> np.ndarray:
 
 
 def dense_propagate(
-    acc: np.ndarray,
+    held: np.ndarray,
     op: sparse.csr_matrix,
     next_nodes: np.ndarray,
 ) -> np.ndarray:
-    """Propagate an already-merged dense level and apply first-meeting zeros.
+    """Propagate a merged dense level and apply first-meeting zeros.
 
-    Used on the sparse->dense switch level: merging is cheaper while the
-    scores are still sparse, so only the propagation runs dense there.
+    The sweep's last step: the root's held column (width 1) becomes the
+    scores, with the root's own entry zeroed.
     """
-    out = op @ acc
-    out[next_nodes, np.arange(acc.shape[1])] = 0.0
+    out = op @ held
+    out[next_nodes, np.arange(held.shape[1])] = 0.0
     return out
 
 
+def _op_rows(op: sparse.csr_matrix, nodes: np.ndarray) -> SparseRows:
+    """Rows ``nodes`` of ``op`` (the in-neighbour weights of each node)."""
+    starts = op.indptr[nodes].astype(np.int64)
+    lens = op.indptr[nodes + 1] - starts
+    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum(lens, out=indptr[1:])
+    pos = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lens)
+    return SparseRows(indptr, op.indices[pos].astype(np.int64), op.data[pos])
+
+
+def _row_dots(a: SparseRows, b: SparseRows, n_cols: int) -> np.ndarray:
+    """``(a * b).sum(axis=1)`` through scipy's compiled CSR elementwise kernel.
+
+    Takes rows with unsorted column indices (no duplicates); each row's
+    sum runs in the kernel's output order, fixed by the operands.
+    """
+    rows = len(a.indptr) - 1
+    cap = len(a.indices) + len(b.indices)
+    indptr = np.empty(rows + 1, dtype=np.int64)
+    indices = np.empty(cap, dtype=np.int64)
+    data = np.empty(cap, dtype=np.float64)
+    _sparsetools.csr_elmul_csr(
+        rows, n_cols, a.indptr, a.indices, a.data,
+        b.indptr, b.indices, b.data, indptr, indices, data,
+    )
+    nnz = indptr[-1]
+    return np.bincount(
+        np.repeat(np.arange(rows), np.diff(indptr)),
+        weights=data[:nnz], minlength=rows,
+    )
+
+
 def dense_level(
-    acc: np.ndarray,
+    held: SparseRows | np.ndarray,
     lev_nodes: np.ndarray,
     weights: np.ndarray,
     parents: np.ndarray,
     op: sparse.csr_matrix,
-    next_nodes: np.ndarray,
     k_next: int,
 ) -> np.ndarray:
-    """One dense level transition: seed, merge siblings, propagate, zero.
+    """One dense level: merge into parents, propagate at their width, correct.
+
+    ``held`` is the level's merged scores ``Q`` before propagation, one
+    column per trie node ``j`` of the level: ``k`` :class:`SparseRows` on
+    the first level after the switch, ``(n, k)`` after that.  The level's
+    scores are ``op @ Q`` with cell ``(u_j, j)`` (``u_j = lev_nodes[j]``)
+    first-meeting zeroed and then seeded with ``w_j``.  Merged into the
+    parents by the indicator ``P`` (``P[j, parents[j]] = 1``) that is
+    ``op @ (Q P) + D P`` with ``D[u_j, j] = w_j - c_j`` and
+    ``c_j = (op @ Q)[u_j, j]``, so merging first runs the one
+    ``csr @ dense`` product at the parent width ``k_next``, never at
+    ``k``.  ``c`` pairs row ``u_j`` of ``op`` with column ``j`` of ``Q``
+    (``sum_j |I(u_j)|`` multiply-adds, no ``n x k`` temporary), and ``D P``
+    is one scatter: trie nodes are distinct ``(parent, node)`` pairs.
+    Every corrected cell holds ``w_j >= 1`` and every other cell a sum of
+    non-negative terms, so the exact zeros are those of propagating each
+    column and scores move by round-off only.
 
     The sibling merge is one flat ``np.bincount`` scatter-add: cell
-    ``(row, j)`` of ``acc`` lands in bin ``row * k_next + parents[j]``.
-    It reads ``acc`` once in C order and writes the merged matrix in the
-    C order ``op @ merged`` wants, where the indicator product ``acc @ P``
-    would copy a transpose on each side.
+    ``(x, j)`` of ``Q`` lands in bin ``x * k_next + parents[j]``, written
+    in the C order ``op @ merged`` wants.  Returns the parent level's held
+    ``(n, k_next)`` matrix.
     """
-    n, k = acc.shape
-    acc[lev_nodes, np.arange(k)] += weights
-    targets = (
-        np.arange(n, dtype=np.int64)[:, None] * k_next + parents[None, :]
-    ).ravel()
-    merged = np.bincount(
-        targets, weights=acc.ravel(), minlength=n * k_next
-    ).reshape(n, k_next)
-    return dense_propagate(merged, op, next_nodes)
+    k = len(lev_nodes)
+    rows = _op_rows(op, lev_nodes)
+    if isinstance(held, SparseRows):
+        n = op.shape[0]
+        cells = held.indices * k_next + np.repeat(parents, np.diff(held.indptr))
+        values = held.data
+        first = _row_dots(held, rows, n)
+    else:
+        n = held.shape[0]
+        cells = (
+            np.arange(n, dtype=np.int64)[:, None] * k_next + parents[None, :]
+        ).ravel()
+        values = held.ravel()
+        cols = np.repeat(np.arange(k), np.diff(rows.indptr))
+        first = np.bincount(
+            cols, weights=values[rows.indices * k + cols] * rows.data,
+            minlength=k,
+        )
+    merged = np.bincount(cells, weights=values, minlength=n * k_next)
+    out = op @ merged.reshape(n, k_next)
+    out[lev_nodes, parents] += weights - first
+    return out

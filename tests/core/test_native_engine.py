@@ -21,8 +21,9 @@ Five tiers of guarantees are pinned here:
    float round-off.
 4. **Sweep shape** — the sparse/dense switch is a speed choice only:
    forcing every level sparse or every level dense gives the hybrid's
-   scores, and every level makes exactly one call through the primitive
-   seam that instrumentation (``perfbench/replay.py``) counts.
+   scores with the same exact zeros, no dense matrix is as wide as the
+   switch level, and every level makes exactly one call through the
+   primitive seam that instrumentation (``perfbench/replay.py``) counts.
 5. **Surface** — config validation, capabilities and labels, registry
    construction, stats, and sync.
 
@@ -322,7 +323,9 @@ class TestOracleAgreement:
 
 class LevelCounter:
     """The primitive namespace, counting each level's kind of transition
-    the way ``perfbench/replay.py`` does (a switch level counts dense)."""
+    the way ``perfbench/replay.py`` does: the switch level holds its rows
+    without a call, and the root's closing ``dense_propagate`` counts
+    dense in its place."""
 
     def __init__(self, impl) -> None:
         self._impl = impl
@@ -339,6 +342,47 @@ class LevelCounter:
     def dense_propagate(self, *args):
         self.dense += 1
         return self._impl.dense_propagate(*args)
+
+    def sparse_propagate_zero(self, *args):
+        self.sparse += 1
+        return self._impl.sparse_propagate_zero(*args)
+
+
+class WidthRecorder:
+    """The primitive namespace, recording the width of every dense matrix
+    a seam call takes or returns (every densified or propagated width),
+    the row count of every sparse merge, and the sparse level count."""
+
+    def __init__(self, impl) -> None:
+        self._impl = impl
+        self.widths = []
+        self.merged = []
+        self.sparse = 0
+
+    def __getattr__(self, name):
+        return getattr(self._impl, name)
+
+    def _record(self, name, *args):
+        self.widths.extend(
+            a.shape[1] for a in args if isinstance(a, np.ndarray) and a.ndim == 2)
+        out = getattr(self._impl, name)(*args)
+        if isinstance(out, np.ndarray):
+            self.widths.append(out.shape[1])
+        return out
+
+    def sparse_to_dense(self, *args):
+        return self._record("sparse_to_dense", *args)
+
+    def dense_level(self, *args):
+        return self._record("dense_level", *args)
+
+    def dense_propagate(self, *args):
+        return self._record("dense_propagate", *args)
+
+    def sparse_merge_seed(self, *args):
+        out = self._impl.sparse_merge_seed(*args)
+        self.merged.append(len(out.indptr) - 1)
+        return out
 
     def sparse_propagate_zero(self, *args):
         self.sparse += 1
@@ -406,6 +450,60 @@ class TestSweepShape:
         plain = native.probe_trie(ctx, trie, native.resolve_impl())
         np.testing.assert_array_equal(scores, plain / trie.num_walks)
 
+    @pytest.mark.parametrize("graph_name", ["ragged", "tiny_wiki", "er"])
+    def test_deferred_dense_levels_keep_the_exact_zeros(
+        self, graph_name, request, monkeypatch
+    ):
+        """Dense levels merge before they propagate and then correct each
+        prefix's first-meeting cell; that leaves the all-sparse sweep's
+        exact zeros exactly in place, makes no score negative and moves
+        scores by round-off only."""
+        if graph_name == "er":
+            graph = erdos_renyi_graph(80, num_edges=320, seed=1)
+        else:
+            graph = request.getfixturevalue(graph_name)
+        hybrid_dense = 0
+        for query in (0, 5, 11, 40):
+            for seed in (7, 8):
+                ctx, trie = native_trie(graph, query, seed, 400, np.sqrt(0.6))
+                all_sparse, _ = swept(ctx, trie, monkeypatch, "sparse")
+                for mode in ("hybrid", "dense"):
+                    scores, counter = swept(ctx, trie, monkeypatch, mode)
+                    if mode == "hybrid":
+                        hybrid_dense += counter.dense
+                    np.testing.assert_array_equal(
+                        scores == 0.0, all_sparse == 0.0)
+                    assert scores.min() >= 0.0
+                    np.testing.assert_allclose(
+                        scores, all_sparse, rtol=0, atol=1e-12)
+        assert hybrid_dense > 0
+
+    @pytest.mark.parametrize("weight_scale", [1, 2])
+    def test_switch_width_is_never_densified_or_propagated(
+        self, tiny_wiki, weight_scale, monkeypatch
+    ):
+        """The switch level's merged rows are held, not densified or
+        propagated at their own width: the next level merges them into
+        its (here narrower) parent level first.  Both weight scales put
+        the switch on a level wider than its parent level."""
+        monkeypatch.setattr(
+            native_engine_module, "SWITCH_FLOP_WEIGHT",
+            native_engine_module.SWITCH_FLOP_WEIGHT * weight_scale)
+        monkeypatch.setattr(
+            native_engine_module, "SWITCH_PASS_WEIGHT",
+            native_engine_module.SWITCH_PASS_WEIGHT * weight_scale)
+        ctx, trie = native_trie(tiny_wiki, 5, 7, 200, np.sqrt(0.6))
+        recorder = WidthRecorder(native.resolve_impl())
+        native.probe_trie(ctx, trie, recorder)
+        widths_by_depth = [1] + [len(level) for level in trie.levels]
+        switch_depth = trie.max_depth - recorder.sparse
+        switch_width = widths_by_depth[switch_depth - 2]
+        parent_width = widths_by_depth[switch_depth - 3]
+        assert recorder.merged[-1] == switch_width
+        assert switch_width > parent_width
+        assert recorder.widths and switch_width not in recorder.widths
+        assert parent_width in recorder.widths
+
     def test_csr_product_matches_dense_product(self):
         """The direct kernel call computes ``a @ b``, also when ``a``'s rows
         hold unsorted and duplicate column indices."""
@@ -425,6 +523,23 @@ class TestSweepShape:
                 got.indices] = got.data
         np.testing.assert_allclose(
             product, dense_a @ b.toarray(), rtol=0, atol=1e-14)
+
+    def test_row_dots_match_dense_rows(self):
+        """The direct elementwise kernel call sums ``a * b`` row by row
+        on rows with unsorted column indices."""
+        rng = np.random.default_rng(5)
+        rows = []
+        for _ in range(2):
+            dense = rng.random((20, 30)) * (rng.random((20, 30)) < 0.3)
+            r, c = np.nonzero(dense)
+            order = np.lexsort((rng.random(len(r)), r))  # unsorted in a row
+            rows.append((dense, fallback.SparseRows(
+                np.r_[0, np.cumsum(np.bincount(r, minlength=20))].astype(np.int64),
+                c[order].astype(np.int64), dense[r[order], c[order]])))
+        (a, a_rows), (b, b_rows) = rows
+        np.testing.assert_allclose(
+            fallback._row_dots(a_rows, b_rows, 30), (a * b).sum(axis=1),
+            rtol=0, atol=1e-14)
 
 
 class TestEngineSurface:
