@@ -172,6 +172,30 @@ class QueryServiceBase:
             raise QueryError(f"query node must be an int, got {type(query).__name__}")
         return int(query)
 
+    def cached(self, query: int, method: str | None = None):
+        """The stored single-source answer for ``query``, or ``None``.
+
+        Read-only and never computes: the HTTP front door calls it on its
+        event loop before a request joins a coalescing bucket, so a hit is
+        answered without the dispatch thread and a bad method or query id
+        fails that request alone.  The base validates both and has nothing
+        stored; a service with a result cache overrides it.
+
+        Raises
+        ------
+        ConfigurationError
+            If ``method`` names no mounted method.
+        QueryError
+            If ``query`` is not an int or not a node of the graph.
+        """
+        self._resolve_method(method)
+        node = self._check_query_id(query)
+        if not 0 <= node < self._graph.num_nodes:
+            raise QueryError(
+                f"query node {node} out of range [0, {self._graph.num_nodes})"
+            )
+        return None
+
     def single_source_many(self, queries: Sequence[int], method: str | None = None):
         """A batch of single-source queries (execution is subclass-specific)."""
         raise NotImplementedError  # pragma: no cover - subclass hook

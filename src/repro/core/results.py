@@ -55,14 +55,21 @@ class SimRankResult:
             raise QueryError(f"k must be positive, got {k}")
         n = len(self.scores)
         k = min(k, n - 1)
-        masked = self.scores.copy()
-        masked[self.query] = -np.inf
-        # argsort on (-score, node_id): stable mergesort keeps id order in ties
-        order = np.argsort(-masked, kind="stable")[:k]
+        keys = -self.scores
+        keys[self.query] = np.inf  # the query sorts last
+        if k == 0:
+            order = np.empty(0, dtype=np.int64)
+        else:
+            # O(n): only keys at or below the k-th smallest can be in the
+            # answer; a stable sort of those (ascending ids, ties at the
+            # boundary included) is the full stable argsort's prefix
+            kth = np.partition(keys, k - 1)[k - 1]
+            candidates = np.flatnonzero(keys <= kth)
+            order = candidates[np.argsort(keys[candidates], kind="stable")[:k]]
         return TopKResult(
             query=self.query,
             nodes=order.astype(np.int64),
-            scores=self.scores[order].copy(),
+            scores=self.scores[order],
             elapsed=self.elapsed,
             method=self.method,
         )

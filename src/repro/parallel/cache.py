@@ -35,12 +35,14 @@ Callers needing strictly fresh hits use rebuild maintenance (every sync
 turns the whole cache over) or disable caching.
 
 The cache is coordinator-side: every executor probes it from the
-coordinator's dispatch loop only.  It stays locked all the same, because
-a caller may read it from another thread while the service runs
-(``repro serve``'s ``/metrics``, say).  Counters must therefore be read
-through :meth:`ResultCache.snapshot` (one locked read), never
-field-by-field — a report assembled from unlocked reads can embed torn
-hit/miss pairs.
+coordinator's dispatch loop, and ``repro serve``'s event loop probes it
+too (:meth:`ResultCache.hit`, through
+:meth:`~repro.parallel.pool.ParallelSimRankService.cached`) so a hot key
+is answered without reaching the dispatch thread.  It is locked because
+those two threads, and readers such as ``/metrics``, share it while the
+service runs.  Counters must therefore be read through
+:meth:`ResultCache.snapshot` (one locked read), never field-by-field — a
+report assembled from unlocked reads can embed torn hit/miss pairs.
 Capacity is bounded by LRU eviction; ``capacity == 0`` disables caching
 entirely (every :meth:`ResultCache.get` misses).
 """
@@ -70,7 +72,8 @@ class CacheStats:
 
     @property
     def lookups(self) -> int:
-        """Total number of :meth:`ResultCache.get` calls."""
+        """Counted lookups: every :meth:`ResultCache.get` call plus every
+        :meth:`ResultCache.hit` that hit."""
         return self.hits + self.misses
 
     @property
@@ -129,6 +132,18 @@ class ResultCache:
 
     def get(self, method: str, query: int, epoch: int):
         """The cached result for the key, or ``None`` (counted either way)."""
+        return self._lookup(method, query, epoch, count_miss=True)
+
+    def hit(self, method: str, query: int, epoch: int):
+        """Like :meth:`get`, but a miss is not counted.
+
+        For a probe whose miss goes on to the :meth:`get` of the dispatch
+        path, which counts it there: each lookup is counted once, so
+        ``hits + misses`` stays the number of answers asked for.
+        """
+        return self._lookup(method, query, epoch, count_miss=False)
+
+    def _lookup(self, method: str, query: int, epoch: int, count_miss: bool):
         if not self.enabled:
             return None
         key = (method, int(query), int(epoch))
@@ -137,7 +152,8 @@ class ResultCache:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
                 return self._entries[key]
-            self.stats.misses += 1
+            if count_miss:
+                self.stats.misses += 1
             return None
 
     def put(self, method: str, query: int, epoch: int, result) -> None:

@@ -49,10 +49,12 @@ Result caching
     An update-aware LRU (:mod:`repro.parallel.cache`) keyed
     ``(method, query, epoch)`` answers repeat hot-key queries without
     touching a worker; full rebuilds invalidate whole generations, delta
-    syncs invalidate only the touched neighborhood.  Note the cache returns
-    the *first* computed estimate for a key — for randomized estimators any
-    sample within the ``eps_a`` guarantee is a valid answer, so hits stay
-    inside the paper's accuracy contract.
+    syncs invalidate only the touched neighborhood.
+    :meth:`~ParallelSimRankService.cached` reads it without dispatching,
+    which is how the HTTP front door answers hits on its event loop.
+    Note the cache returns the *first* computed estimate for a key — for
+    randomized estimators any sample within the ``eps_a`` guarantee is a
+    valid answer, so hits stay inside the paper's accuracy contract.
 
 Delta maintenance (O(Δ) instead of O(m) per update burst)
     When every mounted method advertises
@@ -779,6 +781,24 @@ class ParallelSimRankService(QueryServiceBase):
         with self._stats_lock:
             self.stats.queries += 1
         return self._lone_query(key, "topk", int(k), node)
+
+    def cached(self, query: int, method: str | None = None):
+        """The cached single-source answer at the live epoch, or ``None``.
+
+        Validates like :meth:`single_source`.  A hit counts one query and
+        one cache hit; a miss counts nothing, because the dispatch path's
+        own probe counts it.  Safe on another thread than the one driving
+        queries and syncs: :meth:`sync` bumps the epoch or drops the
+        touched entries before it returns, so a read issued after an
+        update is acknowledged never sees a superseded answer.
+        """
+        key = self._resolve_method(method)
+        node = self._check_query_node(query)
+        result = self.cache.hit(key, node, self._epoch)
+        if result is not None:
+            with self._stats_lock:
+                self.stats.queries += 1
+        return result
 
     def _lone_query(self, key: str, kind: str, k: int | None, node: int):
         """Answer one op on the next worker in round-robin order."""

@@ -36,19 +36,28 @@ with one stable slug per status — ``bad_request`` (400), ``not_found``
 on message prose.
 
 Request handling order is deliberate: parse → route → **admission** →
-coalesce/dispatch.  A request shed by a full lane is answered ``503``
-with ``Retry-After`` *before* it reaches a coalescing bucket or the
-service — overload handling must be the cheap path.  Admitted requests
-run under their deadline via ``asyncio.wait_for``; expiry answers
-``504`` and, mid-coalesce, removes only the expired waiter from its
-bucket.
+deadline → **cache probe** → coalesce/dispatch.  A request shed by a full
+lane is answered ``503`` with ``Retry-After`` *before* it reaches a
+coalescing bucket or the service — overload handling must be the cheap
+path.  Admitted requests run under their deadline via
+``asyncio.wait_for``; expiry answers ``504`` and, mid-coalesce, removes
+only the expired waiter from its bucket.
 
-``/single_source`` and ``/topk`` singles go through the coalescer, which
-dispatches on idle: a request for a key with nothing in flight is
-dispatched on the next event-loop turn (together with whatever landed in
-the same tick), so a lone request waits no timer.  Requests that arrive
-while their key's dispatch runs park and go out as one batch when it
-returns — batches grow with backpressure, not with a collection window.
+With coalescing on, a ``/single_source`` or ``/topk`` single first asks
+:meth:`~repro.api.service.QueryServiceBase.cached` on the event loop.
+That call validates the method and the node (a bad one answers ``400``
+alone, never failing the batch it would have joined) and returns the
+pool's cached answer at its live epoch: a hit is rendered right there,
+with no bucket, no dispatch-thread hop and no wait behind an update
+burst.  A hit is the very object the dispatch path would have turned
+into this body, so hit and miss bodies are byte-identical.
+
+Misses go through the coalescer, which dispatches on idle: a request
+for a key with nothing in flight is dispatched on the next event-loop
+turn (together with whatever landed in the same tick), so a lone request
+waits no timer.  Requests that arrive while their key's dispatch runs
+park and go out as one batch when it returns — batches grow with
+backpressure, not with a collection window.
 The ``*_many`` routes dispatch their own batch directly.
 
 Service calls execute on a dedicated single-thread executor: the
@@ -135,9 +144,9 @@ class ServerConfig:
         Bind address; port ``0`` asks the OS for a free port (tests and
         the in-process benchmark use this).
     coalesce:
-        Micro-batch concurrent ``/single_source`` and ``/topk`` requests
-        (see :mod:`repro.server.coalesce`).  Off, every request
-        dispatches individually.
+        Answer ``/single_source`` and ``/topk`` cache hits on the event
+        loop and micro-batch the misses (see :mod:`repro.server.coalesce`).
+        Off, every request dispatches individually.
     coalesce_max_batch:
         Distinct-query count at which a bucket dispatches at once instead
         of on the next loop turn.
@@ -511,9 +520,11 @@ class SimRankHTTPApp:
         method = self._get_method(payload)
         limit = self._get_limit(payload)
         if self.coalescer is not None:
-            result = await self.coalescer.submit(
-                ("single_source", method, None), query
-            )
+            result = self.service.cached(query, method)
+            if result is None:
+                result = await self.coalescer.submit(
+                    ("single_source", method, None), query
+                )
         else:
             result = await self._run_blocking(
                 self.service.single_source, query, method=method
@@ -526,7 +537,11 @@ class SimRankHTTPApp:
         method = self._get_method(payload)
         k = self._get_k(payload)
         if self.coalescer is not None:
-            result = await self.coalescer.submit(("topk", method, k), query)
+            result = self.service.cached(query, method)
+            if result is None:
+                result = await self.coalescer.submit(("topk", method, k), query)
+            else:
+                result = result.topk(k)
         else:
             result = await self._run_blocking(
                 self.service.topk, query, k, method=method

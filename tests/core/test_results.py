@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.results import SimRankResult, TopKResult
 from repro.errors import QueryError
@@ -41,6 +43,28 @@ class TestSimRankResult:
     def test_topk_clamps_k(self):
         res = _result([1.0, 0.2, 0.1])
         assert res.topk(50).k == 2  # n - 1 candidates
+
+    def test_topk_of_a_lone_node_is_empty(self):
+        top = _result([1.0]).topk(3)
+        assert top.k == 0
+        assert top.nodes.tolist() == [] and top.scores.tolist() == []
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_topk_is_the_full_stable_argsorts_prefix(self, data):
+        # few distinct values: ties everywhere, including at the k-th rank
+        scores = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 0.05, 0.25, 0.5, 1.0]),
+            min_size=1, max_size=60,
+        )))
+        query = data.draw(st.integers(0, len(scores) - 1))
+        k = data.draw(st.integers(1, len(scores) + 2))
+        masked = scores.copy()
+        masked[query] = -np.inf
+        expected = np.argsort(-masked, kind="stable")[:min(k, len(scores) - 1)]
+        top = SimRankResult(query=query, scores=scores).topk(k)
+        assert top.nodes.tolist() == expected.tolist()
+        assert top.scores.tolist() == scores[expected].tolist()
 
     def test_topk_invalid_k(self):
         with pytest.raises(QueryError):

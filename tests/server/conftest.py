@@ -74,6 +74,9 @@ class StubService:
         if self.delay:
             time.sleep(self.delay)
 
+    def cached(self, query, method=None):
+        return None  # nothing stored: every request reaches the dispatch
+
     def single_source(self, query, method=None):
         self.calls.append(("single_source", query))
         self._work()

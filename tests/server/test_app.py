@@ -16,6 +16,7 @@ import pytest
 
 from repro.api.service import SimRankService
 from repro.errors import ConfigurationError
+from repro.parallel.pool import ParallelSimRankService
 from repro.server import ServerConfig, SimRankHTTPApp, serialize_result, serialize_topk
 
 
@@ -584,3 +585,191 @@ class TestBitExactness:
             else:
                 expected = serialize_result(oracle.single_source(query), 10)
             assert response.body == expected
+
+
+def sequential_pool(graph, cache_size: int = 64):
+    """The pool ``repro serve --workers 0`` runs, in-process."""
+    return ParallelSimRankService(
+        graph, methods=("probesim-native",),
+        configs={"probesim-native": CFG}, workers=1,
+        cache_size=cache_size, executor="sequential",
+    )
+
+
+class TestCachedSingles:
+    """A coalesced single is first looked up in the pool's result cache on
+    the event loop: a hit never reaches a bucket or the dispatch thread."""
+
+    @pytest.mark.parametrize("make", [
+        lambda graph: sequential_pool(graph, cache_size=0),
+        lambda graph: SimRankService(
+            graph, methods=["probesim-native"],
+            configs={"probesim-native": CFG},
+        ),
+    ], ids=["pool", "in-process"])
+    def test_bad_query_fails_alone_not_its_batch_mates(
+        self, harness, tiny_wiki, make
+    ):
+        service = make(tiny_wiki)
+        gate = threading.Event()
+
+        async def scenario(app):
+            async with harness.Client(app.port) as blocker_client, \
+                    harness.Client(app.port) as good_client, \
+                    harness.Client(app.port) as bad_client:
+                # a held dispatch parks the next /topk requests in one bucket
+                blocker = asyncio.ensure_future(blocker_client.request(
+                    "POST", "/v1/topk", {"query": 0}
+                ))
+                while app.coalescer.stats.batches < 1:
+                    await asyncio.sleep(0.001)
+                good = asyncio.ensure_future(good_client.request(
+                    "POST", "/v1/topk", {"query": 1}
+                ))
+                bad = await asyncio.wait_for(bad_client.request(
+                    "POST", "/v1/topk", {"query": 1_000_000}
+                ), timeout=10)
+                while app.coalescer.stats.requests < 2:
+                    await asyncio.sleep(0.001)
+                gate.set()
+                return bad, await good, await blocker
+
+        try:
+            bad, good, blocker = harness.serve(HeldService(service, gate), scenario)
+            assert bad.status == 400
+            assert "out of range" in json.loads(bad.body)["error"]["message"]
+            assert blocker.status == 200
+            assert good.status == 200
+            assert good.body == serialize_topk(service.topk_many([1], 10)[0])
+        finally:
+            service.close()
+
+    def test_unknown_method_fails_on_the_loop(self, harness, tiny_wiki):
+        service = sequential_pool(tiny_wiki)
+
+        async def scenario(app):
+            async with harness.Client(app.port) as client:
+                response = await client.request(
+                    "POST", "/v1/single_source", {"query": 1, "method": "nope"}
+                )
+            return response, app.coalescer.stats.requests
+
+        try:
+            response, coalesced = harness.serve(service, scenario)
+            assert response.status == 400
+            assert coalesced == 0
+        finally:
+            service.close()
+
+    def test_hit_is_answered_while_the_dispatch_thread_is_held(
+        self, harness, tiny_wiki
+    ):
+        service = sequential_pool(tiny_wiki)
+        gate = threading.Event()
+
+        async def scenario(app):
+            async with harness.Client(app.port) as client, \
+                    harness.Client(app.port) as blocker_client:
+                gate.set()
+                warm = await client.request("POST", "/v1/topk", {"query": 5})
+                gate.clear()
+                blocker = asyncio.ensure_future(blocker_client.request(
+                    "POST", "/v1/topk", {"query": 7}
+                ))
+                while app.coalescer.stats.batches < 2:
+                    await asyncio.sleep(0.001)
+                # the dispatch thread is stuck on the gate: only the loop
+                # can answer this one
+                hit = await asyncio.wait_for(
+                    client.request("POST", "/v1/topk", {"query": 5}), timeout=10
+                )
+                assert not blocker.done()
+                gate.set()
+                return warm, hit, await blocker
+
+        try:
+            warm, hit, blocker = harness.serve(HeldService(service, gate), scenario)
+            assert warm.status == hit.status == blocker.status == 200
+            assert hit.body == warm.body
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("route", ["/v1/topk", "/v1/single_source"])
+    def test_hit_miss_and_batch_bodies_are_byte_equal(
+        self, harness, tiny_wiki, route
+    ):
+        service = sequential_pool(tiny_wiki)
+
+        async def scenario(app):
+            async with harness.Client(app.port) as client:
+                miss = await client.request("POST", route, {"query": 9, "k": 5})
+                hit = await client.request("POST", route, {"query": 9, "k": 5})
+            return miss, hit
+
+        try:
+            miss, hit = harness.serve(service, scenario)
+            assert service.cache.snapshot()["hits"] == 1
+            if route == "/v1/topk":
+                expected = serialize_topk(service.topk_many([9], 5)[0])
+            else:
+                expected = serialize_result(service.single_source_many([9])[0], 10)
+            assert miss.status == hit.status == 200
+            assert miss.body == hit.body == expected
+        finally:
+            service.close()
+
+    def test_each_lookup_is_counted_once(self, harness, tiny_wiki):
+        service = sequential_pool(tiny_wiki)
+        reads = [4, 4, 4, 8, 4, 8, 4]
+
+        async def scenario(app):
+            async with harness.Client(app.port) as client:
+                for query in reads:
+                    response = await client.request(
+                        "POST", "/v1/topk", {"query": query}
+                    )
+                    assert response.status == 200
+
+        try:
+            harness.serve(service, scenario)
+            snapshot = service.cache.snapshot()
+            # one lookup per read: each key missed once, when it was computed
+            assert snapshot["misses"] == len(set(reads))
+            assert snapshot["hits"] + snapshot["misses"] == len(reads)
+            assert service.stats.queries == len(reads)
+        finally:
+            service.close()
+
+    def test_a_read_after_apply_edges_sees_the_new_graph(self, harness, tiny_wiki):
+        graph = tiny_wiki.copy()
+        service = sequential_pool(graph)
+        query = 3
+        added = [[query, target] for target in range(100, 140)
+                 if not graph.has_edge(query, target)][:5]
+        added += [[source, query] for source in range(140, 180)
+                  if not graph.has_edge(source, query)][:5]
+
+        async def scenario(app):
+            async with harness.Client(app.port) as client:
+                before = await client.request("POST", "/v1/topk", {"query": query})
+                cached = await client.request("POST", "/v1/topk", {"query": query})
+                applied = await client.request(
+                    "POST", "/v1/apply_edges", {"added": added}
+                )
+                after = await client.request("POST", "/v1/topk", {"query": query})
+            return before, cached, applied, after
+
+        try:
+            before, cached, applied, after = harness.serve(service, scenario)
+        finally:
+            service.close()
+        assert applied.status == 200
+        assert cached.body == before.body
+        oracle = sequential_pool(graph, cache_size=0)
+        try:
+            expected = serialize_topk(oracle.topk_many([query], 10)[0])
+        finally:
+            oracle.close()
+        assert after.status == 200
+        assert after.body == expected
+        assert after.body != before.body
