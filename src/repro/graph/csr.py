@@ -169,21 +169,35 @@ class CSRGraph:
     def to_digraph(self) -> DiGraph:
         """Thaw the snapshot back into a mutable :class:`DiGraph`.
 
-        Out-lists keep CSR order and in-lists hold their sources in
-        ascending order: the graph inserting every edge source by source
-        would build, assembled with array ops instead.
+        Out-lists and in-lists both keep CSR row order, so
+        ``CSRGraph.from_digraph(csr.to_digraph())`` reproduces ``csr``
+        array for array.  That matters because a walk picks an in-neighbour
+        by its index in the in-row: a graph thawed from a checkpoint must
+        keep drawing the walks the checkpointed graph drew.  The in-rows
+        must hold exactly the transposed out-rows (in any order within a
+        row), else :class:`GraphError`.
         """
         n = self.num_nodes
-        targets = self.out_indices
-        if targets.size and not 0 <= int(targets.min()) <= int(targets.max()) < n:
-            raise GraphError("CSR out_indices reference nodes outside the graph")
-        sources = np.repeat(np.arange(n, dtype=np.int64), self.out_degrees)
-        # a stable sort by target keeps each target's sources ascending
-        by_target = sources[np.argsort(targets, kind="stable")]
+        targets, sources = self.out_indices, self.in_indices
+        for ids in (targets, sources):
+            if ids.size and not 0 <= int(ids.min()) <= int(ids.max()) < n:
+                raise GraphError("CSR indices reference nodes outside the graph")
         in_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(targets, minlength=n), out=in_indptr[1:])
+        # one key per edge, target·n + source, from either direction: equal
+        # sorted keys mean every in-row lists its transposed out-edges
+        out_keys = targets.astype(np.int64) * n + np.repeat(
+            np.arange(n, dtype=np.int64), self.out_degrees
+        )
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(in_indptr))
+        if not (
+            np.array_equal(self.in_indptr, in_indptr)
+            and len(sources) == len(targets)
+            and np.array_equal(np.sort(out_keys), np.sort(rows * n + sources))
+        ):
+            raise GraphError("CSR in-rows are not the transpose of the out-rows")
         return DiGraph.from_adjacency(
-            _split(targets, self.out_indptr), _split(by_target, in_indptr)
+            _split(targets, self.out_indptr), _split(sources, self.in_indptr)
         )
 
     # ------------------------------------------------------------------ #

@@ -13,8 +13,13 @@ Shared graph
     every worker maps the adjacency arrays zero-copy
     (:mod:`repro.parallel.shm`).  Graph mutations stay coordinator-side;
     :meth:`ParallelSimRankService.sync` publishes a new graph *epoch* and
-    barriers every worker onto it before the old generation is unlinked, so
-    readers never see a half-applied update batch.
+    barriers every worker onto it before the old generation is released,
+    so readers never see a half-applied update batch.  Where a generation
+    lives depends on the graph source: an in-memory graph is copied into a
+    shared-memory segment per epoch; a ``snapshot=`` file is mapped as it
+    is; a durable ``store=`` pool publishes each of the store's checkpoint
+    files, so the persisted copy is the one the workers serve and nothing
+    is written twice.
 
 Worker replicas
     Each worker builds its own estimator replica per mounted method, seeded
@@ -149,7 +154,8 @@ class _WorkerCore:
     """One worker's estimator replicas; the logic shared by every executor.
 
     ``source`` is either a :class:`~repro.parallel.shm.ShmGraphDescriptor`
-    (process executor — the core attaches the shared segment) or a
+    (process executor — the core maps the generation's shared-memory
+    segment or snapshot file) or a
     :class:`CSRGraph` (sequential and thread executors — used directly).
     Everything downstream of that choice is identical, which is what makes
     the sequential executor a bit-exact oracle for the other two.
@@ -418,10 +424,15 @@ class ParallelSimRankService(QueryServiceBase):
         this service *durable*: the graph is recovered from the store
         (``graph`` must be ``None``), every update burst is written ahead
         to the store's WAL before any worker sees it, and each rebuild sync
-        (compaction) checkpoints a fresh snapshot generation.  After a
-        crash, :func:`repro.storage.store.recover` lands exactly on the
-        pre- or post-burst graph — never between.  The caller keeps
-        ownership of the store handle (:meth:`close` does not close it).
+        (compaction) checkpoints a fresh snapshot generation before any
+        worker is moved onto it.  The process executor serves the
+        checkpoint files themselves (workers ``mmap`` the live one; no
+        shared-memory segment), folding a WAL tail found at start-up into
+        a checkpoint first; the coordinator's mutable graph is thawed only
+        after the workers are forked.  After a crash,
+        :func:`repro.storage.store.recover` lands exactly on the pre- or
+        post-burst graph — never between.  The caller keeps ownership of
+        the store handle (:meth:`close` does not close it).
     methods:
         Registry names to mount; each worker builds one replica per method.
         Methods whose capabilities declare ``parallel_safe=False`` are
@@ -447,8 +458,8 @@ class ParallelSimRankService(QueryServiceBase):
         :class:`DiGraph`), or ``"auto"`` (default: delta exactly when every
         mount supports it).  See the module docstring for the full model.
     executor:
-        ``"process"`` (default: worker processes over a shared-memory
-        graph), ``"thread"`` (in-process workers answering queries on a
+        ``"process"`` (default: worker processes over a shared graph),
+        ``"thread"`` (in-process workers answering queries on a
         thread pool — no pickling or fork, but GIL-bound; maintenance runs
         on the calling thread) or ``"sequential"``
         (in-process workers run one after another — the determinism
@@ -459,7 +470,8 @@ class ParallelSimRankService(QueryServiceBase):
         treated as hung and replaced.
 
     Always :meth:`close` the service (or use it as a context manager):
-    that tears down the pool and unlinks the shared-memory segments.  A
+    that tears down the pool and unlinks the shared-memory segments (an
+    in-memory graph's process pool is the only one that makes any).  A
     finalizer on the shared graph unlinks the segments even if ``close`` is
     never called, so crashes cannot leak ``/dev/shm`` entries.
     """
@@ -495,8 +507,6 @@ class ParallelSimRankService(QueryServiceBase):
             )
         if graph is None and snapshot is None and store is None:
             raise ConfigurationError("need one of graph, snapshot=, or store=")
-        if store is not None:
-            graph = store.materialize()
         if maintenance not in MAINTENANCE_MODES:
             raise ConfigurationError(
                 f"maintenance must be one of {MAINTENANCE_MODES}, "
@@ -510,6 +520,7 @@ class ParallelSimRankService(QueryServiceBase):
         self.auto_sync = auto_sync
         self.cache = ResultCache(cache_size)
         self._digraph = graph if isinstance(graph, DiGraph) else None
+        self._store = store
         self._mounts: dict[str, tuple[str, dict]] = {}
         configs = self._validate_configs(configs, methods)
         for name in methods:
@@ -542,7 +553,6 @@ class ParallelSimRankService(QueryServiceBase):
         self._delta_payloads: list[tuple[EdgeUpdate, ...]] = []
         self._pending_updates: list[EdgeUpdate] = []
         self._touched_pending: set[int] = set()
-        self._store = store
         self._store_logged = 0  # pending updates already in the store's WAL
         self._snapshot_handle: MappedSnapshot | None = None
         self._shm: SharedCSRGraph | None = None
@@ -568,6 +578,14 @@ class ParallelSimRankService(QueryServiceBase):
                     self._csr = self._snapshot_handle.graph()
                     self._num_nodes = self._csr.num_nodes
                     self._graph = self._csr
+            elif store is not None:
+                if store.wal_records:
+                    # fold the tail in: the live checkpoint file is then
+                    # the whole graph, ready to serve
+                    store.checkpoint(store.materialize())
+                if executor == "process":
+                    self._shm = SharedCSRGraph.create(store.snapshot_file)
+                    self._num_nodes = self._shm.descriptor.num_nodes
             else:
                 csr = as_csr(graph)
                 self._num_nodes = csr.num_nodes
@@ -579,6 +597,13 @@ class ParallelSimRankService(QueryServiceBase):
             self._ctx = multiprocessing.get_context(START_METHOD)
             for index in range(self.workers):
                 self._workers.append(self._spawn(index))
+            if store is not None:
+                # thawed only once the workers are forked, so none of them
+                # inherits a copy of the coordinator's mutable graph
+                self._digraph = self._graph = store.materialize()
+                if self._shm is None:
+                    self._csr = as_csr(self._digraph)
+                    self._num_nodes = self._csr.num_nodes
             for index in range(self.workers):
                 self._build_worker(index)
         except BaseException:
@@ -602,6 +627,7 @@ class ParallelSimRankService(QueryServiceBase):
         quietly; an explicit ``"delta"`` request that cannot be honoured is
         a configuration error, not a silent downgrade.
         """
+        mutable = self._digraph is not None or self._store is not None
         non_incremental = sorted(
             key for key, (name, _) in self._mounts.items()
             if get_entry(name).capabilities is None
@@ -616,16 +642,13 @@ class ParallelSimRankService(QueryServiceBase):
                     "support incremental_updates; these do not: "
                     f"{non_incremental}"
                 )
-            if self._digraph is None:
+            if not mutable:
                 raise ConfigurationError(
                     "maintenance='delta' needs a mutable DiGraph; this "
                     "service owns a frozen snapshot"
                 )
             return "delta"
-        return (
-            "delta" if not non_incremental and self._digraph is not None
-            else "rebuild"
-        )
+        return "delta" if not non_incremental and mutable else "rebuild"
 
     @property
     def maintenance(self) -> str:
@@ -950,10 +973,11 @@ class ParallelSimRankService(QueryServiceBase):
 
         Rebuild path (``maintenance == "rebuild"``, or the burst would pass
         :data:`COMPACT_AFTER` — *compaction*): snapshot the coordinator
-        graph, publish it as a fresh shared-memory generation, rebuild every
-        worker's replicas against it, invalidate every superseded cache
-        entry, and only then unlink the previous generation.  O(m); empties
-        the epoch's delta record.
+        graph, checkpoint it when the service has a store, publish it as a
+        fresh generation (a store's process pool publishes the checkpoint
+        file itself), rebuild every worker's replicas against it,
+        invalidate every superseded cache entry, and only then release the
+        previous generation.  O(m); empties the epoch's delta record.
 
         Idempotent when nothing changed.  Wall-clock is charged to
         ``stats.maintenance_seconds`` split evenly across the mounted
@@ -1035,10 +1059,21 @@ class ParallelSimRankService(QueryServiceBase):
         record resets to empty.
         """
         csr = CSRGraph.from_digraph(self._digraph)
-        self._num_nodes = csr.num_nodes
         old_epoch = self._epoch
+        if self._store is not None:
+            # checkpoint first: the fresh snapshot folds the WAL in, and a
+            # process pool publishes that very file, so a burst is durable
+            # before any worker serves it.  Either side of a crash here
+            # recovers to this same graph — the old snapshot + full WAL
+            # before the rename, the new snapshot after.  A checkpoint that
+            # raises leaves the old generation served and sync()'s record
+            # intact for a retry.
+            self._store.checkpoint(csr)
+        self._num_nodes = csr.num_nodes
         if self._shm is not None:
-            self._epoch = self._shm.publish(csr)
+            self._epoch = self._shm.publish(
+                csr if self._store is None else self._store.snapshot_file
+            )
         else:
             self._csr = csr
             self._epoch = old_epoch + 1
@@ -1046,12 +1081,6 @@ class ParallelSimRankService(QueryServiceBase):
         if self._shm is not None:
             self._shm.release_epoch(old_epoch)
         self.cache.invalidate_older(self._epoch)
-        if self._store is not None:
-            # compaction checkpoints: the fresh snapshot folds the WAL in
-            # and the store rotates to an empty next-generation log.  Either
-            # side of a crash here recovers to this same graph — the old
-            # snapshot + full WAL before the rename, the new snapshot after.
-            self._store.checkpoint(csr)
         with self._stats_lock:
             self.stats.epochs += 1
 

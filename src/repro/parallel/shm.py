@@ -17,6 +17,17 @@ Creator side (the service coordinator)
     (:meth:`SharedCSRGraph.release_epoch`), so readers never observe a
     half-written graph.
 
+File-backed generations
+    A generation can also be an on-disk snapshot file
+    (:mod:`repro.storage.snapshot`, the same payload bytes after a 64-byte
+    header): :meth:`SharedCSRGraph.from_snapshot` serves a frozen file
+    (``--snapshot``), and :meth:`SharedCSRGraph.publish` given a *path*
+    adopts a durable store's fresh checkpoint as the next generation.
+    Nothing is copied; workers ``mmap`` the file and the page cache holds
+    the one physical copy.  The descriptor's ``snapshot_path`` tells them
+    which kind to map.  Releasing a file-backed generation only closes
+    the mapping: the file belongs to whoever wrote it.
+
 Worker side
     :meth:`SharedCSRGraph.attach` maps the segment named by a (picklable)
     :class:`ShmGraphDescriptor` and rebuilds a :class:`CSRGraph` whose
@@ -32,10 +43,13 @@ Lifecycle discipline
     the creator owns unlinking, does it in :meth:`close`, and carries a
     ``weakref.finalize`` safety net so dropping the last reference — or a
     crashing coordinator unwinding the interpreter — still removes every
-    segment.  Attachments never unlink.  Python's ``resource_tracker`` (one
-    process shared by the whole tree, set-keyed) is left alone: the owner's
-    ``unlink`` unregisters each name exactly once, and if the coordinator is
-    killed outright the tracker unlinks the leftovers — a second safety net.
+    segment.  Attachments never unlink.  Only in-memory graphs make
+    segments, so only their pools start Python's ``resource_tracker`` (one
+    process shared by the whole tree, set-keyed); it is left alone: the
+    owner's ``unlink`` unregisters each name exactly once, and if the
+    coordinator is killed outright the tracker unlinks the leftovers — a
+    second safety net.  A pool whose every generation is a file (snapshot-
+    or store-served) makes no segment and starts no tracker.
 """
 
 from __future__ import annotations
@@ -129,10 +143,12 @@ class SharedCSRGraph:
 
     @classmethod
     def create(cls, graph, base_name: str | None = None) -> "SharedCSRGraph":
-        """Place ``graph``'s CSR snapshot in shared memory as epoch 0.
+        """Publish ``graph`` as epoch 0 (see :meth:`publish`).
 
-        ``base_name`` defaults to a collision-resistant ``psim-…`` name; it
-        must be unique machine-wide (shared-memory names are global).
+        A graph is copied into shared memory; a snapshot file path is
+        mapped in place.  ``base_name`` defaults to a collision-resistant
+        ``psim-…`` name; it must be unique machine-wide (shared-memory
+        names are global).
         """
         shared = cls(base_name, owner=True)
         try:
@@ -156,28 +172,35 @@ class SharedCSRGraph:
         :meth:`release_epoch` retires the mapping.
         """
         shared = cls(base_name, owner=True)
-        mapped = shared._segments[0] = MappedSnapshot.open(path)
-        shared._descriptor = ShmGraphDescriptor(
-            shared.base_name, 0, mapped.header.num_nodes,
-            mapped.header.num_edges, snapshot_path=str(path),
-        )
+        shared._descriptor = shared._map_snapshot(path, 0)
         return shared
 
     def publish(self, graph) -> int:
-        """Write a new graph generation; returns its epoch.
+        """Publish a new graph generation; returns its epoch.
 
-        Allocates a fresh data segment (sizes may change between epochs)
-        and copies the snapshot's payload in before the new descriptor
-        replaces the old one, so nothing ever names a partially written
-        generation.  The previous generation's segment remains valid until
+        ``graph`` is a :class:`~repro.graph.DiGraph` or :class:`CSRGraph`,
+        whose payload is copied into a fresh data segment (sizes may change
+        between epochs) before the new descriptor replaces the old one, so
+        nothing ever names a partially written generation.  Or it is the
+        path of a complete snapshot file (a durable store's checkpoint),
+        which then *is* the generation: nothing is copied, and workers
+        ``mmap`` the file.  The previous generation stays valid until
         :meth:`release_epoch`.
         """
         if not self._owner:
             raise GraphError("only the creating SharedCSRGraph can publish")
         if not self._finalizer.alive:  # closed: a new segment would leak
             raise GraphError("SharedCSRGraph is closed")
-        csr = as_csr(graph)
         epoch = 0 if self._descriptor is None else self._descriptor.epoch + 1
+        if isinstance(graph, (str, os.PathLike)):
+            self._descriptor = self._map_snapshot(graph, epoch)
+        else:
+            self._descriptor = self._write_segment(as_csr(graph), epoch)
+        self._graph = None  # rebuilt lazily against the new generation
+        return epoch
+
+    def _write_segment(self, csr: CSRGraph, epoch: int) -> ShmGraphDescriptor:
+        """Copy ``csr`` into a fresh segment as generation ``epoch``."""
         descriptor = ShmGraphDescriptor(
             self.base_name, epoch, csr.num_nodes, csr.num_edges
         )
@@ -200,9 +223,15 @@ class SharedCSRGraph:
             segment.unlink()
             raise
         self._segments[epoch] = segment
-        self._descriptor = descriptor
-        self._graph = None  # rebuilt lazily against the new generation
-        return epoch
+        return descriptor
+
+    def _map_snapshot(self, path, epoch: int) -> ShmGraphDescriptor:
+        """Map snapshot file ``path`` as generation ``epoch``."""
+        mapped = self._segments[epoch] = MappedSnapshot.open(path)
+        return ShmGraphDescriptor(
+            self.base_name, epoch, mapped.header.num_nodes,
+            mapped.header.num_edges, snapshot_path=str(path),
+        )
 
     def release_epoch(self, epoch: int) -> None:
         """Unlink one superseded generation (all workers have moved on)."""

@@ -14,7 +14,7 @@ instead:
   request touches the worker pool or a coalescing bucket (load shedding
   must be the cheap path);
 - every admitted request carries a :class:`Deadline`; the app wraps
-  dispatch in ``asyncio.wait_for(..., deadline.remaining())`` so an
+  dispatch in ``asyncio.timeout(deadline.remaining())`` so an
   expired request is cancelled without disturbing batch-mates.
 
 Lanes are plain counters, not ``asyncio.Queue`` objects: admission
@@ -64,7 +64,7 @@ class Deadline:
     expire never or immediately, depending on which clock runs ahead.
 
     ``None`` seconds means "no deadline" (``remaining()`` is ``None``,
-    which ``asyncio.wait_for`` treats as wait-forever).
+    which ``asyncio.timeout`` treats as wait-forever).
     """
 
     def __init__(self, seconds: float | None) -> None:

@@ -40,7 +40,7 @@ deadline → **cache probe** → coalesce/dispatch.  A request shed by a full
 lane is answered ``503`` with ``Retry-After`` *before* it reaches a
 coalescing bucket or the service — overload handling must be the cheap
 path.  Admitted requests run under their deadline via
-``asyncio.wait_for``; expiry answers ``504`` and, mid-coalesce, removes
+``asyncio.timeout``; expiry answers ``504`` and, mid-coalesce, removes
 only the expired waiter from its bucket.
 
 With coalescing on, a ``/single_source`` or ``/topk`` single first asks
@@ -369,10 +369,10 @@ class SimRankHTTPApp:
             with self.admission.admit(lane) as permit:
                 deadline = self._deadline(request)
                 try:
-                    body, content_type = await asyncio.wait_for(
-                        handler(request), timeout=deadline.remaining()
-                    )
-                except (asyncio.TimeoutError, TimeoutError):
+                    # runs the handler in this task: no Task per request
+                    async with asyncio.timeout(deadline.remaining()):
+                        body, content_type = await handler(request)
+                except TimeoutError:
                     permit.record_timeout()
                     return self._error_response(
                         504, f"deadline of {deadline.seconds:g}s expired",

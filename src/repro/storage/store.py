@@ -21,6 +21,14 @@ deletes the superseded files.  Every step is individually crash-safe:
   always picks the *newest valid* generation;
 - a crash mid-WAL-append leaves a torn frame that replay drops.
 
+A durable process pool (:class:`~repro.parallel.pool.ParallelSimRankService`
+with ``store=``) serves the checkpoint files themselves: each checkpoint is
+published as the next graph generation and the workers ``mmap`` it, so a
+burst is durable before any worker serves it and the graph is written once
+per generation, not copied again into shared memory.  Deleting a
+superseded generation that workers still map is safe on POSIX: the unlink
+removes the name, and the pages live until the last mapping closes.
+
 :func:`recover` is the read-only half: pick the newest generation whose
 snapshot verifies (header CRC, size, payload digest), replay its WAL's
 valid prefix, and hand back the pre-crash graph — bit-identical to the
@@ -177,10 +185,11 @@ class PersistentGraphStore:
 
     The serving layer drives this through two calls — :meth:`log` on every
     acknowledged burst (write-ahead, before replicas see it) and
-    :meth:`checkpoint` whenever it publishes a fresh CSR generation (every
-    rebuild sync, compaction included).  ``fsync=False`` trades the per-burst durability barrier
-    for throughput (the frames still stream to the OS immediately); the
-    crash-safety *structure* is unaffected.
+    :meth:`checkpoint` for every fresh CSR generation (every rebuild sync,
+    compaction included) before it publishes one; a process pool then
+    serves :attr:`snapshot_file` itself.  ``fsync=False`` trades the
+    per-burst durability barrier for throughput (the frames still stream
+    to the OS immediately); the crash-safety *structure* is unaffected.
     """
 
     def __init__(
@@ -239,6 +248,11 @@ class PersistentGraphStore:
     # ------------------------------------------------------------------ #
     # the two write paths
     # ------------------------------------------------------------------ #
+
+    @property
+    def snapshot_file(self) -> Path:
+        """The live generation's snapshot file (what a durable pool serves)."""
+        return snapshot_path(self.directory, self.generation)
 
     @property
     def wal_records(self) -> int:

@@ -449,15 +449,13 @@ def run_workload(
     unknown = sorted(set(configs) - set(methods))
     if unknown:
         raise EvaluationError(f"configs given for methods not replayed: {unknown}")
-    # every replay starts from the canonical (CSR-ordered) form of the
-    # graph: delta-mode workers reconstruct their mutable mirrors from the
-    # CSR arrays in exactly this order, so starting the coordinator's
-    # graph from it too is what lets adjacency-order-sensitive samplers
-    # (TSF draws neighbors by list position) agree bit-for-bit between
-    # delta bursts and the epoch rebuilds that compact them.  The round-trip
-    # is a fixed point, so re-canonicalising downstream changes nothing.
-    # (Snapshot replays skip this: the snapshot payload already *is* the
-    # canonical CSR byte order, attached without materialisation.)
+    # every replay mutates a private thawed copy, never the caller's graph.
+    # The CSR round-trip keeps adjacency order in both directions, which is
+    # the order delta-mode workers thaw their mirrors in, so
+    # adjacency-order-sensitive samplers (TSF draws neighbors by list
+    # position) agree bit-for-bit between delta bursts and the epoch
+    # rebuilds that compact them.  (Snapshot replays skip this: they are
+    # read-only and attach the payload without materialisation.)
     if graph is not None:
         graph = CSRGraph.from_digraph(graph).to_digraph()
     result = WorkloadResult(

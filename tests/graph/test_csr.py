@@ -27,21 +27,37 @@ class TestRoundTrip:
         assert toy_csr.to_digraph() == toy
 
     def test_to_digraph_keeps_insertion_order(self):
-        """Out-lists in CSR order, in-lists by ascending source: the graph
-        that inserting the edges source by source builds."""
-        csr = CSRGraph.from_digraph(
-            DiGraph.from_edges([(2, 0), (0, 3), (2, 3), (0, 1), (1, 3), (3, 0)])
-        )
+        """Both directions keep CSR row order, so thawing and snapshotting
+        again reproduces the CSR array for array — in-rows included, even
+        where the edges were inserted out of source order."""
+        source = DiGraph.from_edges([(2, 0), (0, 3), (2, 3), (0, 1), (1, 3), (3, 0)])
+        csr = CSRGraph.from_digraph(source)
         graph = csr.to_digraph()
-        reference = DiGraph(csr.num_nodes)
-        for source, target in csr.edges():
-            reference.add_edge(source, int(target))
-        for node in range(csr.num_nodes):
-            assert graph.out_neighbors(node) == reference.out_neighbors(node)
-            assert graph.in_neighbors(node) == reference.in_neighbors(node)
-        assert graph.in_neighbors(3) == [0, 1, 2]
+        assert graph.in_neighbors(3) == [0, 2, 1]  # insertion order, not sorted
+        again = CSRGraph.from_digraph(graph)
+        for field in ("out_indptr", "out_indices", "in_indptr", "in_indices"):
+            np.testing.assert_array_equal(getattr(again, field), getattr(csr, field))
+            assert getattr(again, field).dtype == getattr(csr, field).dtype
         graph.add_edge(1, 0)  # the thawed graph is mutable
         assert graph.num_edges == csr.num_edges + 1
+
+    def test_to_digraph_checks_in_rows_against_out_rows(self):
+        """An in-row may list its sources in any order, which the thawed
+        graph keeps, but must hold exactly the transposed out-edges."""
+
+        def csr(in_indices):  # edges 0 -> 2 and 1 -> 2
+            return CSRGraph(
+                3,
+                np.array([0, 1, 2, 2], dtype=np.int64),
+                np.array([2, 2], dtype=np.int32),
+                np.array([0, 0, 0, 2], dtype=np.int64),
+                np.array(in_indices, dtype=np.int32),
+            )
+
+        assert csr([1, 0]).to_digraph().in_neighbors(2) == [1, 0]
+        for in_indices in ([0, 0], [1, 1], [0, 2], [0, 3], [-1, 1]):
+            with pytest.raises(GraphError):
+                csr(in_indices).to_digraph()
 
     @pytest.mark.parametrize("targets", [[1, 1], [0, 1], [1, 5]])
     def test_to_digraph_rejects_invalid_adjacency(self, targets):
