@@ -66,13 +66,13 @@ print(f"\nserved {served} top-5 requests in {serving.elapsed:.2f}s "
       f"({serving.elapsed / served * 1e3:.1f} ms/request)")
 print(f"batch dedup saved {stats.batch_dedup_saved} of {stats.batched_queries} "
       f"queries; {stats.incremental_notifications} incremental update "
-      f"notifications, {stats.syncs} full syncs")
+      f"notifications, {stats.epochs} full rebuilds")
 print(f"cache after the stream: {cache.num_cached} trees alive, "
       f"cross-batch hit rate {cache.hit_rate:.0%}")
 # within a batch, duplicates are served by the batch dedup (they never even
 # reach the cache); across batches, surviving trees serve the hot accounts
 assert stats.batch_dedup_saved > 0
-assert stats.syncs == 0  # the walk cache never needed a full rebuild
+assert stats.epochs == 0  # the walk cache never needed a full rebuild
 assert cache.num_cached > 0
 print("cached walk trees survive unrelated updates, batches share sampling, "
       "and answers stay exact w.r.t. the live graph — done.")

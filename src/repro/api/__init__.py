@@ -10,8 +10,13 @@ This package is the system's API layer:
     Name → factory registry (``create("probesim", graph, eps_a=0.1)``)
     behind the CLI, the experiment runner, and the benchmark harness.
 :class:`~repro.api.service.SimRankService`
-    A serving layer owning one graph plus many estimators, with batched
-    (deduplicated) queries and capability-dispatched update maintenance.
+    The in-process serving layer: one graph plus many estimators, with
+    batched (deduplicated) queries and update maintenance.  It is the
+    one-worker sequential form of
+    :class:`~repro.parallel.pool.ParallelSimRankService`, whose protocol
+    (:class:`~repro.api.service_base.QueryServiceBase`,
+    :class:`~repro.api.service_base.ServiceStats`) the HTTP front door
+    speaks.
 """
 
 from repro.api.estimator import Capabilities, SimRankEstimator

@@ -4,8 +4,8 @@ One place maps the method names used throughout the paper's experiments
 (``"probesim"``, ``"sling"``, ``"tsf"``, ``"topsim"``, ``"mc"``, ``"power"``,
 plus the strategy variants and the §7 extensions) to factories with keyword
 configuration.  The CLI, the experiment runner, the benchmark harness, and
-:class:`repro.api.service.SimRankService` all construct methods exclusively
-through :func:`create`, so adding a method is one :func:`register` call.
+the serving pool's workers all construct methods exclusively through the
+registry, so adding a method is one :func:`register` call.
 
 Each :class:`MethodEntry` also declares ``config_keys`` — the keyword knobs
 its factory accepts — so generic callers (the CLI) can filter a superset of

@@ -242,8 +242,9 @@ class TSFIndex(SimRankEstimator):
         """Incrementally patch the one-way graphs for a stream of updates.
 
         The protocol's capability-dispatched maintenance hook: the caller
-        (e.g. :class:`repro.api.service.SimRankService`) mutates the graph
-        first, then notifies the index per update.
+        (e.g. a delta-maintained pool worker,
+        :class:`repro.parallel.pool.ParallelSimRankService`) mutates the
+        graph first, then notifies the index per update.
         """
         for update in updates:
             self.apply_update(update)

@@ -1,9 +1,10 @@
 """Shared-memory multiprocess serving: the scale-out layer.
 
-The sequential :class:`~repro.api.service.SimRankService` tops out at one
-core for pure-Python estimators (the GIL serialises their interpreter
-work).  This package lifts serving to process-level parallelism while
-keeping the graph physically shared:
+In-process serving (:class:`~repro.api.service.SimRankService`, the
+one-worker sequential pool) tops out at one core for pure-Python
+estimators (the GIL serialises their interpreter work).  This package
+lifts serving to process-level parallelism while keeping the graph
+physically shared:
 
 :mod:`~repro.parallel.shm`
     :class:`~repro.parallel.shm.SharedCSRGraph` — CSR adjacency arrays in
@@ -11,9 +12,9 @@ keeping the graph physically shared:
     versioned by a generation counter (the *epoch*) so workers detect
     graph changes.
 :mod:`~repro.parallel.pool`
-    :class:`~repro.parallel.pool.ParallelSimRankService` — the same
-    query/maintenance surface as the sequential service, fanned out over a
-    persistent worker-process pool with batched deterministic dispatch and
+    :class:`~repro.parallel.pool.ParallelSimRankService` — the one
+    query/maintenance implementation, fanned out over a persistent
+    worker-process pool with batched deterministic dispatch and
     worker-crash recovery.
 :mod:`~repro.parallel.cache`
     :class:`~repro.parallel.cache.ResultCache` — an update-aware LRU for

@@ -1,12 +1,12 @@
 """Process-parallel SimRank serving over a shared-memory graph.
 
-:class:`ParallelSimRankService` is the multi-core sibling of
-:class:`~repro.api.service.SimRankService`: the same query/maintenance
-surface (``single_source`` / ``topk`` / ``single_source_many`` /
-``topk_many`` / ``apply_edges`` / ``sync``), but queries execute on a
+:class:`ParallelSimRankService` is the one query/maintenance
+implementation (``single_source`` / ``topk`` / ``single_source_many`` /
+``topk_many`` / ``apply_edges`` / ``sync``).  Queries execute on a
 persistent pool of **worker processes**, so sustained throughput scales
-with cores instead of being GIL-bound.  The design separates shared data
-from per-worker compute:
+with cores instead of being GIL-bound; its one-worker in-process form is
+:class:`~repro.api.service.SimRankService`.  The design separates shared
+data from per-worker compute:
 
 Shared graph
     The coordinator owns one :class:`~repro.parallel.shm.SharedCSRGraph`;
@@ -68,10 +68,10 @@ Delta maintenance (O(Δ) instead of O(m) per update burst)
     does not republish the graph at all.  The burst rides in a
     ``("delta", updates)`` RPC to every worker (on every executor), which
     applies it in place to its local graph mirror and notifies its replicas
-    via ``apply_updates``, exactly like the sequential service's incremental
-    path.  The coordinator keeps the bursts shipped since the live epoch
-    was published, so a revived worker can be sent them again.  The graph
-    epoch stays put, so cached answers for untouched query nodes stay warm
+    via ``apply_updates``.  The coordinator keeps the bursts shipped since
+    the live epoch was published, so a revived worker can be sent them
+    again.  The graph epoch stays put, so cached answers for untouched
+    query nodes stay warm
     (:meth:`~repro.parallel.cache.ResultCache.invalidate_nodes` drops only
     the updated edges' 1-hop neighborhood).  Once :data:`COMPACT_AFTER`
     updates have been shipped since the epoch the service *compacts*: one
@@ -90,13 +90,15 @@ Methods whose registry capabilities set ``parallel_safe=False``
 from __future__ import annotations
 
 import multiprocessing
+import os
+import threading
 import time
 import traceback
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Iterable, Sequence
 
 from repro.api.registry import get_entry
-from repro.api.service import QueryServiceBase
+from repro.api.service_base import QueryServiceBase
 from repro.errors import ConfigurationError, QueryError
 from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.digraph import DiGraph
@@ -120,6 +122,10 @@ START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else 
 #: seconds to wait on a worker reply before the worker is treated as hung
 #: and replaced (a liveness backstop, not a latency budget).
 RPC_TIMEOUT = 300.0
+
+#: seconds an idle worker process waits for a message before it checks
+#: that its coordinator is still alive (and exits if it is not).
+PARENT_POLL = 1.0
 
 #: delta updates shipped since the live epoch after which a sync compacts
 #: (publishes a fresh generation) instead of shipping one more burst; it
@@ -216,8 +222,7 @@ class _WorkerCore:
     def apply_delta(self, updates: Sequence[EdgeUpdate]) -> None:
         """Absorb an update burst in place: O(Δ), no replica rebuild.
 
-        Mirrors the sequential service's incremental dispatch exactly:
-        each update first mutates the local graph mirror, then every
+        Each update first mutates the local graph mirror, then every
         replica is notified with that single update (estimators read the
         post-update graph).
         """
@@ -271,20 +276,31 @@ class _WorkerCore:
 
 
 def _worker_main(conn, worker_index: int) -> None:  # pragma: no cover
-    """Process-executor entry point: serve RPCs until ``exit`` or EOF.
+    """Process-executor entry point: serve RPCs until ``exit``, EOF or orphaning.
 
     Estimator-level exceptions are caught and shipped back as ``("error",
     …)`` replies — the worker survives them; only interpreter-level faults
     (or ``kill -9``) take it down, and those the coordinator heals.
+
+    A forked worker inherits the coordinator's pipe ends (its own and its
+    earlier siblings'), so a coordinator killed by SIGKILL never shows up
+    as EOF.  An idle worker therefore checks every :data:`PARENT_POLL`
+    seconds that its parent is still the process that started it, and
+    exits once it was reparented.
 
     (Excluded from coverage: this body runs inside worker processes, out of
     the tracer's sight; the multiprocess suite exercises it end to end and
     the sequential executor keeps the shared `_WorkerCore` logic measured.)
     """
     core = _WorkerCore(worker_index)
+    parent = os.getppid()
     try:
         while True:
             try:
+                if not conn.poll(PARENT_POLL):
+                    if os.getppid() != parent:
+                        break
+                    continue
                 message = conn.recv()
             except (EOFError, OSError):
                 break
@@ -438,7 +454,8 @@ class ParallelSimRankService(QueryServiceBase):
         Methods whose capabilities declare ``parallel_safe=False`` are
         rejected unless ``allow_unsafe=True``.
     configs / default_method:
-        As on :class:`~repro.api.service.SimRankService`.
+        Per-method keyword configuration ``{name: {key: value}}``, and the
+        method a query with ``method=None`` uses (default: the first mount).
     workers:
         Pool width (positive).  Throughput scales with cores for the
         ``process`` executor; ``sequential`` ignores parallelism but keeps
@@ -524,6 +541,8 @@ class ParallelSimRankService(QueryServiceBase):
         self._mounts: dict[str, tuple[str, dict]] = {}
         configs = self._validate_configs(configs, methods)
         for name in methods:
+            if name in self._mounts:
+                raise ConfigurationError(f"method {name!r} is mounted twice")
             entry = get_entry(name)
             caps = entry.capabilities
             if caps is not None and not caps.parallel_safe and not allow_unsafe:
@@ -558,6 +577,9 @@ class ParallelSimRankService(QueryServiceBase):
         self._shm: SharedCSRGraph | None = None
         self._csr: CSRGraph | None = None
         self._workers: list = []
+        # one caller at a time per worker: in-process workers hold a single
+        # reply slot, and a process worker's pipe carries one exchange
+        self._dispatch_lock = threading.Lock()
         self._threads = (
             ThreadPoolExecutor(
                 max_workers=self.workers, thread_name_prefix="repro-parallel"
@@ -729,49 +751,53 @@ class ParallelSimRankService(QueryServiceBase):
         :data:`RPC_TIMEOUT` is the liveness backstop) workers are revived and
         their message re-sent.  Estimator-level errors raise only after
         every in-flight reply has been drained, so the request/reply pipes
-        can never desynchronise.
+        can never desynchronise.  Calls from several threads take turns on
+        the dispatch lock.
         """
-        pending = dict(assignments)
-        replies: dict[int, object] = {}
-        errors: list[BaseException] = []
-        attempts = 0
-        while pending:
-            attempts += 1
-            if attempts > 3 * max(len(assignments), 1):
-                raise QueryError("workers keep crashing; giving up dispatch")
-            sent = []
-            crashed = []
-            for index, message in pending.items():
-                try:
-                    self._workers[index].send(message)
-                    sent.append(index)
-                except WorkerCrashed:
-                    crashed.append(index)
-            for index in sent:
-                try:
-                    reply = self._workers[index].recv(RPC_TIMEOUT)
-                except (WorkerCrashed, TimeoutError):
-                    # a hung worker is indistinguishable from a dead one,
-                    # and its late reply would poison the pipe: replace it
-                    crashed.append(index)
-                    continue
-                del pending[index]
-                try:
-                    replies[index] = self._expect_ok(reply)
-                except QueryError as exc:
-                    errors.append(exc)  # drain the rest before raising
-            for index in crashed:
-                try:
-                    self._revive(index)
-                except (WorkerCrashed, TimeoutError):
-                    # the replacement died during build or delta re-read; its
-                    # message is still pending, so the next attempt retries
-                    # (and eventually trips the attempts cap above) instead
-                    # of leaking the internal crash signal to callers
-                    continue
-        if errors:
-            raise errors[0]
-        return replies
+        if self._closed:
+            raise ConfigurationError("service is closed")
+        with self._dispatch_lock:
+            pending = dict(assignments)
+            replies: dict[int, object] = {}
+            errors: list[BaseException] = []
+            attempts = 0
+            while pending:
+                attempts += 1
+                if attempts > 3 * max(len(assignments), 1):
+                    raise QueryError("workers keep crashing; giving up dispatch")
+                sent = []
+                crashed = []
+                for index, message in pending.items():
+                    try:
+                        self._workers[index].send(message)
+                        sent.append(index)
+                    except WorkerCrashed:
+                        crashed.append(index)
+                for index in sent:
+                    try:
+                        reply = self._workers[index].recv(RPC_TIMEOUT)
+                    except (WorkerCrashed, TimeoutError):
+                        # a hung worker is indistinguishable from a dead one,
+                        # and its late reply would poison the pipe: replace it
+                        crashed.append(index)
+                        continue
+                    del pending[index]
+                    try:
+                        replies[index] = self._expect_ok(reply)
+                    except QueryError as exc:
+                        errors.append(exc)  # drain the rest before raising
+                for index in crashed:
+                    try:
+                        self._revive(index)
+                    except (WorkerCrashed, TimeoutError):
+                        # the replacement died during build or delta re-read; its
+                        # message is still pending, so the next attempt retries
+                        # (and eventually trips the attempts cap above) instead
+                        # of leaking the internal crash signal to callers
+                        continue
+            if errors:
+                raise errors[0]
+            return replies
 
     # ------------------------------------------------------------------ #
     # queries
@@ -892,7 +918,7 @@ class ParallelSimRankService(QueryServiceBase):
         )
 
     # topk_many comes from QueryServiceBase: top-k views of the batched
-    # single-source path, exactly like the sequential service.
+    # single-source path.
 
     def capabilities(self, method: str | None = None):
         """Registry-declared capability descriptor of one served method."""
@@ -1014,9 +1040,7 @@ class ParallelSimRankService(QueryServiceBase):
                 # mirrors updated and others not: fall through to a healing
                 # compaction.  The fresh generation rebuilds every replica
                 # from the coordinator graph, so the service is
-                # consistent again when the error surfaces — mirroring the
-                # sequential service's "synced over the applied prefix"
-                # guarantee.
+                # consistent again when the error surfaces.
                 delta_error = exc
         if not use_delta or delta_error is not None:
             # if the rebuild itself raises, every accumulator (and
@@ -1128,7 +1152,7 @@ class ParallelSimRankService(QueryServiceBase):
 
     def __repr__(self) -> str:
         return (
-            f"ParallelSimRankService(methods={self.methods}, "
+            f"{type(self).__name__}(methods={self.methods}, "
             f"workers={self.workers}, executor={self.executor!r}, "
             f"epoch={self._epoch}, queries={self.stats.queries})"
         )

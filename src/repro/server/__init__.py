@@ -1,8 +1,8 @@
 """The asyncio HTTP front door for SimRank serving.
 
-This package turns the in-process serving layers
-(:class:`~repro.api.service.SimRankService`,
-:class:`~repro.parallel.pool.ParallelSimRankService`) into a network
+This package turns the serving layer
+(:class:`~repro.parallel.pool.ParallelSimRankService`, or its one-worker
+in-process form :class:`~repro.api.service.SimRankService`) into a network
 service — the "heavy traffic from millions of users" shape the paper's
 index-free argument is about.  It is pure standard library (asyncio + a
 minimal HTTP/1.1 layer in :mod:`repro.server.http`); no web framework is

@@ -1,9 +1,9 @@
-"""Tests for the batched, dynamic-graph SimRankService."""
+"""Tests for the batched, dynamic-graph SimRankService (the one-worker pool)."""
 
 import numpy as np
 import pytest
 
-from repro.api import Capabilities, SimRankService
+from repro.api import Capabilities, SimRankService, registry
 from repro.api.estimator import SimRankEstimator
 from repro.errors import (
     ConfigurationError,
@@ -26,6 +26,9 @@ def make_service(graph, **kwargs):
     return SimRankService(graph, **defaults)
 
 
+TSF = {"rg": 10, "rq": 2, "depth": 4, "seed": 3}
+
+
 class TestConstruction:
     def test_default_method_is_first(self, toy):
         service = make_service(toy.copy())
@@ -41,17 +44,19 @@ class TestConstruction:
             SimRankService(toy.copy(), methods=("probesim",),
                            configs={"tsf": {"rg": 5}})
 
-    def test_alias_mounts_method_twice(self, toy):
-        service = SimRankService(toy.copy(), methods=())
-        service.add_method("probesim", alias="fast", eps_a=0.3, num_walks=30, seed=1)
-        service.add_method("probesim", alias="accurate", eps_a=0.1, seed=1)
-        assert service.methods == ["accurate", "fast"]
-        assert service.single_source(0, method="fast").num_walks == 30
-
     def test_duplicate_mount_rejected(self, toy):
-        service = make_service(toy.copy())
-        with pytest.raises(ConfigurationError):
-            service.add_method("probesim")
+        with pytest.raises(ConfigurationError, match="mounted twice"):
+            SimRankService(toy.copy(), methods=("probesim", "power", "probesim"))
+
+    def test_no_methods_rejected(self, toy):
+        with pytest.raises(ConfigurationError, match="at least one method"):
+            SimRankService(toy.copy(), methods=())
+
+    def test_parallel_unsafe_methods_mount(self, toy):
+        """power and sling are parallel_safe=False; one in-process replica
+        has no per-worker rebuild to multiply, so they mount here."""
+        service = SimRankService(toy.copy(), methods=("power", "sling"))
+        assert service.single_source(0, method="sling").score(0) == pytest.approx(1.0)
 
     def test_unknown_method_lookup(self, toy):
         service = make_service(toy.copy())
@@ -102,7 +107,8 @@ class TestUpdates:
         assert applied == 1
         assert graph.has_edge(0, 5)
         assert service.stats.updates_applied == 1
-        assert service.stats.syncs == 2  # both mounted methods are bulk-sync
+        assert service.stats.syncs == 1  # one rebuild sync for both methods
+        assert service.stats.epochs == 1
         exact_after = service.single_source(5, method="power").scores
         assert not np.array_equal(exact_before, exact_after)
 
@@ -114,26 +120,37 @@ class TestUpdates:
         # the power method's cached matrix is stale until sync()
         stale = service.single_source(5, method="power").scores.copy()
         service.sync()
-        assert service.stats.syncs == 2
+        assert service.stats.syncs == 1
         fresh = service.single_source(5, method="power").scores
         assert not np.array_equal(stale, fresh)
 
     def test_incremental_methods_notified_per_update(self, toy):
         graph = toy.copy()
+        service = SimRankService(graph, methods=("tsf",), configs={"tsf": TSF})
+        stream = generate_update_stream(graph, 4, seed=5)
+        assert service.apply_update_stream(stream) == 4
+        # every mount is incremental: one delta sync notifies tsf per update
+        assert service.maintenance == "delta"
+        assert service.stats.incremental_notifications == 4
+        assert service.stats.delta_syncs == service.stats.syncs == 1
+        assert service.stats.epochs == 0
+        assert np.all(np.isfinite(service.single_source(0).scores))
+
+    def test_mixed_mounts_are_rebuilt(self, toy):
+        graph = toy.copy()
         service = SimRankService(
             graph,
             methods=("tsf", "probesim"),
-            configs={
-                "tsf": {"rg": 10, "rq": 2, "depth": 4, "seed": 3},
-                "probesim": {"eps_a": 0.3, "num_walks": 30, "seed": 3},
-            },
+            configs={"tsf": TSF,
+                     "probesim": {"eps_a": 0.3, "num_walks": 30, "seed": 3}},
         )
         stream = generate_update_stream(graph, 4, seed=5)
-        applied = service.apply_update_stream(stream)
-        assert applied == 4
-        # tsf is incremental: notified once per update; probesim bulk-synced
-        assert service.stats.incremental_notifications == 4
-        assert service.stats.syncs == 1
+        assert service.apply_update_stream(stream) == 4
+        # probesim cannot absorb updates in place, so the whole mount takes
+        # the rebuild path: tsf is rebuilt too, never notified per update
+        assert service.maintenance == "rebuild"
+        assert service.stats.incremental_notifications == 0
+        assert service.stats.syncs == service.stats.epochs == 1
         assert np.all(np.isfinite(service.single_source(0, method="tsf").scores))
 
     def test_frozen_graph_rejects_updates(self, toy):
@@ -159,6 +176,33 @@ class TestUpdates:
         )
 
 
+def _incremental(method):
+    return Capabilities(
+        method=method, exact=False, index_based=True,
+        supports_dynamic=True, incremental_updates=True,
+    )
+
+
+@pytest.fixture()
+def stubs():
+    """Registers the two stub estimators below for one test."""
+    registry.register("exploding", _ExplodingEstimator, config_keys=("explode_at",),
+                      capabilities=_incremental("exploding"))
+    registry.register("counting", _CountingEstimator,
+                      capabilities=_incremental("counting"))
+    yield
+    for name in ("exploding", "counting"):
+        registry._REGISTRY.pop(name)
+
+
+def exploding_service(graph, explode_at, **kwargs):
+    """The exploding stub mounted beside tsf: every mount is incremental."""
+    return SimRankService(
+        graph, methods=("exploding", "tsf"),
+        configs={"exploding": {"explode_at": explode_at}, "tsf": TSF}, **kwargs,
+    )
+
+
 class _ExplodingEstimator(SimRankEstimator):
     """Incremental estimator that raises on its Nth update notification."""
 
@@ -175,10 +219,7 @@ class _ExplodingEstimator(SimRankEstimator):
 
     def capabilities(self):
         """Advertises incremental updates so the service notifies per op."""
-        return Capabilities(
-            method="exploding", exact=False, index_based=True,
-            supports_dynamic=True, incremental_updates=True,
-        )
+        return _incremental("exploding")
 
     def apply_updates(self, updates):
         """Blow up on the configured notification."""
@@ -231,46 +272,47 @@ class TestUpdateStreamEdgeCases:
         assert graph.has_edge(0, 5)
         assert not graph.has_edge(1, 6)
         assert service.stats.updates_applied == 1
-        assert service.stats.syncs == 2  # both bulk methods synced the prefix
+        assert service.stats.syncs == 1  # one rebuild synced the prefix
         # the exact method answers against the post-prefix graph
         assert np.isfinite(service.single_source(5, method="power").scores).all()
 
-    def test_mid_stream_estimator_failure_graph_and_stats_consistent(self, toy):
-        """An estimator raising during notification must not desync the
-        service: applied updates are counted, bulk methods get synced, and
-        the graph keeps every mutation that happened before the failure."""
+    def test_mid_stream_estimator_failure_graph_and_stats_consistent(
+        self, toy, stubs
+    ):
+        """An estimator raising while it absorbs a burst must not desync the
+        service: the whole stream is applied and counted, the failed delta
+        sync heals by rebuilding every replica on the current graph, and
+        the error then propagates."""
         graph = toy.copy()
-        service = make_service(graph)
-        exploding = _ExplodingEstimator(graph, explode_at=2)
-        service._estimators["exploding"] = exploding  # mount the stub directly
+        service = exploding_service(graph, explode_at=2)
+        assert service.maintenance == "delta"
         stream = generate_update_stream(graph, 4, seed=5)
-        with pytest.raises(RuntimeError, match="index corrupted"):
+        with pytest.raises(QueryError, match="index corrupted"):
             service.apply_update_stream(stream)
-        # updates 1 and 2 mutated the graph; the failure happened *after*
-        # the second mutation, during notification
-        assert service.stats.updates_applied == 2
-        assert exploding.notified == 2
-        # bulk estimators were synced over the applied prefix (finally path)
-        assert service.stats.syncs == 2
-        assert not service._stale
+        assert service.stats.updates_applied == 4
+        assert service.stats.syncs == 1
+        assert service.stats.delta_syncs == 0
+        assert service.stats.epochs == 1  # the healing rebuild
+        rebuilt = service.estimator("exploding")
+        assert rebuilt.notified == 0
+        assert rebuilt.graph.num_edges == graph.num_edges
         # the service still answers queries against the current graph
-        assert np.isfinite(service.single_source(0).scores).all()
-        assert service.single_source(0, method="power").score(0) == 1.0
+        assert np.isfinite(service.single_source(0, method="tsf").scores).all()
 
-    def test_failure_with_deferred_sync_marks_stale(self, toy):
+    def test_failure_with_deferred_sync_marks_stale(self, toy, stubs):
         graph = toy.copy()
-        service = make_service(graph, auto_sync=False)
-        exploding = _ExplodingEstimator(graph, explode_at=1)
-        service._estimators["exploding"] = exploding
+        service = exploding_service(graph, explode_at=1, auto_sync=False)
         stream = generate_update_stream(graph, 3, seed=6)
-        with pytest.raises(RuntimeError):
-            service.apply_update_stream(stream)
-        assert service.stats.updates_applied == 1
-        # the applied prefix left bulk estimators stale; an explicit sync heals
-        assert service._stale == {"power", "probesim"}
+        # no replica sees the stream before sync(), so nothing fails yet
+        assert service.apply_update_stream(stream) == 3
+        assert service._graph_stale
+        with pytest.raises(QueryError, match="index corrupted"):
+            service.sync()
+        # the failed delta healed by a rebuild: nothing is left stale
+        assert not service._graph_stale
+        assert service.stats.syncs == service.stats.epochs == 1
         service.sync()
-        assert service.stats.syncs == 2
-        assert not service._stale
+        assert service.stats.syncs == 1
 
     def test_library_errors_derive_from_repro_error(self):
         assert issubclass(DuplicateEdgeError, ReproError)
@@ -295,57 +337,70 @@ class _CountingEstimator(SimRankEstimator):
         """Nothing to rebuild."""
 
     def capabilities(self):
-        return Capabilities(
-            method="counting", exact=False, index_based=False,
-            supports_dynamic=True, incremental_updates=True,
-        )
+        return _incremental("counting")
 
     def apply_updates(self, updates):
         """Incremental no-op: accept the notification instantly."""
 
 
 class TestConcurrentMaintenanceStats:
-    def test_counters_exact_under_query_update_overlap(self, toy):
-        """Regression: apply_update_stream/sync used to bump the shared
-        counters (updates_applied, incremental_notifications, syncs,
-        charge_maintenance, _stale) without the stats lock, racing the
-        lock-guarded query counters when replica threads overlap the
-        maintenance thread.  With every path locked, all final counts are
-        exact — lost increments here mean the lock was dropped again."""
+    def test_counters_exact_under_query_update_overlap(self, toy, stubs):
+        """Regression: maintenance used to bump the shared counters
+        (updates_applied, incremental_notifications, syncs,
+        charge_maintenance) without the stats lock, racing the lock-guarded
+        query counters when query threads overlap the maintenance thread,
+        and concurrent worker RPCs could take each other's replies.  With
+        the stats lock and the dispatch lock, all final counts are exact."""
+        import sys
         import threading
 
         graph = toy.copy()
-        service = SimRankService(graph, methods=())
-        service._estimators["counting"] = _CountingEstimator(graph)
-        service._default = "counting"
-        queries_per_thread, threads = 300, 4
+        service = SimRankService(graph, methods=("counting",))
+        queries_per_thread, threads = 500, 8
         rounds, updates_per_round = 25, 2
         barrier = threading.Barrier(threads + 1)
+        wrong: list[tuple[int, object]] = []  # (asked, answered or error)
 
         def query_loop():
             barrier.wait()
             for index in range(queries_per_thread):
-                service.single_source(index % graph.num_nodes)
+                node = index % graph.num_nodes
+                try:
+                    answered = service.single_source(node).query
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    answered = exc
+                if answered != node:
+                    wrong.append((node, answered))
 
-        workers = [threading.Thread(target=query_loop) for _ in range(threads)]
-        for worker in workers:
-            worker.start()
-        barrier.wait()
-        edge = (0, 5)
-        for _ in range(rounds):
-            # insert+delete per round: applies cleanly no matter the round
-            service.apply_edges(added=[edge])
-            service.apply_edges(removed=[edge])
-        for worker in workers:
-            worker.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=query_loop) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            barrier.wait()
+            edge = (0, 5)
+            for _ in range(rounds):
+                # insert+delete per round: applies cleanly no matter the round
+                service.apply_edges(added=[edge])
+                service.apply_edges(removed=[edge])
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
 
+        assert not any(worker.is_alive() for worker in workers)
+        assert wrong == []  # no thread received another call's reply
         assert service.stats.queries == threads * queries_per_thread
         assert service.stats.updates_applied == rounds * updates_per_round
         assert (
             service.stats.incremental_notifications == rounds * updates_per_round
         )
-        assert service.stats.syncs == 0  # the only mount is incremental
-        assert not service._stale
+        # the only mount is incremental: every sync ships a delta
+        assert service.stats.syncs == rounds * updates_per_round
+        assert service.stats.delta_syncs == rounds * updates_per_round
+        assert service.stats.epochs == 0
+        assert not service._graph_stale
 
 
 class TestContextManager:
@@ -355,9 +410,11 @@ class TestContextManager:
             assert service.single_source(0).score(0) == 1.0
         service.close()  # idempotent after __exit__
 
-    def test_close_is_a_noop_for_in_process_service(self, toy):
+    def test_query_after_close_raises(self, toy):
         service = SimRankService(toy, methods=("probesim",),
                                  configs={"probesim": {"eps_a": 0.2, "seed": 7}})
         service.close()
-        # the in-process service holds no pool: still queryable after close()
-        assert service.single_source(0).score(0) == 1.0
+        with pytest.raises(ConfigurationError, match="closed"):
+            service.single_source(0)
+        with pytest.raises(ConfigurationError, match="closed"):
+            service.estimator()

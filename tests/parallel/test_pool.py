@@ -2,18 +2,20 @@
 
 The load-bearing contract: for fixed seeds the process and thread
 executors are *bit-identical* to the sequential executor (same partition
-and maintenance schedule in one process) — and, for one worker on a static graph, to the
-plain :class:`~repro.api.service.SimRankService`.  Everything else
+and maintenance schedule in one process) — and, for one worker, to the
+plain :class:`~repro.api.service.SimRankService` (the one-worker
+sequential pool) for every registry method.  Everything else
 (caching, crashes, epochs) must preserve that contract.
 """
 
 import numpy as np
 import pytest
 
-from repro.api.registry import get_entry
+from repro.api.registry import get_entry, method_names
 from repro.api.service import SimRankService
 from repro.baselines.power import PowerMethod
 from repro.errors import ConfigurationError, QueryError
+from repro.graph.dynamic import generate_update_stream
 from repro.graph.generators import erdos_renyi_graph
 from repro.parallel import pool
 from repro.parallel.pool import ParallelSimRankService
@@ -88,16 +90,31 @@ class TestBitIdentical:
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
 
-    def test_one_worker_matches_plain_sequential_service(self, tiny_wiki):
-        """On a static graph, one process replica consumes exactly the RNG
-        stream the plain in-process service would."""
-        plain = SimRankService(tiny_wiki.copy(), methods=(METHOD,), configs=CONFIG)
-        with make_service(tiny_wiki, "process", workers=1) as parallel:
-            for got, want in zip(
-                parallel.single_source_many(QUERIES),
-                plain.single_source_many(QUERIES),
-            ):
-                np.testing.assert_array_equal(got.scores, want.scores)
+    @pytest.mark.parametrize("method", method_names())
+    def test_one_worker_matches_plain_sequential_service(self, tiny_wiki, method):
+        """One process replica answers every registry method with the plain
+        in-process service's bytes (the serving benchmark's oracle), on the
+        static graph and after one update burst."""
+        config = {**get_entry(method).probe_config, "seed": 13}
+        if method == "topsim":
+            config["depth"] = 2  # full TopSim at depth 3 takes ~20 s here
+        configs = {method: config}
+        burst = generate_update_stream(tiny_wiki, 6, seed=4)
+        with SimRankService(
+            tiny_wiki.copy(), methods=(method,), configs=configs
+        ) as plain, ParallelSimRankService(
+            tiny_wiki.copy(), methods=(method,), configs=configs, workers=1,
+            executor="process", allow_unsafe=True,
+        ) as parallel:
+            for leg in ("static", "burst"):
+                if leg == "burst":
+                    plain.apply_update_stream(burst)
+                    parallel.apply_update_stream(burst)
+                for got, want in zip(
+                    parallel.single_source_many(QUERIES),
+                    plain.single_source_many(QUERIES),
+                ):
+                    assert got.scores.tobytes() == want.scores.tobytes(), leg
 
     def test_runs_are_reproducible(self, tiny_wiki):
         with make_service(tiny_wiki, "process") as first:

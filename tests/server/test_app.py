@@ -600,17 +600,8 @@ class TestCachedSingles:
     """A coalesced single is first looked up in the pool's result cache on
     the event loop: a hit never reaches a bucket or the dispatch thread."""
 
-    @pytest.mark.parametrize("make", [
-        lambda graph: sequential_pool(graph, cache_size=0),
-        lambda graph: SimRankService(
-            graph, methods=["probesim-native"],
-            configs={"probesim-native": CFG},
-        ),
-    ], ids=["pool", "in-process"])
-    def test_bad_query_fails_alone_not_its_batch_mates(
-        self, harness, tiny_wiki, make
-    ):
-        service = make(tiny_wiki)
+    def test_bad_query_fails_alone_not_its_batch_mates(self, harness, tiny_wiki):
+        service = sequential_pool(tiny_wiki, cache_size=0)
         gate = threading.Event()
 
         async def scenario(app):
