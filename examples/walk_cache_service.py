@@ -1,15 +1,20 @@
 """A similarity service backed by SimRankService + the walk-cache index.
 
-Scenario: a "people also follow" endpoint serves batched top-k queries for a
-hot set of accounts while the follower graph keeps changing.  The service
+Scenario: a "related papers" endpoint serves batched top-k queries for a
+hot set of papers while the citation graph keeps changing.  The service
 layer owns the graph and the estimators:
 
 - requests arrive in *batches*; the service deduplicates each batch, so a
-  hot account queried five times in one batch samples its sqrt(c)-walks once;
-- the ``probesim-walkindex`` method caches each hot account's walk tree
+  hot paper queried five times in one batch samples its sqrt(c)-walks once;
+- the ``probesim-walkindex`` method caches each hot paper's walk tree
   across batches and advertises ``incremental_updates``, so the service
-  notifies it per edge update (evicting exactly the stale trees) instead of
-  re-syncing from scratch.
+  notifies it per edge update (evicting exactly the trees whose walks visit
+  the update's target) instead of re-syncing from scratch.
+
+A sparse citation graph suits the cache: the hot papers' walks visit 2 to
+74 of its 1,500 nodes, so most updates touch no cached tree.  On a small
+dense graph the cache buys nothing: on wiki-vote tiny each tree visits
+87-97% of the 200 nodes, and the first update evicts every one.
 
 Run:  python examples/walk_cache_service.py
 """
@@ -23,8 +28,8 @@ from repro.graph import generate_update_stream
 from repro.utils.sizing import format_bytes
 from repro.utils.timer import Timer
 
-graph = load_dataset("wiki-vote", scale="tiny").copy()
-print(f"follower graph: {graph}")
+graph = load_dataset("hepph", scale="small").copy()
+print(f"citation graph: {graph}")
 
 service = SimRankService(
     graph,
@@ -34,26 +39,29 @@ service = SimRankService(
 cache = service.estimator()  # the WalkIndex instance behind the method
 print(f"capabilities: {service.capabilities()}")
 
-hot_accounts = sample_query_nodes(graph, 6, seed=10)
-cache.warm(hot_accounts)
-print(f"warmed cache for hot accounts {hot_accounts}: "
+hot_papers = sample_query_nodes(graph, 6, seed=10)
+cache.warm(hot_papers)
+print(f"warmed cache for hot papers {hot_papers}: "
       f"{cache.num_cached} trees, payload {format_bytes(cache.payload_bytes())}")
 
-# --- serve batched requests: 80% hot accounts, interleaved with updates ----
+# --- serve batched requests: 80% hot papers, interleaved with updates ------
 # request:update ratio of 8:1 — similarity reads vastly outnumber graph
 # writes in a serving workload, which is what makes caching pay off.
 rng = np.random.default_rng(11)
 stream = generate_update_stream(graph, 15, seed=12)
 serving = Timer()
 served = 0
+spared = 0  # updates that evicted no cached tree
 for update in stream:
     # the service applies the update to the graph and, because the walk
     # cache is incremental, evicts only the trees the update staled
+    evicted = cache.evictions
     service.apply_update_stream([update])
+    spared += cache.evictions == evicted
     batch = []
     for _ in range(8):  # eight requests between updates, served as one batch
         if rng.random() < 0.8:
-            batch.append(hot_accounts[int(rng.integers(len(hot_accounts)))])
+            batch.append(hot_papers[int(rng.integers(len(hot_papers)))])
         else:
             batch.append(sample_query_nodes(graph, 1, seed=int(rng.integers(1 << 30)))[0])
     with serving:
@@ -67,12 +75,14 @@ print(f"\nserved {served} top-5 requests in {serving.elapsed:.2f}s "
 print(f"batch dedup saved {stats.batch_dedup_saved} of {stats.batched_queries} "
       f"queries; {stats.incremental_notifications} incremental update "
       f"notifications, {stats.epochs} full rebuilds")
-print(f"cache after the stream: {cache.num_cached} trees alive, "
+print(f"{spared} of {len(stream)} updates evicted no cached tree "
+      f"({cache.evictions} evictions in all); {cache.num_cached} trees alive, "
       f"cross-batch hit rate {cache.hit_rate:.0%}")
 # within a batch, duplicates are served by the batch dedup (they never even
-# reach the cache); across batches, surviving trees serve the hot accounts
+# reach the cache); across batches, surviving trees serve the hot papers
 assert stats.batch_dedup_saved > 0
 assert stats.epochs == 0  # the walk cache never needed a full rebuild
-assert cache.num_cached > 0
+assert spared > len(stream) // 2  # most updates leave every cached tree alone
+assert cache.hit_rate > 0.5  # so most queries reuse a cached tree
 print("cached walk trees survive unrelated updates, batches share sampling, "
-      "and answers stay exact w.r.t. the live graph — done.")
+      "and every answer is probed against the live graph — done.")

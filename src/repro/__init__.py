@@ -27,7 +27,7 @@ from repro.api import Capabilities, SimRankEstimator, SimRankService
 from repro.baselines import MonteCarlo, PowerMethod, SLINGIndex, TSFIndex, TopSim
 from repro.core import ProbeSim, ProbeSimConfig, SimRankResult, TopKResult
 from repro.errors import ReproError
-from repro.extensions import AdaptiveTopK, WalkIndex
+from repro.extensions import WalkIndex
 from repro.graph import CSRGraph, DiGraph
 from repro.storage import (
     PersistentGraphStore,
@@ -41,7 +41,6 @@ from repro.workloads import WorkloadConfig, WorkloadTrace, generate_workload, ru
 __version__ = "2.0.0"
 
 __all__ = [
-    "AdaptiveTopK",
     "CSRGraph",
     "Capabilities",
     "DiGraph",

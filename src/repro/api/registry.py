@@ -2,7 +2,7 @@
 
 One place maps the method names used throughout the paper's experiments
 (``"probesim"``, ``"sling"``, ``"tsf"``, ``"topsim"``, ``"mc"``, ``"power"``,
-plus the strategy variants and the §7 extensions) to factories with keyword
+plus the strategy variants and the §7 walk index) to factories with keyword
 configuration.  The CLI, the experiment runner, the benchmark harness, and
 the serving pool's workers all construct methods exclusively through the
 registry, so adding a method is one :func:`register` call.
@@ -171,7 +171,7 @@ _PROBESIM_PROBE = {"eps_a": 0.2, "delta": 0.1, "num_walks": 60}
 
 def _register_builtins() -> None:
     """Register the paper's six methods, the strategy variants, and the
-    §7 extensions.  Runs once, on first registry access."""
+    §7 walk index.  Runs once, on first registry access."""
     from repro.baselines.monte_carlo import MonteCarlo
     from repro.baselines.power import PowerMethod
     from repro.baselines.sling import SLINGIndex
@@ -179,7 +179,6 @@ def _register_builtins() -> None:
     from repro.baselines.tsf import TSFIndex
     from repro.core.config import STRATEGIES
     from repro.core.engine import ProbeSim
-    from repro.extensions.adaptive_topk import AdaptiveTopK
     from repro.extensions.walk_index import WalkIndex
 
     def probesim_factory(strategy: str | None):
@@ -229,23 +228,6 @@ def _register_builtins() -> None:
         capabilities=Capabilities(
             method="probesim-walkindex", exact=False, index_based=True,
             supports_dynamic=True, incremental_updates=True, vectorized=False,
-            parallel_safe=True,
-        ),
-    )
-
-    def adaptive_factory(graph, **config):
-        """ProbeSim with early-stopping top-k."""
-        return AdaptiveTopK(graph, **config)
-
-    register(
-        "probesim-adaptive",
-        adaptive_factory,
-        summary="ProbeSim with early-stopping (adaptive-budget) top-k",
-        config_keys=_PROBESIM_KEYS + ("strategy", "initial_batch"),
-        probe_config={**_PROBESIM_PROBE, "initial_batch": 16},
-        capabilities=Capabilities(
-            method="probesim-adaptive", exact=False, index_based=False,
-            supports_dynamic=True, incremental_updates=False, vectorized=False,
             parallel_safe=True,
         ),
     )

@@ -269,13 +269,10 @@ class ProbeSim(SimRankEstimator):
         stats.walk_length_total = int(lengths.sum())
         return [nodes[i, :length].tolist() for i, length in enumerate(lengths.tolist())]
 
-    def _sample_trie(
-        self, query: int, stats: QueryStats, bases: np.ndarray | None = None
-    ) -> WalkTrie:
-        """The walk trie of ``bases`` (default: the query's ``nr`` walks),
-        built while the walks step."""
-        if bases is None:
-            bases = self._walk_bases(query)
+    def _sample_trie(self, query: int, stats: QueryStats) -> WalkTrie:
+        """The walk trie of the query's ``nr`` walks, built while the walks
+        step."""
+        bases = self._walk_bases(query)
         csr = self._csr
         cfg = self.config
         levels = fallback.sample_trie_levels(

@@ -9,8 +9,8 @@ siblings before they propagate, so a dense product runs at the narrower
 parent width.  The sampler and the sweep's
 per-level primitives live in :mod:`.fallback` — numpy/scipy code with no
 compiler dependency.  The sampler is ProbeSim's only walk sampler: the
-per-prefix strategies, adaptive top-k and the walk index draw their walks
-through it too.
+per-prefix strategies and the walk index draw their walks through it
+too.
 
 :func:`resolve_impl` returns that primitive namespace and is the seam the
 sweep takes it through, so instrumentation can wrap it (count or time

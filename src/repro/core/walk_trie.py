@@ -5,7 +5,7 @@ weighted by how many of the query's √c-walks share it: the reverse
 reachability tree of the walk batch.  :class:`WalkTrie` is that tree,
 flattened into per-level numpy arrays.  ProbeSim builds the levels while
 it samples the walks (:func:`repro.core.native.fallback.sample_trie_levels`),
-for every strategy, the walk cache and adaptive top-k alike;
+for every strategy and the walk cache alike;
 :meth:`WalkTrie.from_walk_arrays` builds the same levels in one vectorised
 pass over padded walk arrays, for callers that hold the walks themselves:
 

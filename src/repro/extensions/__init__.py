@@ -3,11 +3,8 @@
 - :class:`~repro.extensions.walk_index.WalkIndex` — a *lightweight* index
   (cached √c-walk tries with fine-grained invalidation) that accelerates
   repeated queries without giving up dynamic-graph support.
-- :class:`~repro.extensions.adaptive_topk.AdaptiveTopK` — early-stopping
-  top-k that spends walks only until the ranking is statistically settled.
 """
 
-from repro.extensions.adaptive_topk import AdaptiveTopK
 from repro.extensions.walk_index import WalkIndex
 
-__all__ = ["AdaptiveTopK", "WalkIndex"]
+__all__ = ["WalkIndex"]

@@ -29,8 +29,10 @@ Worker replicas
     function of the replica's config, its graph state and the query.
 
 Deterministic dispatch
-    Batches are deduplicated, probed against the result cache, and the
-    misses split positionally (``misses[w::workers]``) across workers; every
+    Every query is a batch: a lone ``single_source`` or ``topk`` is a
+    batch of one.  Batches are deduplicated, probed against the result
+    cache, and the misses split positionally (``misses[w::workers]``)
+    across workers, so a lone miss always lands on worker 0; every
     worker consumes its share in order and results merge back in global
     batch order.  Results are therefore bit-identical across runs, and
     bit-identical to ``executor="sequential"``, which runs the same
@@ -235,8 +237,9 @@ class _WorkerCore:
             for key, _, _ in self.mounts:
                 self.estimators[key].apply_updates([update])
 
-    def query(self, key: str, kind: str, k: int | None, ops):
-        """Answer ``(op_id, node)`` ops in order with the ``key`` replica.
+    def query(self, key: str, ops):
+        """Answer ``(op_id, node)`` single-source ops in order with the
+        ``key`` replica.
 
         Returns ``(op_id, result, seconds)`` triples: each op's own
         wall-clock time rides back with its answer, so the coordinator can
@@ -246,10 +249,7 @@ class _WorkerCore:
         records = []
         for op_id, node in ops:
             started = time.perf_counter()
-            if kind == "topk":
-                result = estimator.topk(node, k)
-            else:
-                result = estimator.single_source(node)
+            result = estimator.single_source(node)
             records.append((op_id, result, time.perf_counter() - started))
         return records
 
@@ -566,7 +566,6 @@ class ParallelSimRankService(QueryServiceBase):
         self._epoch = 0
         self._graph_stale = False
         self._closed = False
-        self._single_rr = 0  # round-robin cursor for lone single_source/topk calls
         #: delta bursts shipped since the live epoch was published — the
         #: stream a revived worker is sent again after its build
         self._delta_payloads: list[tuple[EdgeUpdate, ...]] = []
@@ -804,32 +803,14 @@ class ParallelSimRankService(QueryServiceBase):
     # ------------------------------------------------------------------ #
 
     def single_source(self, query: int, method: str | None = None):
-        """One single-source query (cache-probed, one worker round-trip)."""
-        key = self._resolve_method(method)
-        node = self._check_query_node(query)
-        with self._stats_lock:
-            self.stats.queries += 1
-        cached = self.cache.get(key, node, self._epoch)
-        if cached is not None:
-            return cached
-        result = self._lone_query(key, "single_source", None, node)
-        self.cache.put(key, node, self._epoch, result)
-        return result
+        """One single-source query: a batch of one (see
+        :meth:`single_source_many`), so worker 0 answers a cache miss."""
+        return self.single_source_many([query], method)[0]
 
     def topk(self, query: int, k: int, method: str | None = None):
-        """One top-k query via the estimator's native top-k path.
-
-        Dispatching ``topk`` (rather than slicing a cached single-source
-        answer) preserves estimator-specific top-k behaviour such as
-        adaptive early stopping; it therefore bypasses the result cache.
-        """
-        if k <= 0:
-            raise QueryError(f"k must be positive, got {k}")
-        key = self._resolve_method(method)
-        node = self._check_query_node(query)
-        with self._stats_lock:
-            self.stats.queries += 1
-        return self._lone_query(key, "topk", int(k), node)
+        """One top-k query: the top-``k`` view of :meth:`single_source`,
+        through the same batch path and result cache."""
+        return self.topk_many([query], k, method)[0]
 
     def cached(self, query: int, method: str | None = None):
         """The cached single-source answer at the live epoch, or ``None``.
@@ -848,13 +829,6 @@ class ParallelSimRankService(QueryServiceBase):
             with self._stats_lock:
                 self.stats.queries += 1
         return result
-
-    def _lone_query(self, key: str, kind: str, k: int | None, node: int):
-        """Answer one op on the next worker in round-robin order."""
-        index = self._single_rr % self.workers
-        self._single_rr += 1
-        records = self._rpc_all({index: ("query", (key, kind, k, [(0, node)]))})
-        return records[index][0][1]
 
     def single_source_many(
         self, queries: Sequence[int], method: str | None = None
@@ -893,7 +867,7 @@ class ParallelSimRankService(QueryServiceBase):
                 misses.append(node)
         ops = list(enumerate(misses))
         assignments = {
-            w: ("query", (key, "single_source", None, ops[w :: self.workers]))
+            w: ("query", (key, ops[w :: self.workers]))
             for w in range(self.workers)
             if ops[w :: self.workers]
         }

@@ -124,6 +124,22 @@ class TestBitIdentical:
         for got, want in zip(a, b):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("executor", ["sequential", "process"])
+    def test_lone_queries_are_batches_of_one(self, tiny_wiki, executor):
+        """A repeated lone query returns the same bytes on a multi-worker
+        pool, and they are the batch path's answer: with the cache off
+        every call computes, so no worker may answer it differently."""
+        with make_service(tiny_wiki, executor, workers=2) as service:
+            singles = [service.single_source(7).scores.tobytes() for _ in range(3)]
+            tops = [service.topk(7, 5) for _ in range(3)]
+            want = service.single_source_many([7])[0].scores.tobytes()
+            want_top = service.topk_many([7], 5)[0]
+            assert not service.cache.enabled
+        assert singles == [want] * 3
+        for top in tops:
+            assert top.nodes.tobytes() == want_top.nodes.tobytes()
+            assert top.scores.tobytes() == want_top.scores.tobytes()
+
     def test_topk_many_matches_sequential(self, tiny_wiki):
         with make_service(tiny_wiki, "process") as parallel, \
                 make_service(tiny_wiki, "sequential") as sequential:
@@ -206,8 +222,8 @@ class TestCrashRecovery:
         service._workers[1].process.join(timeout=10)
 
     @pytest.mark.parametrize("method", [
-        "probesim", "probesim-randomized", "probesim-adaptive",
-        "probesim-walkindex", "probesim-native", "mc", "tsf",
+        "probesim", "probesim-randomized", "probesim-walkindex",
+        "probesim-native", "mc", "tsf",
     ])
     def test_crash_mid_service_preserves_results(self, tiny_wiki, method):
         """A revived worker is rebuilt at the live graph state and never
@@ -228,6 +244,11 @@ class TestCrashRecovery:
                     r.scores.copy() for r in service.single_source_many(QUERIES[:5])
                 )
                 kill(service)
+                # lone queries are batches of one on worker 0, so a batch
+                # wide enough to reach the killed worker 1 comes first
+                out.extend(
+                    r.scores.copy() for r in service.single_source_many(QUERIES[5:])
+                )
                 out.append(service.single_source(7).scores.copy())
                 out.append(service.topk(2, 5).scores.copy())
                 return out, service.stats.worker_restarts
@@ -373,8 +394,8 @@ class TestPipeDiscipline:
                 make_service(tiny_wiki, "sequential", workers=2) as oracle:
             for target in (service, oracle):
                 bad = {
-                    0: ("query", ("no-such-mount", "single_source", None, [(0, 3)])),
-                    1: ("query", (METHOD, "single_source", None, [(1, 4)])),
+                    0: ("query", ("no-such-mount", [(0, 3)])),
+                    1: ("query", (METHOD, [(1, 4)])),
                 }
                 with pytest.raises(QueryError, match="no-such-mount"):
                     target._rpc_all(bad)

@@ -132,7 +132,6 @@ class TestQueryCommands:
             ["--method", "probesim", "--strategy", "basic", "--num-walks", "200"],
             ["--method", "probesim", "--strategy", "native", "--num-walks", "200"],
             ["--method", "probesim-walkindex", "--num-walks", "100"],
-            ["--method", "probesim-adaptive", "--num-walks", "100"],
         ],
     )
     def test_every_method_runs(self, toy_path, capsys, method_args):
