@@ -3,9 +3,9 @@
 One read-heavy Zipf trace is replayed through the workload driver on both
 executors at increasing pool widths, answering the scale-out questions:
 
-- **thread**: the pool's in-process workers answering their shares on a
-  thread pool — no fork or pickling, but GIL-bound: the single-process
-  ceiling;
+- **sequential**: the pool's in-process workers answering their shares
+  one after another on the calling thread — no fork or pickling: the
+  single-process baseline and the determinism oracle;
 - **process**: the same dispatch across worker processes over a
   zero-copy shared-memory graph (:mod:`repro.parallel`) — throughput
   scales with cores;
@@ -17,12 +17,13 @@ latency is its own compute time on its worker, not a batch mean.  The standalone
 cores and records the pinned count as ``cores``, so a baseline gates on
 any box with at least that many cores.
 
-The headline acceptance number — ``--workers 4`` at ≥ 2x the thread
+The headline acceptance number — ``--workers 4`` at ≥ 2x the sequential
 executor's single-source QPS on the same trace — only shows on real
 multi-core hardware; pass ``--assert-speedup`` to enforce it (CI perf
 machines), leave it off on laptops/containers with throttled cores.
 Pinned to ``CORE_BUDGET = 2`` cores the process executor can at best
-double the thread executor, so the assert sits at the edge of that budget.
+double the sequential executor, so the assert sits at the edge of that
+budget.
 
 Usage::
 
@@ -33,13 +34,6 @@ Usage::
 
 The ``--json`` report carries a flat ``gate`` block consumed by
 ``tools/check_bench_regression.py`` (the nightly perf-regression gate).
-
-``--free-threaded-probe`` (opt-in) re-runs the thread-executor sweep and
-reports whether it scales with pool width — the question only a
-free-threaded build (3.13t, ``python -X gil=0`` / PEP 703) can answer
-with "yes".  On a GIL build the probe still runs and records the flat
-scaling curve as the control measurement; nothing gates on it either
-way, it is an instrumentation surface for free-threaded CPython.
 """
 
 import argparse
@@ -111,7 +105,7 @@ def run_bench(worker_series, smoke: bool, cores: int) -> dict:
     graph, trace = build_trace(smoke)
     rows = []
     for workers in worker_series:
-        rows.append(replay(graph, trace, smoke, "thread", workers))
+        rows.append(replay(graph, trace, smoke, "sequential", workers))
         rows.append(replay(graph, trace, smoke, "process", workers))
     cache_off = replay(graph, trace, smoke, "process", worker_series[-1])
     cache_on = replay(
@@ -138,19 +132,19 @@ def run_bench(worker_series, smoke: bool, cores: int) -> dict:
     # gate metrics are *absolute* QPS/latency numbers (plus the
     # deterministic cache hit rate): against a same-hardware baseline they
     # regress monotonically with a slow commit.  Machine-relative ratios
-    # (process-vs-thread, cache speedup) go under "derived" — informative,
+    # (process-vs-sequential, cache speedup) go under "derived" — informative,
     # but too hardware-shaped to gate at a fixed threshold.
     gate = {}
     for workers in worker_series:
-        gate[f"qps:thread:w{workers}"] = qps_of("thread", workers)
+        gate[f"qps:sequential:w{workers}"] = qps_of("sequential", workers)
         gate[f"qps:process:w{workers}"] = qps_of("process", workers)
     for row in rows:
         gate[f"p95_ms:{row['executor']}:w{row['workers']}"] = row["p95_ms"]
     gate[f"qps:process-cached:w{worker_series[-1]}"] = cache_on["qps"]
     gate["hit:rate:cached"] = cache_on.get("hit_rate", 0.0)
     derived = {
-        f"speedup:process-vs-thread:w{workers}": round(
-            qps_of("process", workers) / qps_of("thread", workers), 3
+        f"speedup:process-vs-sequential:w{workers}": round(
+            qps_of("process", workers) / qps_of("sequential", workers), 3
         )
         for workers in worker_series
     }
@@ -168,38 +162,6 @@ def run_bench(worker_series, smoke: bool, cores: int) -> dict:
     }
 
 
-def gil_enabled() -> bool | None:
-    """``True``/``False`` on 3.13+, ``None`` where the probe cannot tell."""
-    probe = getattr(sys, "_is_gil_enabled", None)
-    return probe() if callable(probe) else None
-
-
-def run_free_threaded_probe(worker_series, smoke: bool, cores: int) -> dict:
-    """Thread-executor scaling curve plus the interpreter's GIL status.
-
-    On a free-threaded build the thread executor should approach the
-    process executor's scaling (no pickling, no fork); on a GIL build the
-    curve stays flat.  Either result is recorded, never gated.
-    """
-    graph, trace = build_trace(smoke)
-    rows = [
-        replay(graph, trace, smoke, "thread", workers)
-        for workers in worker_series
-    ]
-    emit_table(
-        "parallel_service", rows,
-        (f"Free-threaded probe: thread executor sweep "
-         f"(gil_enabled={gil_enabled()}, cores={cores})"),
-    )
-    base = rows[0]["qps"]
-    return {
-        "gil_enabled": gil_enabled(),
-        "python": sys.version,
-        "series": rows,
-        "scaling": round(rows[-1]["qps"] / base, 3) if base else None,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", default="1,2,4,8",
@@ -209,32 +171,23 @@ def main(argv=None) -> int:
     parser.add_argument("--json", default=None,
                         help="write the machine-readable report here")
     parser.add_argument("--assert-speedup", action="store_true",
-                        help="fail unless process w4 >= 2x thread QPS "
+                        help="fail unless process w4 >= 2x sequential QPS "
                              "(needs real multi-core hardware)")
-    parser.add_argument("--free-threaded-probe", action="store_true",
-                        dest="free_threaded_probe",
-                        help="also sweep the thread executor and record "
-                             "whether it scales (meaningful on a 3.13t "
-                             "free-threaded build; informational elsewhere)")
     args = parser.parse_args(argv)
     worker_series = [int(w) for w in args.workers.split(",") if w.strip()]
 
     cores = pin_cores(CORE_BUDGET)
     payload = run_bench(worker_series, args.smoke, cores)
-    if args.free_threaded_probe:
-        payload["free_threaded_probe"] = run_free_threaded_probe(
-            worker_series, args.smoke, cores
-        )
     digests = {
         (row["executor"], row["workers"]): row["digest"]
         for row in payload["series"]
     }
     for workers in worker_series:
-        thread_digest = digests[("thread", workers)]
+        sequential_digest = digests[("sequential", workers)]
         process_digest = digests[("process", workers)]
-        assert thread_digest == process_digest, (
+        assert sequential_digest == process_digest, (
             f"executors disagree at {workers} workers: the process and "
-            "thread executors must be bit-identical on a static graph"
+            "sequential executors must be bit-identical on a static graph"
         )
     print("\ndigests bit-identical across executors at every width: OK")
 
@@ -245,13 +198,14 @@ def main(argv=None) -> int:
                        encoding="utf-8")
         print(f"wrote JSON report to {out}")
     if args.assert_speedup:
-        ratio = payload["derived"].get("speedup:process-vs-thread:w4")
+        ratio = payload["derived"].get("speedup:process-vs-sequential:w4")
         assert ratio is not None, "--assert-speedup needs 4 in --workers"
         assert ratio >= 2.0, (
-            f"process executor at 4 workers is only {ratio:.2f}x the thread "
-            f"executor (needs >= 2x; cores={payload['cores']})"
+            f"process executor at 4 workers is only {ratio:.2f}x the "
+            f"sequential executor (needs >= 2x; cores={payload['cores']})"
         )
-        print(f"acceptance: process w4 is {ratio:.2f}x thread QPS (>= 2x): OK")
+        print(f"acceptance: process w4 is {ratio:.2f}x sequential QPS "
+              "(>= 2x): OK")
     return 0
 
 

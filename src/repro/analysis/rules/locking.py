@@ -7,8 +7,8 @@ writes through it, deletion, or calls to known mutator methods — must sit
 inside a ``with self.<lock>:`` block, inside ``__init__`` (no concurrent
 access before construction returns), or inside a function annotated
 ``# holds-lock: <lock>`` (callers acquire it).  Annotations are inherited
-by subclasses via the project index, so ``QueryServiceBase`` guards apply
-to the pool and to ``SimRankService`` on it.
+by subclasses via the project index, so the pool's guards apply to
+``SimRankService`` on it.
 
 The special lock name ``event-loop`` documents asyncio confinement:
 mutations are only legal inside the declaring class, which this rule

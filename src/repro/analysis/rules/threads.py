@@ -4,12 +4,11 @@ infrastructure.
 Every ``threading.Thread``, ``multiprocessing``/``ctx.Process``,
 ``ThreadPoolExecutor``/``ProcessPoolExecutor``, ``threading.Timer``,
 ``_thread.start_new_thread``, and ``os.fork`` site is flagged.  The few
-legitimate spawn points — the parallel pool's worker processes and its
-thread executor, the HTTP app's single-thread dispatch executor — are
-enumerated in the committed
-baseline with one-line justifications, so any *new* spawn site fails CI
-until it is either routed through those abstractions or consciously
-added to the baseline.
+legitimate spawn points — the parallel pool's worker processes and the
+HTTP app's single-thread dispatch executor — are enumerated in the
+committed baseline with one-line justifications, so any *new* spawn site
+fails CI until it is either routed through those abstractions or
+consciously added to the baseline.
 """
 
 from __future__ import annotations

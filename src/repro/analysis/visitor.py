@@ -6,8 +6,8 @@ annotations (``# guarded-by: <lock>`` on field declarations,
 ``# holds-lock: <lock>`` on functions whose callers take the lock), and
 statement-block navigation.  A :class:`ProjectIndex` merges per-file
 class facts so guard annotations are inherited across files by base-class
-name (e.g. ``QueryServiceBase`` annotations apply to
-``ParallelSimRankService``).
+name (e.g. ``ParallelSimRankService`` annotations apply to
+``SimRankService``).
 """
 
 from __future__ import annotations

@@ -13,10 +13,9 @@ This package is the system's API layer:
     The in-process serving layer: one graph plus many estimators, with
     batched (deduplicated) queries and update maintenance.  It is the
     one-worker sequential form of
-    :class:`~repro.parallel.pool.ParallelSimRankService`, whose protocol
-    (:class:`~repro.api.service_base.QueryServiceBase`,
-    :class:`~repro.api.service_base.ServiceStats`) the HTTP front door
-    speaks.
+    :class:`~repro.parallel.pool.ParallelSimRankService`, whose verbs and
+    :class:`~repro.parallel.pool.ServiceStats` counters the HTTP front
+    door speaks.
 """
 
 from repro.api.estimator import Capabilities, SimRankEstimator

@@ -16,11 +16,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.api.estimator import SimRankEstimator
-from repro.api.service_base import QueryServiceBase, ServiceStats
 from repro.errors import ConfigurationError
-from repro.parallel.pool import ParallelSimRankService
+from repro.parallel.pool import ParallelSimRankService, ServiceStats
 
-__all__ = ["QueryServiceBase", "ServiceStats", "SimRankService"]
+__all__ = ["ServiceStats", "SimRankService"]
 
 
 class SimRankService(ParallelSimRankService):
@@ -61,11 +60,12 @@ class SimRankService(ParallelSimRankService):
 
     Thread model
     ------------
+    Every call runs on its caller's thread.
     Query calls may come from several threads, concurrently with one
     thread applying updates and syncs: every worker RPC runs under the
     pool's dispatch lock, so they take turns on the replica, and the stats
-    counters stay exact.  Multi-core serving is the pool itself with more
-    workers or ``executor="process"``.
+    counters stay exact.  Multi-core serving is the pool itself with
+    ``executor="process"``.
     """
 
     def __init__(
@@ -78,7 +78,7 @@ class SimRankService(ParallelSimRankService):
     ) -> None:
         super().__init__(
             graph, methods, configs, default_method, workers=1,
-            executor="sequential", auto_sync=auto_sync, allow_unsafe=True,
+            executor="sequential", auto_sync=auto_sync,
         )
 
     def estimator(self, method: str | None = None) -> SimRankEstimator:

@@ -545,13 +545,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="max update arrival-batch size")
     workload.add_argument("--workers", type=int, default=1,
                           help="query-side pool width (one replica each)")
-    workload.add_argument("--executor", default="thread",
+    workload.add_argument("--executor", default="sequential",
                           choices=EXECUTORS,
-                          help="where the pool's replicas run: a thread "
-                               "pool (GIL-bound), worker processes over a "
-                               "shared-memory graph, or one after another "
-                               "in-process (the determinism oracle); all "
-                               "three give equal reports apart from timings")
+                          help="where the pool's replicas run: one after "
+                               "another in-process (the determinism oracle) "
+                               "or worker processes over a shared-memory "
+                               "graph; both give equal reports apart from "
+                               "timings")
     workload.add_argument("--maintenance", default="auto",
                           choices=MAINTENANCE_MODES,
                           help="update path on every executor: in-place delta "

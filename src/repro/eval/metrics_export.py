@@ -79,7 +79,7 @@ def service_metrics(
 ) -> dict[str, float]:
     """Flatten one service's operational counters for exposition.
 
-    ``stats`` is a :class:`repro.api.service_base.ServiceStats` (anything with
+    ``stats`` is a :class:`repro.parallel.pool.ServiceStats` (anything with
     an ``as_row()`` of numbers works); ``cache`` is a
     :meth:`repro.parallel.cache.ResultCache.snapshot` dict (exposed under
     a ``cache_`` prefix); ``extra`` adds caller-owned gauges (the HTTP

@@ -37,10 +37,7 @@ Deterministic dispatch
     batch order.  Results are therefore bit-identical across runs, and
     bit-identical to ``executor="sequential"``, which runs the same
     partition and maintenance schedule in-process (the oracle the
-    correctness suite compares against).  ``executor="thread"`` runs that
-    same in-process schedule with each worker's query RPCs on a shared
-    thread pool, so shares overlap wherever the kernels release the GIL.
-    Every worker times each op it answers and returns that time with the
+    correctness suite compares against).  Every worker times each op it answers and returns that time with the
     answer (:meth:`ParallelSimRankService.single_source_many_timed`).
 
 Crash recovery
@@ -85,8 +82,9 @@ Delta maintenance (O(Δ) instead of O(m) per update burst)
     supports it.
 
 Methods whose registry capabilities set ``parallel_safe=False``
-(rebuild-heavy static indexes) are rejected at mount time unless
-``allow_unsafe=True``.
+(rebuild-heavy static indexes) are rejected at mount time on a pool of
+more than one worker; a one-worker pool has no per-worker rebuild to
+multiply.
 """
 
 from __future__ import annotations
@@ -96,11 +94,10 @@ import os
 import threading
 import time
 import traceback
-from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.api.registry import get_entry
-from repro.api.service_base import QueryServiceBase
 from repro.errors import ConfigurationError, QueryError
 from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.digraph import DiGraph
@@ -110,10 +107,15 @@ from repro.parallel.shm import SharedCSRGraph
 from repro.storage.snapshot import MappedSnapshot, attach_snapshot
 from repro.utils.validation import check_positive_int
 
-__all__ = ["ParallelSimRankService", "WorkerCrashed", "derive_replica_config"]
+__all__ = [
+    "ParallelSimRankService",
+    "ServiceStats",
+    "WorkerCrashed",
+    "derive_replica_config",
+]
 
 #: executors the service can run its workers on.
-EXECUTORS = ("process", "thread", "sequential")
+EXECUTORS = ("process", "sequential")
 
 #: maintenance paths the service can run updates through.
 MAINTENANCE_MODES = ("auto", "delta", "rebuild")
@@ -153,6 +155,65 @@ def derive_replica_config(entry, config: dict, worker: int) -> dict:
     return config
 
 
+@dataclass
+class ServiceStats:
+    """Operational counters of one serving instance.
+
+    ``maintenance_seconds`` accumulates wall-clock maintenance cost *per
+    mounted method name*: each sync's wall-clock is split evenly across the
+    mounted methods, so a workload driver can charge each estimator its own
+    index-upkeep bill (the comparison the paper's dynamic argument is
+    about).
+    """
+
+    queries: int = 0
+    batches: int = 0
+    batched_queries: int = 0
+    batched_unique: int = 0
+    updates_applied: int = 0
+    #: maintenance syncs that shipped updates, whichever path each took
+    syncs: int = 0
+    #: per-method update notifications shipped by delta syncs
+    incremental_notifications: int = 0
+    #: graph generations published, i.e. full-rebuild syncs
+    epochs: int = 0
+    #: syncs served by O(Δ) delta propagation instead of an epoch rebuild
+    delta_syncs: int = 0
+    #: edge updates shipped through the delta path
+    delta_updates: int = 0
+    #: crashed or hung workers replaced (worker processes only)
+    worker_restarts: int = 0
+    maintenance_seconds: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def batch_dedup_saved(self) -> int:
+        """Queries answered from a batch-mate's result instead of recomputed."""
+        return self.batched_queries - self.batched_unique
+
+    @property
+    def total_maintenance_seconds(self) -> float:
+        """Maintenance wall-clock summed over every mounted method."""
+        return sum(self.maintenance_seconds.values())
+
+    def charge_maintenance(self, method: str, seconds: float) -> None:
+        """Accumulate ``seconds`` of maintenance against ``method``."""
+        self.maintenance_seconds[method] = (
+            self.maintenance_seconds.get(method, 0.0) + seconds
+        )
+
+    def as_row(self) -> dict[str, object]:
+        """Flat dict row for table rendering."""
+        return {
+            "queries": self.queries,
+            "batches": self.batches,
+            "dedup_saved": self.batch_dedup_saved,
+            "updates": self.updates_applied,
+            "syncs": self.syncs,
+            "delta_syncs": self.delta_syncs,
+            "maintenance_s": self.total_maintenance_seconds,
+        }
+
+
 # --------------------------------------------------------------------- #
 # worker side
 # --------------------------------------------------------------------- #
@@ -163,10 +224,10 @@ class _WorkerCore:
 
     ``source`` is either a :class:`~repro.parallel.shm.ShmGraphDescriptor`
     (process executor — the core maps the generation's shared-memory
-    segment or snapshot file) or a
-    :class:`CSRGraph` (sequential and thread executors — used directly).
-    Everything downstream of that choice is identical, which is what makes
-    the sequential executor a bit-exact oracle for the other two.
+    segment or snapshot file) or a :class:`CSRGraph` (sequential executor
+    — used directly).  Everything downstream of that choice is identical,
+    which is what makes the sequential executor a bit-exact oracle for the
+    process executor.
     """
 
     def __init__(self, worker_index: int) -> None:
@@ -365,39 +426,28 @@ class _ProcessWorker:
 
 
 class _InlineWorker:
-    """In-process handle (sequential and thread executors): same RPC surface.
+    """In-process handle (sequential executor): same RPC surface.
 
-    Without ``threads`` (sequential) ``send`` runs the RPC on the calling
-    thread.  With the thread executor's shared pool it submits query RPCs
-    there and ``recv`` waits for the future, so the pool's workers answer
-    their shares concurrently wherever the kernels release the GIL.
-    Maintenance RPCs (build, epoch, delta) still run on the calling
-    thread, one worker after another: they are mostly pure Python, so a
-    thread handoff per burst would only add latency.
+    ``send`` runs the RPC on the calling thread and holds its reply for
+    ``recv``, so the pool's workers answer one after another.
     """
 
-    def __init__(self, index: int, threads: ThreadPoolExecutor | None = None) -> None:
+    def __init__(self, index: int) -> None:
         self.index = index
         self.core = _WorkerCore(index)
-        self._threads = threads
         self._reply = None
 
-    def _call(self, message):
-        try:
-            return ("ok", self.core.handle(*message))
-        except Exception as exc:
-            return ("error", (type(exc).__name__, str(exc), traceback.format_exc()))
-
     def send(self, message) -> None:
-        if self._threads is None or message[0] != "query":
-            self._reply = self._call(message)
-        else:
-            self._reply = self._threads.submit(self._call, message)
+        try:
+            self._reply = ("ok", self.core.handle(*message))
+        except Exception as exc:
+            self._reply = (
+                "error", (type(exc).__name__, str(exc), traceback.format_exc())
+            )
 
     def recv(self, timeout: float):
+        del timeout
         reply, self._reply = self._reply, None
-        if isinstance(reply, Future):
-            return reply.result(timeout)
         return reply
 
     def close(self, force: bool = False) -> None:
@@ -410,8 +460,11 @@ class _InlineWorker:
 # --------------------------------------------------------------------- #
 
 
-class ParallelSimRankService(QueryServiceBase):
+class ParallelSimRankService:
     """Multiprocess SimRank serving: shared graph, worker pool, result cache.
+
+    The one service class: the workload driver, the HTTP front door and
+    the one-worker :class:`~repro.api.service.SimRankService` all use it.
 
     >>> from repro.graph import DiGraph
     >>> g = DiGraph.from_edges([(0, 1), (1, 0), (2, 0), (2, 1)])
@@ -432,9 +485,9 @@ class ParallelSimRankService(QueryServiceBase):
         Path to a :mod:`repro.storage.snapshot` file to serve *read-only*.
         The coordinator never rebuilds the CSR: the process executor
         publishes the snapshot path as epoch 0 and every worker ``mmap``\\ s
-        the file (one page-cache copy machine-wide); the sequential and
-        thread executors map it in-process.  Mutually exclusive with
-        ``graph`` and ``store``.
+        the file (one page-cache copy machine-wide); the sequential
+        executor maps it in-process.  Mutually exclusive with ``graph``
+        and ``store``.
     store:
         An open :class:`~repro.storage.store.PersistentGraphStore` making
         this service *durable*: the graph is recovered from the store
@@ -452,7 +505,7 @@ class ParallelSimRankService(QueryServiceBase):
     methods:
         Registry names to mount; each worker builds one replica per method.
         Methods whose capabilities declare ``parallel_safe=False`` are
-        rejected unless ``allow_unsafe=True``.
+        rejected when ``workers > 1``.
     configs / default_method:
         Per-method keyword configuration ``{name: {key: value}}``, and the
         method a query with ``method=None`` uses (default: the first mount).
@@ -475,13 +528,11 @@ class ParallelSimRankService(QueryServiceBase):
         :class:`DiGraph`), or ``"auto"`` (default: delta exactly when every
         mount supports it).  See the module docstring for the full model.
     executor:
-        ``"process"`` (default: worker processes over a shared graph),
-        ``"thread"`` (in-process workers answering queries on a
-        thread pool — no pickling or fork, but GIL-bound; maintenance runs
-        on the calling thread) or ``"sequential"``
-        (in-process workers run one after another — the determinism
-        oracle).  All three run the same dispatch and maintenance
-        schedule, so their answers are bit-identical.  Worker processes
+        ``"process"`` (default: worker processes over a shared graph) or
+        ``"sequential"`` (in-process workers run one after another on the
+        calling thread — the determinism oracle).  Both run the same
+        dispatch and maintenance schedule, so their answers are
+        bit-identical.  Worker processes
         start with :data:`START_METHOD` (``fork`` where available, else
         ``spawn``), and a worker silent for :data:`RPC_TIMEOUT` seconds is
         treated as hung and replaced.
@@ -504,7 +555,6 @@ class ParallelSimRankService(QueryServiceBase):
         auto_sync: bool = True,
         maintenance: str = "auto",
         executor: str = "process",
-        allow_unsafe: bool = False,
         snapshot=None,
         store=None,
     ) -> None:
@@ -531,7 +581,15 @@ class ParallelSimRankService(QueryServiceBase):
             )
         if not methods:
             raise ConfigurationError("need at least one method to serve")
-        super().__init__(graph, default_method=default_method)
+        configs = configs or {}
+        unknown = sorted(set(configs) - set(methods))
+        if unknown:
+            raise ConfigurationError(
+                f"configs given for unregistered service methods {unknown}"
+            )
+        self._graph = graph
+        self.stats = ServiceStats()  # guarded-by: _stats_lock
+        self._stats_lock = threading.Lock()
         self.workers = int(workers)
         self.executor = executor
         self.auto_sync = auto_sync
@@ -539,24 +597,23 @@ class ParallelSimRankService(QueryServiceBase):
         self._digraph = graph if isinstance(graph, DiGraph) else None
         self._store = store
         self._mounts: dict[str, tuple[str, dict]] = {}
-        configs = self._validate_configs(configs, methods)
         for name in methods:
             if name in self._mounts:
                 raise ConfigurationError(f"method {name!r} is mounted twice")
             entry = get_entry(name)
             caps = entry.capabilities
-            if caps is not None and not caps.parallel_safe and not allow_unsafe:
+            if caps is not None and not caps.parallel_safe and self.workers > 1:
                 raise ConfigurationError(
                     f"method {name!r} is not parallel_safe (its per-worker "
-                    "epoch rebuild is impractical); pass allow_unsafe=True "
-                    "to mount it anyway"
+                    "epoch rebuild is impractical); mount it on one worker"
                 )
             config = dict(configs.get(name, {}))
             entry.check_config(config)  # fail fast here, not inside a worker build
             self._mounts[name] = (name, config)
-        if self._default is None:
-            self._default = next(iter(self._mounts))
-        elif self._default not in self._mounts:
+        self._default = (
+            next(iter(self._mounts)) if default_method is None else default_method
+        )
+        if self._default not in self._mounts:
             raise ConfigurationError(
                 f"default_method {self._default!r} is not among "
                 f"{sorted(self._mounts)}"
@@ -579,12 +636,6 @@ class ParallelSimRankService(QueryServiceBase):
         # one caller at a time per worker: in-process workers hold a single
         # reply slot, and a process worker's pipe carries one exchange
         self._dispatch_lock = threading.Lock()
-        self._threads = (
-            ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-parallel"
-            )
-            if executor == "thread" else None
-        )
         try:
             if snapshot is not None:
                 # warm attach: the CSR is never rebuilt, the snapshot file
@@ -635,8 +686,24 @@ class ParallelSimRankService(QueryServiceBase):
     # pool plumbing
     # ------------------------------------------------------------------ #
 
-    def _method_keys(self) -> Iterable[str]:
-        return self._mounts
+    @property
+    def graph(self):
+        """The graph this service owns."""
+        return self._graph
+
+    @property
+    def methods(self) -> list[str]:
+        """Names the service can answer with, sorted."""
+        return sorted(self._mounts)
+
+    def _resolve_method(self, method: str | None) -> str:
+        """Normalise ``method`` (default when None) to a mounted key."""
+        key = method or self._default
+        if key not in self._mounts:
+            raise ConfigurationError(
+                f"service has no method {key!r}; available: {self.methods}"
+            )
+        return key
 
     def _resolve_maintenance(self, requested: str) -> str:
         """Resolve the ``maintenance`` knob to ``"delta"`` or ``"rebuild"``.
@@ -679,7 +746,7 @@ class ParallelSimRankService(QueryServiceBase):
     def _spawn(self, index: int):
         if self.executor == "process":
             return _ProcessWorker(self._ctx, index)
-        return _InlineWorker(index, self._threads)
+        return _InlineWorker(index)
 
     def _worker_source(self):
         """What workers build against: a descriptor (process) or the CSR."""
@@ -818,9 +885,13 @@ class ParallelSimRankService(QueryServiceBase):
         Validates like :meth:`single_source`.  A hit counts one query and
         one cache hit; a miss counts nothing, because the dispatch path's
         own probe counts it.  Safe on another thread than the one driving
-        queries and syncs: :meth:`sync` bumps the epoch or drops the
-        touched entries before it returns, so a read issued after an
-        update is acknowledged never sees a superseded answer.
+        queries and syncs (the HTTP front door calls it on its event loop).
+        After a rebuild sync is acknowledged it never returns a superseded
+        answer: the sync moves the epoch only once every worker serves the
+        new generation, and each batch probes and fills the cache at the
+        one epoch it read first, so no answer from an older generation is
+        stored under the live epoch.  A delta sync drops the touched
+        entries before it returns.
         """
         key = self._resolve_method(method)
         node = self._check_query_node(query)
@@ -853,13 +924,16 @@ class ParallelSimRankService(QueryServiceBase):
         """
         key = self._resolve_method(method)
         batch = [self._check_query_node(query) for query in queries]
+        # one epoch per batch (see cached): a rebuild sync moves it only
+        # after its barrier, so no pre-barrier answer is filed under it
+        epoch = self._epoch
         distinct = list(dict.fromkeys(batch))
         by_query: dict[int, object] = {}
         seconds: dict[int, float] = {}
         misses = []
         for node in distinct:
             started = time.perf_counter()
-            cached = self.cache.get(key, node, self._epoch)
+            cached = self.cache.get(key, node, epoch)
             if cached is not None:
                 by_query[node] = cached
                 seconds[node] = time.perf_counter() - started
@@ -880,7 +954,7 @@ class ParallelSimRankService(QueryServiceBase):
             node = misses[op_id]
             by_query[node] = result
             seconds[node] = elapsed
-            self.cache.put(key, node, self._epoch, result)
+            self.cache.put(key, node, epoch, result)
         with self._stats_lock:
             self.stats.queries += len(batch)
             self.stats.batches += 1
@@ -891,8 +965,19 @@ class ParallelSimRankService(QueryServiceBase):
             [seconds[node] for node in batch],
         )
 
-    # topk_many comes from QueryServiceBase: top-k views of the batched
-    # single-source path.
+    def topk_many(
+        self, queries: Sequence[int], k: int, method: str | None = None
+    ) -> list:
+        """Batched top-k: the top-k views of :meth:`single_source_many`.
+
+        Raises
+        ------
+        QueryError
+            If ``k`` is not positive, or a query id is not an int.
+        """
+        if k <= 0:
+            raise QueryError(f"k must be positive, got {k}")
+        return [result.topk(k) for result in self.single_source_many(queries, method)]
 
     def capabilities(self, method: str | None = None):
         """Registry-declared capability descriptor of one served method."""
@@ -1069,13 +1154,18 @@ class ParallelSimRankService(QueryServiceBase):
             self._store.checkpoint(csr)
         self._num_nodes = csr.num_nodes
         if self._shm is not None:
-            self._epoch = self._shm.publish(
+            epoch = self._shm.publish(
                 csr if self._store is None else self._store.snapshot_file
             )
         else:
             self._csr = csr
-            self._epoch = old_epoch + 1
-        self._rebarrier()
+            epoch = old_epoch + 1
+        try:
+            self._rebarrier()
+        finally:
+            # only now: a batch that read the old epoch may have been
+            # answered by a replica this barrier had not yet rebuilt
+            self._epoch = epoch
         if self._shm is not None:
             self._shm.release_epoch(old_epoch)
         self.cache.invalidate_older(self._epoch)
@@ -1087,7 +1177,10 @@ class ParallelSimRankService(QueryServiceBase):
     # ------------------------------------------------------------------ #
 
     def _check_query_node(self, query) -> int:
-        node = self._check_query_id(query)
+        """Normalize one query id to an in-range int node."""
+        if isinstance(query, bool) or not hasattr(query, "__index__"):
+            raise QueryError(f"query node must be an int, got {type(query).__name__}")
+        node = int(query)
         if not 0 <= node < self._num_nodes:
             raise QueryError(
                 f"query node {node} out of range [0, {self._num_nodes})"
@@ -1107,9 +1200,6 @@ class ParallelSimRankService(QueryServiceBase):
                 pass
             worker.close(force=True)
         self._workers = []
-        if self._threads is not None:
-            self._threads.shutdown()
-            self._threads = None
         if self._shm is not None:
             self._shm.close()
             self._shm = None
@@ -1122,7 +1212,13 @@ class ParallelSimRankService(QueryServiceBase):
                 pass
             self._snapshot_handle = None
 
-    # __enter__/__exit__ come from QueryServiceBase: `with` guarantees close().
+    def __enter__(self):
+        """Context-manager support: ``with service: ...`` guarantees
+        :meth:`close` on exit, however the block ends."""
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
     def __repr__(self) -> str:
         return (

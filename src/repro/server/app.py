@@ -5,10 +5,10 @@
 :mod:`repro.server.admission`, micro-batching from
 :mod:`repro.server.coalesce`, and the shared Prometheus formatter from
 :mod:`repro.eval.metrics_export`.  It serves any object speaking the
-:class:`repro.api.service_base.QueryServiceBase` surface — the worker
-pool :class:`~repro.parallel.pool.ParallelSimRankService` (its one-worker
-in-process form is :class:`~repro.api.service.SimRankService`), or a test
-stub.
+verbs of the worker pool
+:class:`~repro.parallel.pool.ParallelSimRankService` — the pool itself
+(its one-worker in-process form is
+:class:`~repro.api.service.SimRankService`), or a test stub.
 
 Endpoints (all JSON)::
 
@@ -45,7 +45,7 @@ path.  Admitted requests run under their deadline via
 only the expired waiter from its bucket.
 
 With coalescing on, a ``/single_source`` or ``/topk`` single first asks
-:meth:`~repro.api.service_base.QueryServiceBase.cached` on the event loop.
+:meth:`~repro.parallel.pool.ParallelSimRankService.cached` on the event loop.
 That call validates the method and the node (a bad one answers ``400``
 alone, never failing the batch it would have joined) and returns the
 pool's cached answer at its live epoch: a hit is rendered right there,

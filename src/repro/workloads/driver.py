@@ -17,16 +17,12 @@ batch order.  Each worker times every op it answers and returns that time
 with the answer, so the latency percentiles are per op, not batch means.
 The ``executor`` only picks where the replicas run:
 
-``executor="thread"``
-    In-process replicas answering their shares on a thread pool; they
-    overlap only where kernels release the GIL — the single-process
-    ceiling.
+``executor="sequential"`` (default)
+    In-process replicas run one after another on the calling thread: the
+    determinism oracle the process executor is held to.
 ``executor="process"``
     Worker *processes* answering against a shared-memory graph —
     throughput scales with cores.
-``executor="sequential"``
-    In-process replicas run one after another on the calling thread: the
-    determinism oracle the other two executors are held to.
 
 The ``maintenance`` knob picks the update path on every executor:
 ``"rebuild"`` publishes a graph epoch per sync (every replica rebuilt,
@@ -60,9 +56,9 @@ numbers of course vary.  Cache hits return the answer they were cached
 from, so caching keeps runs bit-reproducible too (for fixed knobs).  Every
 replay starts from the *canonical* (CSR-ordered) form of the graph, the
 order worker processes reconstruct from shared memory, so
-adjacency-order-sensitive samplers draw identical streams everywhere: the
-three executors run one dispatch and maintenance schedule, and their
-reports agree bit for bit apart from timings (asserted by the test suite).
+adjacency-order-sensitive samplers draw identical streams everywhere: both
+executors run one dispatch and maintenance schedule, and their reports
+agree bit for bit apart from timings (asserted by the test suite).
 
 Staleness
 ---------
@@ -113,7 +109,7 @@ class MethodReport:
     method: str
     workers: int
     sync_every: int
-    executor: str = "thread"
+    executor: str = "sequential"
     cache_size: int = 0
     #: resolved maintenance path: "delta" (updates absorbed in place) or
     #: "rebuild" (full re-sync / epoch republish per update burst)
@@ -349,7 +345,7 @@ def run_workload(
     configs: dict[str, dict] | None = None,
     workers: int = 1,
     sync_every: int = 1,
-    executor: str = "thread",
+    executor: str = "sequential",
     cache_size: int = 0,
     maintenance: str = "auto",
     snapshot=None,
@@ -381,12 +377,11 @@ def run_workload(
         cost.  Delta-maintained replays sync every batch regardless, and
         their reports record ``sync_every=1``.
     executor:
-        Where the service's replicas run: ``"thread"`` (a thread pool in
-        this process — GIL-bound), ``"process"`` (worker processes over a
-        shared-memory graph; throughput scales with cores), or
-        ``"sequential"`` (in-process, one replica at a time — the
-        determinism oracle).  All three run the same dispatch, so their
-        reports agree apart from timings.  On every executor an op's
+        Where the service's replicas run: ``"sequential"`` (default:
+        in-process, one replica at a time — the determinism oracle) or
+        ``"process"`` (worker processes over a shared-memory graph;
+        throughput scales with cores).  Both run the same dispatch, so
+        their reports agree apart from timings.  On every executor an op's
         latency is its own compute time on its worker (a duplicate shares
         its batch-mate's, a cache hit costs the probe).
     cache_size:

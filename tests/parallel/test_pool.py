@@ -1,7 +1,7 @@
 """ParallelSimRankService: accuracy, determinism, caching, crash recovery, hygiene.
 
-The load-bearing contract: for fixed seeds the process and thread
-executors are *bit-identical* to the sequential executor (same partition
+The load-bearing contract: for fixed seeds the process executor is
+*bit-identical* to the sequential executor (same partition
 and maintenance schedule in one process) — and, for one worker, to the
 plain :class:`~repro.api.service.SimRankService` (the one-worker
 sequential pool) for every registry method.  Everything else
@@ -63,33 +63,6 @@ class TestBitIdentical:
             ):
                 np.testing.assert_array_equal(got, want)
 
-    def test_thread_matches_sequential_across_updates(self, tiny_wiki):
-        with make_service(tiny_wiki, "thread") as threaded, \
-                make_service(tiny_wiki, "sequential") as sequential:
-            for got, want in zip(
-                collect(threaded, with_updates=True),
-                collect(sequential, with_updates=True),
-            ):
-                np.testing.assert_array_equal(got, want)
-
-    def test_thread_executor_under_preemption_matches_sequential(self, tiny_wiki):
-        """More threads than cores, switching every microsecond: replicas
-        share the epoch's CSR (and its lazily built operators) while they
-        answer concurrently, and must still give the oracle's bytes."""
-        import sys
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with make_service(tiny_wiki, "thread", workers=6) as threaded:
-                got = collect(threaded, with_updates=True)
-        finally:
-            sys.setswitchinterval(interval)
-        with make_service(tiny_wiki, "sequential", workers=6) as sequential:
-            want = collect(sequential, with_updates=True)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
-
     @pytest.mark.parametrize("method", method_names())
     def test_one_worker_matches_plain_sequential_service(self, tiny_wiki, method):
         """One process replica answers every registry method with the plain
@@ -104,7 +77,7 @@ class TestBitIdentical:
             tiny_wiki.copy(), methods=(method,), configs=configs
         ) as plain, ParallelSimRankService(
             tiny_wiki.copy(), methods=(method,), configs=configs, workers=1,
-            executor="process", allow_unsafe=True,
+            executor="process",
         ) as parallel:
             for leg in ("static", "burst"):
                 if leg == "burst":
@@ -168,7 +141,7 @@ class TestCache:
             assert service.cache.stats.misses == distinct
             assert service.cache.stats.hits == distinct
 
-    @pytest.mark.parametrize("executor", ["process", "thread", "sequential"])
+    @pytest.mark.parametrize("executor", ["process", "sequential"])
     def test_timed_batch_reports_per_op_seconds(self, tiny_wiki, executor):
         """Each computed op carries its own worker time, a duplicate its
         batch-mate's, and a cache hit only the coordinator's probe."""
@@ -207,6 +180,56 @@ class TestCache:
                 collect(oracle, with_updates=True),
             ):
                 np.testing.assert_array_equal(got, want)
+
+    def test_rebuild_sync_never_caches_a_superseded_answer(self, tiny_wiki):
+        """A reader racing rebuild syncs leaves no answer computed on the
+        old replicas cached under the new epoch: once the last update is
+        acknowledged, every cached answer is a fresh service's answer on
+        the final graph."""
+        import sys
+        import threading
+
+        hot = list(range(30))
+        burst = generate_update_stream(tiny_wiki, 40, seed=3)
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with make_service(
+                tiny_wiki, "sequential", workers=1, cache_size=1000
+            ) as service:
+                assert service.maintenance == "rebuild"
+                done = threading.Event()
+
+                def read():
+                    try:
+                        while not done.is_set():
+                            for query in hot:
+                                service.single_source(query)
+                    except Exception as exc:  # surfaced below
+                        errors.append(exc)
+
+                reader = threading.Thread(target=read)
+                reader.start()
+                try:
+                    for update in burst:
+                        service.apply_update_stream([update])
+                finally:
+                    done.set()
+                    reader.join()
+                cached = {query: service.cached(query) for query in hot}
+                final = service.graph.copy()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        with make_service(final, "sequential", workers=1) as fresh:
+            stale = [
+                query for query, result in cached.items()
+                if result is not None
+                and result.scores.tobytes()
+                != fresh.single_source(query).scores.tobytes()
+            ]
+        assert stale == []
 
     def test_cache_disabled_by_default(self, tiny_wiki):
         with make_service(tiny_wiki, "process") as service:
@@ -314,21 +337,6 @@ class TestLifecycleHygiene:
         service.close()
         service.close()
 
-    def test_thread_executor_close_joins_its_threads(self, tiny_wiki):
-        import threading
-
-        def pool_threads():
-            return [t for t in threading.enumerate()
-                    if t.name.startswith("repro-parallel")]
-
-        before = pool_threads()
-        service = make_service(tiny_wiki, "thread")
-        service.single_source_many(QUERIES)
-        assert len(pool_threads()) > len(before)
-        service.close()
-        assert pool_threads() == before
-        service.close()  # idempotent
-
     def test_estimator_error_does_not_kill_worker(self, tiny_wiki):
         """Worker-side exceptions surface as errors, not crashes."""
         with make_service(tiny_wiki, "process") as service:
@@ -341,18 +349,23 @@ class TestLifecycleHygiene:
 class TestValidation:
     def test_rejects_non_parallel_safe_methods(self, tiny_wiki):
         with pytest.raises(ConfigurationError, match="parallel_safe"):
-            ParallelSimRankService(tiny_wiki.copy(), methods=("sling",), workers=1)
+            ParallelSimRankService(tiny_wiki.copy(), methods=("sling",), workers=2)
 
-    def test_allow_unsafe_overrides(self, toy):
-        with ParallelSimRankService(
-            toy.copy(), methods=("power",), workers=1,
-            executor="sequential", allow_unsafe=True,
-        ) as service:
-            assert service.single_source(0).score(0) == 1.0
+    def test_one_worker_mounts_non_parallel_safe_methods(self, toy):
+        """One replica has no per-worker rebuild to multiply, so a 1-worker
+        pool mounts the methods a wider pool rejects."""
+        for executor in ("process", "sequential"):
+            with ParallelSimRankService(
+                toy.copy(), methods=("power", "sling"), workers=1,
+                executor=executor,
+            ) as service:
+                for method in ("power", "sling"):
+                    assert service.single_source(0, method).score(0) == 1.0
 
     def test_unknown_executor(self, tiny_wiki):
-        with pytest.raises(ConfigurationError):
-            make_service(tiny_wiki, "coroutine")
+        for executor in ("coroutine", "thread"):
+            with pytest.raises(ConfigurationError, match="executor"):
+                make_service(tiny_wiki, executor)
 
     def test_unknown_default_method(self, tiny_wiki):
         with pytest.raises(ConfigurationError):
@@ -482,15 +495,6 @@ class TestDeltaMaintenance:
                 make_incremental(tiny_wiki, "sequential") as oracle:
             for got, want in zip(
                 collect_with_bursts(parallel), collect_with_bursts(oracle)
-            ):
-                np.testing.assert_array_equal(got, want)
-
-    def test_thread_matches_sequential_oracle_under_updates(self, tiny_wiki):
-        with make_incremental(tiny_wiki, "thread") as threaded, \
-                make_incremental(tiny_wiki, "sequential") as oracle:
-            assert threaded.maintenance == "delta"
-            for got, want in zip(
-                collect_with_bursts(threaded), collect_with_bursts(oracle)
             ):
                 np.testing.assert_array_equal(got, want)
 

@@ -48,7 +48,7 @@ class FakeResult:
 
 
 class StubService:
-    """Duck-typed ``QueryServiceBase`` stand-in that records every call.
+    """Duck-typed ``ParallelSimRankService`` stand-in that records every call.
 
     ``gate`` (a ``threading.Event``) blocks each service call on the
     dispatch thread until the test releases it — that is how the admission

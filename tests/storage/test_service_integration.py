@@ -152,14 +152,14 @@ class TestWorkloadReplayFromSnapshot:
             run_workload(graph, trace, (METHOD,), snapshot=path)
         with pytest.raises(EvaluationError, match="need a graph"):
             run_workload(None, trace, (METHOD,))
-        threads, oracle = (
+        processes, oracle = (
             run_workload(
                 None, trace, (METHOD,), configs=CONFIG, workers=2,
                 executor=executor, snapshot=path,
             )
-            for executor in ("thread", "sequential")
+            for executor in ("process", "sequential")
         )
-        assert threads.reports[0].digest == oracle.reports[0].digest
+        assert processes.reports[0].digest == oracle.reports[0].digest
         mutating = generate_workload(
             graph, num_ops=10, read_fraction=0.5, seed=5,
         )

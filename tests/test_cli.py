@@ -251,7 +251,7 @@ class TestRecoverCommand:
 
 
 class TestWorkloadSnapshotReplay:
-    @pytest.mark.parametrize("executor", ["thread", "sequential"])
+    @pytest.mark.parametrize("executor", ["sequential"])
     def test_replays_from_snapshot(self, toy_path, tmp_path, capsys, executor):
         snap = tmp_path / "toy.csr"
         assert main(["ingest", toy_path, "--out", str(snap)]) == 0

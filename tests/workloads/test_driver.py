@@ -69,7 +69,7 @@ class TestAccounting:
             assert report.wall_seconds > 0
             assert report.qps > 0
 
-    @pytest.mark.parametrize("executor", ["thread", "process", "sequential"])
+    @pytest.mark.parametrize("executor", ["process", "sequential"])
     def test_incremental_method_never_stale(self, tiny_wiki, trace, executor):
         """A delta-maintained replay absorbs every burst, even when
         ``sync_every`` would defer rebuilds, and counts each update once."""
@@ -180,16 +180,16 @@ class TestProcessExecutor:
         second = run(tiny_wiki, trace, workers=2, executor="process")
         assert [r.digest for r in first.reports] == [r.digest for r in second.reports]
 
-    def test_matches_thread_executor_on_readonly_trace(self, tiny_wiki):
+    def test_matches_sequential_executor_on_readonly_trace(self, tiny_wiki):
         """No updates means no epoch rebuilds: both executors run identical
         replica streams over identical positional shares, so the digests
         agree bit for bit across the process boundary."""
         readonly = generate_workload(
             tiny_wiki, num_ops=40, read_fraction=1.0, zipf_s=1.0, seed=21
         )
-        threads = run(tiny_wiki, readonly, workers=2, executor="thread")
+        oracle = run(tiny_wiki, readonly, workers=2, executor="sequential")
         processes = run(tiny_wiki, readonly, workers=2, executor="process")
-        assert [r.digest for r in threads.reports] == \
+        assert [r.digest for r in oracle.reports] == \
             [r.digest for r in processes.reports]
 
     def test_every_op_accounted(self, tiny_wiki, trace):
@@ -202,15 +202,16 @@ class TestProcessExecutor:
             assert report.qps > 0
 
     def test_unknown_executor_rejected(self, tiny_wiki, trace):
-        with pytest.raises(EvaluationError, match="executor"):
-            run(tiny_wiki, trace, executor="coroutine")
+        for executor in ("coroutine", "thread"):
+            with pytest.raises(EvaluationError, match="executor"):
+                run(tiny_wiki, trace, executor=executor)
 
 
 class TestMaintenanceMatrix:
     """Update-heavy replays across executor × maintenance combinations.
 
-    Every executor runs the pool's one dispatch and maintenance schedule,
-    so thread, process and sequential replays are the *same* computation:
+    Both executors run the pool's one dispatch and maintenance schedule,
+    so process and sequential replays are the *same* computation:
     reports agree bit for bit, timings aside, on either maintenance path.
     """
 
@@ -230,20 +231,20 @@ class TestMaintenanceMatrix:
         ).reports[0]
 
     @pytest.mark.parametrize("cache_size", [0, 128])
-    def test_thread_matches_process_delta_under_updates(
+    def test_auto_matches_explicit_delta_under_updates(
         self, tiny_wiki, heavy_trace, cache_size
     ):
-        thread = self.tsf(
-            tiny_wiki, heavy_trace, executor="thread", cache_size=cache_size
+        auto = self.tsf(
+            tiny_wiki, heavy_trace, executor="process", cache_size=cache_size
         )
-        process = self.tsf(
+        delta = self.tsf(
             tiny_wiki, heavy_trace, executor="process",
             maintenance="delta", cache_size=cache_size,
         )
-        assert thread.digest == process.digest
-        assert thread.maintenance == process.maintenance == "delta"
-        assert process.delta_syncs > 0
-        assert process.epochs == 0  # no epoch ever published
+        assert auto.digest == delta.digest
+        assert auto.maintenance == delta.maintenance == "delta"
+        assert delta.delta_syncs > 0
+        assert delta.epochs == 0  # no epoch ever published
 
     def test_process_delta_matches_sequential_oracle(
         self, tiny_wiki, heavy_trace
@@ -284,7 +285,7 @@ class TestMaintenanceMatrix:
     @pytest.mark.parametrize("cache_size", [0, 256])
     @pytest.mark.parametrize("maintenance", ["auto", "rebuild"])
     def test_reports_match_across_executors(self, maintenance, cache_size):
-        """Thread, process and sequential replays produce equal reports
+        """Process and sequential replays produce equal reports
         (counters, cache, staleness and digests) apart from timings, for
         index-free and delta-capable methods alike."""
         graph = erdos_renyi_graph(150, num_edges=600, seed=7)
@@ -314,7 +315,6 @@ class TestMaintenanceMatrix:
             ]
 
         oracle = reports("sequential")
-        assert reports("thread") == oracle
         assert reports("process") == oracle
         assert all(r["epochs"] > 0 for r in oracle[:2])  # index-free: rebuilt
         tsf = oracle[-1]
@@ -366,7 +366,7 @@ class TestResultCache:
         second = run(tiny_wiki, trace, workers=2, cache_size=256)
         assert [r.digest for r in first.reports] == [r.digest for r in second.reports]
 
-    def test_updates_invalidate_thread_cache(self, tiny_wiki, trace):
+    def test_updates_invalidate_the_cache(self, tiny_wiki, trace):
         assert trace.num_updates > 0
         result = run(
             tiny_wiki, trace, methods=["probesim-native"],
