@@ -15,7 +15,11 @@ executors at increasing pool widths, answering the scale-out questions:
 Both executors run the pool's one dispatch path, and on each an op's
 latency is its own compute time on its worker, not a batch mean.  The standalone run pins itself to ``CORE_BUDGET``
 cores and records the pinned count as ``cores``, so a baseline gates on
-any box with at least that many cores.
+any box with at least that many cores.  Every (executor, width, cache) arm
+is replayed in ``ROUNDS`` interleaved rounds and each row reports the
+median round's ``qps`` / ``p50_ms`` / ``p95_ms``: a slow stretch of a
+shared box then moves one sample of every arm, not whole rows.  An arm's
+digest must be the same in every round.
 
 The headline acceptance number — ``--workers 4`` at ≥ 2x the sequential
 executor's single-source QPS on the same trace — only shows on real
@@ -39,6 +43,7 @@ The ``--json`` report carries a flat ``gate`` block consumed by
 import argparse
 import json
 import os
+import statistics
 import sys
 from pathlib import Path
 
@@ -55,6 +60,9 @@ METHOD = "probesim-native"
 #: cores the standalone run pins itself to; the report records the pinned
 #: count as ``cores``, so any box with at least this many cores can gate.
 CORE_BUDGET = 2
+
+#: interleaved replays of every arm; each row is the median of its rounds.
+ROUNDS = 3
 
 #: (num_nodes, num_edges, num_ops) presets; smoke finishes in seconds.
 PRESETS = {
@@ -100,27 +108,46 @@ def replay(graph, trace, smoke: bool, executor: str, workers: int,
     return row
 
 
+def median_row(samples: list) -> dict:
+    """One arm's row from its rounds: the median of each timing, after
+    checking that every round gave the same answers."""
+    first = samples[0]
+    assert len({row["digest"] for row in samples}) == 1, (
+        f"{first['executor']} w{first['workers']} cache={first['cache']} "
+        "answered differently across rounds"
+    )
+    row = dict(first)
+    for key in ("qps", "p50_ms", "p95_ms"):
+        row[key] = statistics.median(sample[key] for sample in samples)
+    return row
+
+
 def run_bench(worker_series, smoke: bool, cores: int) -> dict:
     """The full comparison; returns the JSON payload (with the gate block)."""
     graph, trace = build_trace(smoke)
-    rows = []
-    for workers in worker_series:
-        rows.append(replay(graph, trace, smoke, "sequential", workers))
-        rows.append(replay(graph, trace, smoke, "process", workers))
-    cache_off = replay(graph, trace, smoke, "process", worker_series[-1])
-    cache_on = replay(
-        graph, trace, smoke, "process", worker_series[-1],
-        cache_size=graph.num_nodes,
-    )
+    widest = worker_series[-1]
+    arms = [
+        (executor, workers, 0)
+        for workers in worker_series for executor in ("sequential", "process")
+    ]
+    cached_arm = ("process", widest, graph.num_nodes)
+    samples = {arm: [] for arm in arms + [cached_arm]}
+    for _ in range(ROUNDS):
+        for arm, rounds in samples.items():
+            executor, workers, cache_size = arm
+            rounds.append(replay(graph, trace, smoke, executor, workers, cache_size))
+    rows = [median_row(samples[arm]) for arm in arms]
+    cache_off = median_row(samples[("process", widest, 0)])
+    cache_on = median_row(samples[cached_arm])
     preset = "smoke" if smoke else "full"
     emit_table(
         "parallel_service", rows,
         (f"Executor scaling on {trace.num_queries} Zipf queries "
-         f"({preset} preset, cores={cores})"),
+         f"({preset} preset, cores={cores}, median of {ROUNDS} rounds)"),
     )
     emit_table(
         "parallel_service", [cache_off, cache_on],
-        f"Update-aware result cache at {worker_series[-1]} process workers",
+        f"Update-aware result cache at {widest} process workers",
     )
 
     def qps_of(executor, workers):
@@ -140,7 +167,7 @@ def run_bench(worker_series, smoke: bool, cores: int) -> dict:
         gate[f"qps:process:w{workers}"] = qps_of("process", workers)
     for row in rows:
         gate[f"p95_ms:{row['executor']}:w{row['workers']}"] = row["p95_ms"]
-    gate[f"qps:process-cached:w{worker_series[-1]}"] = cache_on["qps"]
+    gate[f"qps:process-cached:w{widest}"] = cache_on["qps"]
     gate["hit:rate:cached"] = cache_on.get("hit_rate", 0.0)
     derived = {
         f"speedup:process-vs-sequential:w{workers}": round(
@@ -154,6 +181,7 @@ def run_bench(worker_series, smoke: bool, cores: int) -> dict:
         "preset": preset,
         "method": METHOD,
         "cores": cores,
+        "rounds": ROUNDS,
         "trace": {"queries": trace.num_queries, "signature": trace.signature()},
         "series": rows,
         "cache": {"off": cache_off, "on": cache_on},

@@ -17,6 +17,7 @@ Run:  python examples/batched_throughput.py
 import numpy as np
 
 from repro import ProbeSim, SimRankService
+from repro.api import get_entry
 from repro.graph.generators import erdos_renyi_graph
 from repro.utils.timer import Timer
 
@@ -45,7 +46,7 @@ print(f"  native engine: {t_native.elapsed:.3f}s "
 print(f"  max |loop - native| = {gap:.2e} "
       f"(same walks; Pruning rule 2 bound {bound:.2e})")
 assert gap <= bound + 1e-12
-assert native_engine.capabilities().vectorized
+assert get_entry("probesim-native").capabilities.vectorized
 
 # -- a service batch: duplicates share one answer -------------------------
 service = SimRankService(

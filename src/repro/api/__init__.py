@@ -4,11 +4,13 @@ This package is the system's API layer:
 
 :class:`~repro.api.estimator.SimRankEstimator` / :class:`~repro.api.estimator.Capabilities`
     The protocol every query method speaks — ``single_source``, ``topk``,
-    ``single_source_many`` (batched), ``sync`` (unified dynamic maintenance),
-    and ``capabilities`` (programmatic method selection).
+    ``single_source_many`` (batched) and ``sync`` (unified dynamic
+    maintenance) — and the capability descriptor used for programmatic
+    method selection.
 :mod:`~repro.api.registry`
     Name → factory registry (``create("probesim", graph, eps_a=0.1)``)
-    behind the CLI, the experiment runner, and the benchmark harness.
+    behind the CLI, the experiment runner, and the benchmark harness; each
+    entry is the one declaration of its method's :class:`Capabilities`.
 :class:`~repro.api.service.SimRankService`
     The in-process serving layer: one graph plus many estimators, with
     batched (deduplicated) queries and update maintenance.  It is the

@@ -3,7 +3,7 @@
 The paper's experiments compare six methods through one conceptual interface
 — "answer single-source / top-k SimRank on a (possibly dynamic) graph" — and
 this module makes that interface first-class.  Every estimator (ProbeSim, the
-five baselines, and both extensions) speaks five verbs:
+five baselines, and both extensions) speaks four verbs:
 
 ``single_source(query)``
     One approximate (or exact) single-source query, Definition 1.
@@ -21,13 +21,14 @@ five baselines, and both extensions) speaks five verbs:
     Carlo, TopSim), recompute a matrix (Power Method), or rebuild an index
     (SLING, TSF) — happens here.  The pre-2.0 per-method verbs
     (``refresh()``, ``rebuild()``) were removed in 2.0.
-``capabilities()``
-    A :class:`Capabilities` descriptor so callers (the registry, the service,
-    the benchmark harness) can select methods programmatically instead of
-    duck-typing with ``hasattr``.
+
+What a method can do is not an instance verb: its :class:`Capabilities`
+descriptor is declared once, in its registry entry
+(``repro.api.registry.get_entry(name).capabilities``), so callers (the pool,
+the CLI, the benchmark harness) select methods without building one.
 
 The ABC also performs a *structural* ``isinstance`` check: any object whose
-class provides all five verbs counts as a ``SimRankEstimator``, so existing
+class provides all four verbs counts as a ``SimRankEstimator``, so existing
 duck-typed method objects keep working without inheriting from this class.
 """
 
@@ -49,7 +50,6 @@ PROTOCOL_VERBS = (
     "topk",
     "single_source_many",
     "sync",
-    "capabilities",
 )
 
 
@@ -116,8 +116,8 @@ class Capabilities:
 class SimRankEstimator(abc.ABC):
     """Abstract base / structural protocol for every SimRank query method.
 
-    Subclasses implement :meth:`single_source`, :meth:`sync`, and
-    :meth:`capabilities`; they inherit default implementations of
+    Subclasses implement :meth:`single_source` and :meth:`sync`; they
+    inherit default implementations of
     :meth:`topk` (sort the single-source estimates), :meth:`single_source_many`
     (loop — overrides must preserve fixed-seed loop equivalence), and
     :meth:`apply_updates` (fall back to one :meth:`sync`).
@@ -134,10 +134,6 @@ class SimRankEstimator(abc.ABC):
         This is the unified maintenance verb: re-snapshot adjacency for
         index-free methods, rebuild the index for index-based ones.
         """
-
-    @abc.abstractmethod
-    def capabilities(self) -> Capabilities:
-        """Describe this estimator for programmatic method selection."""
 
     def topk(self, query: int, k: int) -> TopKResult:
         """Approximate top-k query (Definition 2): the ``k`` best nodes by
@@ -162,15 +158,15 @@ class SimRankEstimator(abc.ABC):
         The default is the coarse response — one :meth:`sync` regardless of
         how many updates arrived.  Estimators with incremental maintenance
         (TSF's one-way-graph patching, the walk cache's fine-grained
-        eviction) override this and advertise it via
-        ``capabilities().incremental_updates``.
+        eviction) override this and declare ``incremental_updates`` in
+        their registry entry's :class:`Capabilities`.
         """
         del updates  # the coarse response does not depend on what changed
         self.sync()
 
     @classmethod
     def __subclasshook__(cls, subclass: type) -> Any:
-        """Structural check: any class providing the five verbs conforms.
+        """Structural check: any class providing the four verbs conforms.
 
         Returns ``bool | NotImplemented`` — NotImplemented defers to the
         regular ABC machinery rather than rejecting outright.

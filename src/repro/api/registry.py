@@ -7,11 +7,13 @@ configuration.  The CLI, the experiment runner, the benchmark harness, and
 the serving pool's workers all construct methods exclusively through the
 registry, so adding a method is one :func:`register` call.
 
-Each :class:`MethodEntry` also declares ``config_keys`` — the keyword knobs
-its factory accepts — so generic callers (the CLI) can filter a superset of
-options down to what a method understands, and ``probe_config`` — a cheap
-configuration used to instantiate the method on tiny graphs for capability
-introspection and conformance testing.
+Each :class:`MethodEntry` declares the method's :class:`Capabilities` — the
+only place they are written down; the pool picks epoch rebuild or in-place
+delta maintenance from them, and listings read them without building an
+estimator.  It also declares ``config_keys`` — the keyword knobs its factory
+accepts — so generic callers (the CLI) can filter a superset of options down
+to what a method understands, and ``probe_config`` — a cheap configuration
+the conformance tests use to instantiate the method on tiny graphs.
 
 Implementation note: estimator classes import :mod:`repro.api.estimator`, so
 this module must not import them at module load time (it would be a cycle);
@@ -39,21 +41,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MethodEntry:
-    """One registered method: a named factory plus its configuration surface.
+    """One registered method: a named factory, its capability descriptor and
+    its configuration surface.
 
-    ``capabilities`` is the method's static capability descriptor, declared
-    at registration so listings never need to build an estimator; instances
-    must agree with it (enforced by the protocol-conformance tests).  Entries
-    registered without one fall back to instantiation in
-    :func:`capability_rows`.
+    ``capabilities`` is required: it is the method's one capability
+    declaration, read by the pool, the service and :func:`capability_rows`.
     """
 
     name: str
     factory: Callable
+    capabilities: Capabilities = field(kw_only=True)
     summary: str = ""
     config_keys: tuple[str, ...] = ()
     probe_config: dict = field(default_factory=dict)
-    capabilities: Capabilities | None = None
 
     def check_config(self, config) -> None:
         """Raise :class:`ConfigurationError` on keys the method does not accept."""
@@ -80,14 +80,16 @@ def register(
     summary: str = "",
     config_keys: tuple[str, ...] = (),
     probe_config: dict | None = None,
-    capabilities: Capabilities | None = None,
+    *,
+    capabilities: Capabilities,
     replace: bool = False,
 ) -> MethodEntry:
-    """Register an estimator factory under ``name``.
+    """Register an estimator factory under ``name`` with its capabilities.
 
     ``factory(graph, **config)`` must return an object conforming to
-    :class:`repro.api.estimator.SimRankEstimator`.  Registering an existing
-    name raises unless ``replace=True``.
+    :class:`repro.api.estimator.SimRankEstimator`; an estimator class whose
+    constructor takes those keywords is its own factory.  Registering an
+    existing name raises unless ``replace=True``.
     """
     _ensure_builtins()
     if not replace and name in _REGISTRY:
@@ -133,24 +135,10 @@ def available_methods() -> list[MethodEntry]:
 
 
 def capability_rows() -> list[dict[str, object]]:
-    """Capability table of every registered method (CLI / README table).
-
-    Uses each entry's statically declared capabilities; an entry registered
-    without one is instantiated (with its cheap ``probe_config``) on a
-    2-node probe graph just to ask
-    :meth:`~repro.api.estimator.SimRankEstimator.capabilities`.
-    """
+    """Capability table of every registered method (CLI / README table)."""
     rows = []
-    probe = None
     for entry in available_methods():
-        caps = entry.capabilities
-        if caps is None:
-            if probe is None:
-                from repro.graph.digraph import DiGraph
-
-                probe = DiGraph.from_edges([(0, 1), (1, 0)])
-            caps = entry.build(probe, **entry.probe_config).capabilities()
-        row = caps.as_row()
+        row = entry.capabilities.as_row()
         row["name"] = entry.name
         row["summary"] = entry.summary
         rows.append(row)
@@ -215,13 +203,9 @@ def _register_builtins() -> None:
             capabilities=probesim_caps(strategy),
         )
 
-    def walkindex_factory(graph, **config):
-        """ProbeSim behind the §7 walk-trie cache."""
-        return WalkIndex(graph, **config)
-
     register(
         "probesim-walkindex",
-        walkindex_factory,
+        WalkIndex,
         summary="ProbeSim + cached walk tries with fine-grained invalidation",
         config_keys=_PROBESIM_KEYS + ("strategy",),
         probe_config=_PROBESIM_PROBE,
@@ -232,15 +216,9 @@ def _register_builtins() -> None:
         ),
     )
 
-    def mc_factory(graph, c=0.6, eps_a=0.1, delta=0.01, num_walks=None, seed=None):
-        """Index-free Monte Carlo fingerprints (§2.2)."""
-        return MonteCarlo(
-            graph, c=c, seed=seed, eps_a=eps_a, delta=delta, num_walks=num_walks
-        )
-
     register(
         "mc",
-        mc_factory,
+        MonteCarlo,
         summary="index-free Monte Carlo √c-walk fingerprints",
         config_keys=("c", "eps_a", "delta", "num_walks", "seed"),
         probe_config={"num_walks": 60},
@@ -309,13 +287,9 @@ def _register_builtins() -> None:
         capabilities=topsim_caps("prio-topsim-sm"),
     )
 
-    def tsf_factory(graph, c=0.6, rg=300, rq=40, depth=10, seed=None):
-        """TSF one-way-graph index with incremental updates."""
-        return TSFIndex(graph, c=c, rg=rg, rq=rq, depth=depth, seed=seed)
-
     register(
         "tsf",
-        tsf_factory,
+        TSFIndex,
         summary="TSF one-way-graph index, incremental dynamic maintenance",
         config_keys=("c", "rg", "rq", "depth", "seed"),
         probe_config={"rg": 20, "rq": 4, "depth": 6},
@@ -326,17 +300,9 @@ def _register_builtins() -> None:
         ),
     )
 
-    def sling_factory(graph, c=0.6, theta=1e-4, depth=None, d_mode="exact",
-                      d_samples=2_000, seed=None):
-        """SLING last-meeting index (static; rebuild-only maintenance)."""
-        return SLINGIndex(
-            graph, c=c, theta=theta, depth=depth, d_mode=d_mode,
-            d_samples=d_samples, seed=seed,
-        )
-
     register(
         "sling",
-        sling_factory,
+        SLINGIndex,
         summary="SLING static index: fastest queries, rebuild-only updates",
         config_keys=("c", "theta", "depth", "d_mode", "d_samples", "seed"),
         probe_config={"theta": 1e-3},

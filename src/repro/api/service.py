@@ -7,8 +7,9 @@ queries, and keeps every estimator current as the graph changes.  It is
 the ``"sequential"`` executor, so the library, the workload driver and
 ``repro serve`` run one dispatch and maintenance implementation.  An
 update burst is absorbed in place (``apply_updates`` on each replica)
-when every mount advertises ``capabilities().incremental_updates``;
-otherwise every replica is rebuilt on the updated graph.
+when every mount's registry entry declares ``incremental_updates``
+(``get_entry(name).capabilities``, also :meth:`capabilities`); otherwise
+every replica is rebuilt on the updated graph.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class SimRankService(ParallelSimRankService):
         frozen CSR snapshot restricts the service to read-only queries.
     methods:
         Registry names to mount (see :mod:`repro.api.registry`), including
-        those whose capabilities say ``parallel_safe=False``: one
+        those whose registry capabilities say ``parallel_safe=False``: one
         in-process replica has no per-worker rebuild to multiply.
     configs:
         Optional per-method keyword configuration, ``{name: {key: value}}``.

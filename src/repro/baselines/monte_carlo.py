@@ -25,13 +25,12 @@ import math
 
 import numpy as np
 
-from repro.api.estimator import Capabilities, SimRankEstimator
+from repro.api.estimator import SimRankEstimator
 from repro.core.results import SimRankResult
-from repro.errors import QueryError
 from repro.graph.csr import as_csr
 from repro.utils.rng import as_generator, query_stream
 from repro.utils.timer import Timer
-from repro.utils.validation import check_positive_int, check_probability
+from repro.utils.validation import check_positive_int, check_probability, check_query_node
 
 
 def pair_sample_size(eps: float, delta: float) -> int:
@@ -104,26 +103,14 @@ class MonteCarlo(SimRankEstimator):
         """Re-snapshot the source graph (index-free: the whole maintenance)."""
         self._csr = as_csr(self._source_graph)
 
-    def capabilities(self) -> Capabilities:
-        """Approximate, index-free, dynamic-friendly (O(m) sync)."""
-        return Capabilities(
-            method="mc",
-            exact=False,
-            index_based=False,
-            supports_dynamic=True,
-            incremental_updates=False,
-            vectorized=False,
-            parallel_safe=True,
-        )
-
     # ------------------------------------------------------------------ #
     # single pair
     # ------------------------------------------------------------------ #
 
     def single_pair(self, u: int, v: int, num_samples: int) -> float:
         """Estimate ``s(u, v)`` from ``num_samples`` independent walk pairs."""
-        self._check_node(u)
-        self._check_node(v)
+        u = check_query_node(u, self._csr.num_nodes)
+        v = check_query_node(v, self._csr.num_nodes)
         check_positive_int("num_samples", num_samples)
         if u == v:
             return 1.0
@@ -177,7 +164,7 @@ class MonteCarlo(SimRankEstimator):
         (query-walk j, v-walk j) counts as met if the two walks occupy the
         same node at the same step with both still alive.
         """
-        self._check_node(query)
+        query = check_query_node(query, self._csr.num_nodes)
         if num_walks is None:
             num_walks = self.walk_count()
         check_positive_int("num_walks", num_walks)
@@ -220,14 +207,6 @@ class MonteCarlo(SimRankEstimator):
             elapsed=timer.elapsed,
             method="mc",
         )
-
-    # ------------------------------------------------------------------ #
-
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self._csr.num_nodes:
-            raise QueryError(
-                f"node {node} out of range [0, {self._csr.num_nodes})"
-            )
 
     def __repr__(self) -> str:
         return f"MonteCarlo(n={self._csr.num_nodes}, c={self.c})"

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.estimator import Capabilities, SimRankEstimator
+from repro.api.estimator import SimRankEstimator
 from repro.core.results import SimRankResult
-from repro.errors import ConfigurationError, QueryError
+from repro.errors import ConfigurationError
 from repro.graph.csr import as_csr
 from repro.utils.timer import Timer
-from repro.utils.validation import check_positive_int, check_probability
+from repro.utils.validation import check_positive_int, check_probability, check_query_node
 
 
 class PowerMethod(SimRankEstimator):
@@ -67,18 +67,6 @@ class PowerMethod(SimRankEstimator):
         self._csr = as_csr(self._source_graph)
         self._matrix = None
         self._iterations_done = 0
-
-    def capabilities(self) -> Capabilities:
-        """Exact, index-free, but recompute-everything on updates."""
-        return Capabilities(
-            method="power-method",
-            exact=True,
-            index_based=False,
-            supports_dynamic=False,
-            incremental_updates=False,
-            vectorized=False,
-            parallel_safe=False,
-        )
 
     @property
     def num_iterations(self) -> int:
@@ -128,10 +116,7 @@ class PowerMethod(SimRankEstimator):
 
     def single_source(self, query: int) -> SimRankResult:
         """Exact single-source answer, packaged like every other method's."""
-        if not 0 <= query < self._csr.num_nodes:
-            raise QueryError(
-                f"query node {query} out of range [0, {self._csr.num_nodes})"
-            )
+        query = check_query_node(query, self._csr.num_nodes)
         timer = Timer()
         with timer:
             scores = self.matrix()[query].copy()
@@ -145,7 +130,8 @@ class PowerMethod(SimRankEstimator):
 
     def pair(self, u: int, v: int) -> float:
         """Exact ``s(u, v)``."""
-        return float(self.matrix()[u, v])
+        n = self._csr.num_nodes
+        return float(self.matrix()[check_query_node(u, n), check_query_node(v, n)])
 
     def __repr__(self) -> str:
         return f"PowerMethod(n={self._csr.num_nodes}, c={self.c})"

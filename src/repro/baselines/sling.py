@@ -43,13 +43,13 @@ import math
 import numpy as np
 from scipy import sparse
 
-from repro.api.estimator import Capabilities, SimRankEstimator
+from repro.api.estimator import SimRankEstimator
 from repro.core.results import SimRankResult
-from repro.errors import ConfigurationError, QueryError
+from repro.errors import ConfigurationError
 from repro.graph.csr import as_csr
 from repro.utils.rng import as_generator
 from repro.utils.timer import Timer
-from repro.utils.validation import check_positive_int, check_probability
+from repro.utils.validation import check_positive_int, check_probability, check_query_node
 
 D_MODES = ("exact", "monte_carlo")
 
@@ -195,18 +195,6 @@ class SLINGIndex(SimRankEstimator):
         self._csr = as_csr(self._source_graph)
         self._build()
 
-    def capabilities(self) -> Capabilities:
-        """Approximate, index-based, static (rebuild-only maintenance)."""
-        return Capabilities(
-            method="sling",
-            exact=False,
-            index_based=True,
-            supports_dynamic=False,
-            incremental_updates=False,
-            vectorized=False,
-            parallel_safe=False,
-        )
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
@@ -221,10 +209,7 @@ class SLINGIndex(SimRankEstimator):
 
     def single_source(self, query: int) -> SimRankResult:
         """``s~(query, v) = sum_t H_t @ (H_t[query] * d)`` — T sparse matvecs."""
-        if not 0 <= query < self._csr.num_nodes:
-            raise QueryError(
-                f"query node {query} out of range [0, {self._csr.num_nodes})"
-            )
+        query = check_query_node(query, self._csr.num_nodes)
         timer = Timer()
         with timer:
             n = self._csr.num_nodes

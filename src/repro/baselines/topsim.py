@@ -35,13 +35,13 @@ import math
 
 import numpy as np
 
-from repro.api.estimator import Capabilities, SimRankEstimator
+from repro.api.estimator import SimRankEstimator
 from repro.core.probe import probe_deterministic
 from repro.core.results import SimRankResult
-from repro.errors import ConfigurationError, QueryError
+from repro.errors import ConfigurationError
 from repro.graph.csr import as_csr
 from repro.utils.timer import Timer
-from repro.utils.validation import check_positive_int, check_probability
+from repro.utils.validation import check_positive_int, check_probability, check_query_node
 
 VARIANTS = ("full", "truncated", "prioritized")
 
@@ -98,18 +98,6 @@ class TopSim(SimRankEstimator):
         """Re-snapshot the source graph (index-free: the whole maintenance)."""
         self._csr = as_csr(self._source_graph)
 
-    def capabilities(self) -> Capabilities:
-        """Deterministic but truncated (approximate), index-free, dynamic."""
-        return Capabilities(
-            method=self.method_name,
-            exact=False,
-            index_based=False,
-            supports_dynamic=True,
-            incremental_updates=False,
-            vectorized=False,
-            parallel_safe=True,
-        )
-
     @property
     def method_name(self) -> str:
         return {
@@ -163,10 +151,7 @@ class TopSim(SimRankEstimator):
 
     def single_source(self, query: int) -> SimRankResult:
         """Deterministic truncated single-source estimate ``s_T(query, .)``."""
-        if not 0 <= query < self._csr.num_nodes:
-            raise QueryError(
-                f"query node {query} out of range [0, {self._csr.num_nodes})"
-            )
+        query = check_query_node(query, self._csr.num_nodes)
         timer = Timer()
         with timer:
             scores = np.zeros(self._csr.num_nodes, dtype=np.float64)

@@ -34,15 +34,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.estimator import Capabilities, SimRankEstimator
+from repro.api.estimator import SimRankEstimator
 from repro.core.results import SimRankResult
-from repro.errors import QueryError
 from repro.graph.csr import as_csr
 from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import EdgeUpdate
 from repro.utils.rng import as_generator, query_stream
 from repro.utils.timer import Timer
-from repro.utils.validation import check_positive_int, check_probability
+from repro.utils.validation import check_positive_int, check_probability, check_query_node
 
 
 class TSFIndex(SimRankEstimator):
@@ -113,18 +112,6 @@ class TSFIndex(SimRankEstimator):
         """
         self._csr = as_csr(self._source_graph)
         self._build()
-
-    def capabilities(self) -> Capabilities:
-        """Approximate, index-based, with incremental dynamic maintenance."""
-        return Capabilities(
-            method="tsf",
-            exact=False,
-            index_based=True,
-            supports_dynamic=True,
-            incremental_updates=True,
-            vectorized=False,
-            parallel_safe=True,
-        )
 
     def _reverse_adjacency(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """CSR-style children arrays of one-way graph ``index``.
@@ -210,10 +197,7 @@ class TSFIndex(SimRankEstimator):
 
     def single_source(self, query: int) -> SimRankResult:
         """TSF single-source estimate (the paper's over-estimating score)."""
-        if not 0 <= query < self._csr.num_nodes:
-            raise QueryError(
-                f"query node {query} out of range [0, {self._csr.num_nodes})"
-            )
+        query = check_query_node(query, self._csr.num_nodes)
         timer = Timer()
         with timer:
             n = self._csr.num_nodes

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api.estimator import Capabilities, SimRankEstimator
+from repro.api.estimator import SimRankEstimator
 from repro.core import native
 from repro.core.config import ProbeSimConfig
 from repro.core.native import fallback
@@ -62,6 +62,7 @@ from repro.errors import QueryError
 from repro.graph.csr import CSRGraph, as_csr
 from repro.utils.rng import as_generator, is_int_seed, query_stream
 from repro.utils.timer import Timer
+from repro.utils.validation import check_query_node
 
 
 @dataclass
@@ -133,21 +134,9 @@ class ProbeSim(SimRankEstimator):
         """
         self._csr = as_csr(self._source_graph)
 
-    def capabilities(self) -> Capabilities:
-        """Approximate, index-free, dynamic-friendly (O(m) sync)."""
-        return Capabilities(
-            method=f"probesim-{self.config.strategy}",
-            exact=False,
-            index_based=False,
-            supports_dynamic=True,
-            incremental_updates=False,
-            vectorized=self.config.strategy == "native",
-            parallel_safe=True,
-        )
-
     def single_source(self, query: int) -> SimRankResult:
         """Approximate single-source query (Definition 1) from ``query``."""
-        self._check_query(query)
+        query = check_query_node(query, self._csr.num_nodes)
         stats = QueryStats()
         timer = Timer()
         with timer:
@@ -403,14 +392,6 @@ class ProbeSim(SimRankEstimator):
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-
-    def _check_query(self, query: int) -> None:
-        if not isinstance(query, (int, np.integer)) or isinstance(query, bool):
-            raise QueryError(f"query node must be an int, got {type(query).__name__}")
-        if not 0 <= query < self._csr.num_nodes:
-            raise QueryError(
-                f"query node {query} out of range [0, {self._csr.num_nodes})"
-            )
 
     def __repr__(self) -> str:
         return (

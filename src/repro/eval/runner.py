@@ -55,8 +55,7 @@ class MethodSpec:
         if not isinstance(method, SimRankEstimator):
             raise EvaluationError(
                 f"method {self.name!r} does not conform to the SimRankEstimator "
-                f"protocol (needs single_source/topk/single_source_many/sync/"
-                f"capabilities)"
+                f"protocol (needs single_source/topk/single_source_many/sync)"
             )
         return method
 

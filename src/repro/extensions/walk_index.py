@@ -24,7 +24,7 @@ SLING's full rebuild.
 
 from __future__ import annotations
 
-from repro.api.estimator import Capabilities, SimRankEstimator
+from repro.api.estimator import SimRankEstimator
 from repro.core.config import ProbeSimConfig
 from repro.core.engine import ProbeSim, QueryStats
 from repro.core.results import SimRankResult
@@ -32,6 +32,7 @@ from repro.core.walk_trie import WalkTrie
 from repro.graph.dynamic import EdgeUpdate
 from repro.utils.sizing import deep_sizeof
 from repro.utils.timer import Timer
+from repro.utils.validation import check_query_node
 
 
 class WalkIndex(SimRankEstimator):
@@ -87,13 +88,14 @@ class WalkIndex(SimRankEstimator):
     def warm(self, nodes) -> None:
         """Pre-sample walk tries for the given (expected hot) query nodes."""
         for node in nodes:
-            self._trie_for(int(node))
+            self._trie_for(node)
 
     def single_source(self, query: int) -> SimRankResult:
         """ProbeSim single-source answer, reusing the cached walk trie."""
         timer = Timer()
         with timer:
             trie = self._trie_for(query)
+            query = trie.root  # the validated int id
             stats = QueryStats(num_walks=trie.num_walks)
             # Always probe deterministically: cache hits then return
             # bit-identical answers, which is the behaviour one expects of an
@@ -123,18 +125,6 @@ class WalkIndex(SimRankEstimator):
         incremental :meth:`apply_updates` path keeps unaffected tries alive.
         """
         self.invalidate_all()
-
-    def capabilities(self) -> Capabilities:
-        """Approximate, index-based (cached tries), incremental maintenance."""
-        return Capabilities(
-            method="probesim-walkindex",
-            exact=False,
-            index_based=True,
-            supports_dynamic=True,
-            incremental_updates=True,
-            vectorized=False,
-            parallel_safe=True,
-        )
 
     def apply_updates(self, updates) -> None:
         """Incremental maintenance hook: fine-grained eviction per update."""
@@ -191,18 +181,17 @@ class WalkIndex(SimRankEstimator):
     # internals
     # ------------------------------------------------------------------ #
 
-    def _trie_for(self, query: int) -> WalkTrie:
+    def _trie_for(self, query) -> WalkTrie:
         if self._stale:  # one re-snapshot per update burst, not per update
             self._engine.sync()
             self._stale = False
+        query = check_query_node(query, self._engine.graph.num_nodes)
         trie = self._tries.get(query)
         if trie is not None:
             self._hits += 1
             return trie
         self._misses += 1
-        engine = self._engine
-        engine._check_query(query)
-        trie = engine._sample_trie(query, QueryStats())
+        trie = self._engine._sample_trie(query, QueryStats())
         self._tries[query] = trie
         for node in _visited(trie):
             self._touched.setdefault(node, set()).add(query)

@@ -61,8 +61,8 @@ Result caching
     valid answer, so hits stay inside the paper's accuracy contract.
 
 Delta maintenance (O(Δ) instead of O(m) per update burst)
-    When every mounted method advertises
-    ``capabilities().incremental_updates`` (TSF's one-way-graph patching,
+    When every mounted method's registry entry declares
+    ``incremental_updates`` (TSF's one-way-graph patching,
     the walk cache's fine-grained eviction), :meth:`~ParallelSimRankService.sync`
     does not republish the graph at all.  The burst rides in a
     ``("delta", updates)`` RPC to every worker (on every executor), which
@@ -105,7 +105,7 @@ from repro.graph.dynamic import EdgeUpdate, apply_update, touched_neighborhood
 from repro.parallel.cache import ResultCache
 from repro.parallel.shm import SharedCSRGraph
 from repro.storage.snapshot import MappedSnapshot, attach_snapshot
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive_int, check_query_node
 
 __all__ = [
     "ParallelSimRankService",
@@ -504,8 +504,8 @@ class ParallelSimRankService:
         the store handle (:meth:`close` does not close it).
     methods:
         Registry names to mount; each worker builds one replica per method.
-        Methods whose capabilities declare ``parallel_safe=False`` are
-        rejected when ``workers > 1``.
+        Methods whose registry capabilities declare ``parallel_safe=False``
+        are rejected when ``workers > 1``.
     configs / default_method:
         Per-method keyword configuration ``{name: {key: value}}``, and the
         method a query with ``method=None`` uses (default: the first mount).
@@ -523,8 +523,8 @@ class ParallelSimRankService:
         Update-maintenance path: ``"rebuild"`` (every sync publishes a new
         graph epoch and rebuilds all replicas — O(m) per burst),
         ``"delta"`` (syncs ship the edge deltas and replicas absorb them in
-        place via ``apply_updates`` — O(Δ); requires every mounted method
-        to advertise ``capabilities().incremental_updates`` and a mutable
+        place via ``apply_updates`` — O(Δ); requires every mounted method's
+        registry entry to declare ``incremental_updates`` and a mutable
         :class:`DiGraph`), or ``"auto"`` (default: delta exactly when every
         mount supports it).  See the module docstring for the full model.
     executor:
@@ -601,8 +601,7 @@ class ParallelSimRankService:
             if name in self._mounts:
                 raise ConfigurationError(f"method {name!r} is mounted twice")
             entry = get_entry(name)
-            caps = entry.capabilities
-            if caps is not None and not caps.parallel_safe and self.workers > 1:
+            if not entry.capabilities.parallel_safe and self.workers > 1:
                 raise ConfigurationError(
                     f"method {name!r} is not parallel_safe (its per-worker "
                     "epoch rebuild is impractical); mount it on one worker"
@@ -718,8 +717,7 @@ class ParallelSimRankService:
         mutable = self._digraph is not None or self._store is not None
         non_incremental = sorted(
             key for key, (name, _) in self._mounts.items()
-            if get_entry(name).capabilities is None
-            or not get_entry(name).capabilities.incremental_updates
+            if not get_entry(name).capabilities.incremental_updates
         )
         if requested == "rebuild":
             return "rebuild"
@@ -894,7 +892,7 @@ class ParallelSimRankService:
         entries before it returns.
         """
         key = self._resolve_method(method)
-        node = self._check_query_node(query)
+        node = check_query_node(query, self._num_nodes)
         result = self.cache.hit(key, node, self._epoch)
         if result is not None:
             with self._stats_lock:
@@ -923,7 +921,7 @@ class ParallelSimRankService:
         workload driver reports these as per-op latency on every executor.
         """
         key = self._resolve_method(method)
-        batch = [self._check_query_node(query) for query in queries]
+        batch = [check_query_node(query, self._num_nodes) for query in queries]
         # one epoch per batch (see cached): a rebuild sync moves it only
         # after its barrier, so no pre-barrier answer is filed under it
         epoch = self._epoch
@@ -1175,17 +1173,6 @@ class ParallelSimRankService:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-
-    def _check_query_node(self, query) -> int:
-        """Normalize one query id to an in-range int node."""
-        if isinstance(query, bool) or not hasattr(query, "__index__"):
-            raise QueryError(f"query node must be an int, got {type(query).__name__}")
-        node = int(query)
-        if not 0 <= node < self._num_nodes:
-            raise QueryError(
-                f"query node {node} out of range [0, {self._num_nodes})"
-            )
-        return node
 
     def close(self) -> None:
         """Shut the pool down and unlink every shared-memory segment."""

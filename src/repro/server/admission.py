@@ -209,19 +209,6 @@ class AdmissionController:
             else:
                 lane.completed += 1
 
-    def record_timeout(self, lane_name: str) -> None:
-        """Settle one already-completed request as a timeout instead.
-
-        Back-compat path for callers that detect expiry only after the
-        ``admit`` block has exited: the request was counted ``completed``
-        on exit, so this moves it over rather than double-counting.
-        Inside the block, prefer ``permit.record_timeout()``.
-        """
-        lane = self._lane(lane_name)
-        lane.timeouts += 1
-        if lane.completed > 0:
-            lane.completed -= 1
-
     def metrics(self) -> dict[str, float]:
         """Flat counters for the metrics exposition, one set per lane."""
         flat: dict[str, float] = {}

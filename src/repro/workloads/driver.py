@@ -27,7 +27,7 @@ The ``executor`` only picks where the replicas run:
 The ``maintenance`` knob picks the update path on every executor:
 ``"rebuild"`` publishes a graph epoch per sync (every replica rebuilt,
 O(m)), ``"delta"`` ships the edge deltas and replicas absorb them in place
-(O(Δ); needs ``capabilities().incremental_updates``), ``"auto"`` (default)
+(O(Δ); needs the registry entry's ``incremental_updates``), ``"auto"`` (default)
 chooses delta exactly when the method supports it.
 
 Result caching
@@ -54,11 +54,12 @@ result's score vector into a running digest in global op order; two runs
 with the same inputs produce bit-identical digests, while wall-clock
 numbers of course vary.  Cache hits return the answer they were cached
 from, so caching keeps runs bit-reproducible too (for fixed knobs).  Every
-replay starts from the *canonical* (CSR-ordered) form of the graph, the
-order worker processes reconstruct from shared memory, so
-adjacency-order-sensitive samplers draw identical streams everywhere: both
-executors run one dispatch and maintenance schedule, and their reports
-agree bit for bit apart from timings (asserted by the test suite).
+replay mutates a private copy of the graph that keeps its adjacency order,
+and the shared-memory CSR generations and the mirrors delta-mode workers
+thaw from them keep that order too, so adjacency-order-sensitive samplers
+(TSF draws neighbors by list position) draw identical streams everywhere:
+both executors run one dispatch and maintenance schedule, and their
+reports agree bit for bit apart from timings (asserted by the test suite).
 
 Staleness
 ---------
@@ -82,7 +83,6 @@ import numpy as np
 
 from repro.errors import EvaluationError
 from repro.eval.metrics_export import flatten_metrics
-from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.parallel.pool import (
     EXECUTORS,
@@ -444,15 +444,6 @@ def run_workload(
     unknown = sorted(set(configs) - set(methods))
     if unknown:
         raise EvaluationError(f"configs given for methods not replayed: {unknown}")
-    # every replay mutates a private thawed copy, never the caller's graph.
-    # The CSR round-trip keeps adjacency order in both directions, which is
-    # the order delta-mode workers thaw their mirrors in, so
-    # adjacency-order-sensitive samplers (TSF draws neighbors by list
-    # position) agree bit-for-bit between delta bursts and the epoch
-    # rebuilds that compact them.  (Snapshot replays skip this: they are
-    # read-only and attach the payload without materialisation.)
-    if graph is not None:
-        graph = CSRGraph.from_digraph(graph).to_digraph()
     result = WorkloadResult(
         trace_signature=trace.signature(),
         trace_config=trace.config.as_dict(),

@@ -26,7 +26,7 @@ class TestRegistry:
     def test_duplicate_registration_rejected(self):
         entry = get_entry("probesim")
         with pytest.raises(ConfigurationError, match="already registered"):
-            reg.register("probesim", entry.factory)
+            reg.register("probesim", entry.factory, capabilities=entry.capabilities)
 
     def test_replace_allows_reregistration(self):
         entry = get_entry("probesim")

@@ -1,10 +1,11 @@
-"""Protocol-conformance tests: every registry entry speaks the five verbs.
+"""Protocol-conformance tests: every registry entry speaks the four verbs.
 
 Parametrized over the full registry: each method is instantiated on the toy
 graph (with its cheap ``probe_config``) and exercised through
-``single_source``, ``topk``, ``single_source_many``, ``sync``, and
-``capabilities`` — including the batched-vs-looped equivalence contract
-under a fixed seed.
+``single_source``, ``topk``, ``single_source_many`` and ``sync`` —
+including the batched-vs-looped equivalence contract under a fixed seed —
+and its registry-declared capabilities are checked against what the
+method's class and answers actually do.
 """
 
 import numpy as np
@@ -33,8 +34,8 @@ class TestConformance:
         estimator = make(method_name, toy)
         assert isinstance(estimator, SimRankEstimator)
 
-    def test_capabilities(self, toy, method_name):
-        caps = make(method_name, toy).capabilities()
+    def test_capabilities(self, method_name):
+        caps = get_entry(method_name).capabilities
         assert isinstance(caps, Capabilities)
         assert caps.method
         # incremental maintenance implies the method is dynamic-capable
@@ -44,10 +45,16 @@ class TestConformance:
         assert {"method", "exact", "index", "dynamic", "incremental"} <= set(row)
 
     def test_capabilities_match_registry_declaration(self, toy, method_name):
-        """The entry's static capabilities must agree with live instances."""
-        declared = get_entry(method_name).capabilities
-        assert declared is not None  # every built-in declares its profile
-        assert make(method_name, toy).capabilities() == declared
+        """The entry's declared capabilities state facts about the method:
+        its answers' label, whether its class patches updates in place, and
+        whether it runs the vectorized native engine."""
+        caps = get_entry(method_name).capabilities
+        estimator = make(method_name, toy)
+        assert caps.method == estimator.single_source(0).method
+        overrides = type(estimator).apply_updates is not SimRankEstimator.apply_updates
+        assert caps.incremental_updates == overrides
+        strategy = getattr(getattr(estimator, "config", None), "strategy", None)
+        assert caps.vectorized == (strategy == "native")
 
     def test_single_source(self, toy, method_name):
         estimator = make(method_name, toy)
@@ -71,9 +78,18 @@ class TestConformance:
             estimator.topk(0, 0)
 
     def test_invalid_query_rejected(self, toy, method_name):
+        """Out-of-range ids, bools and floats are rejected, not coerced."""
         estimator = make(method_name, toy)
-        with pytest.raises(QueryError):
-            estimator.single_source(toy.num_nodes + 5)
+        for bad in (toy.num_nodes + 5, toy.num_nodes, -1, True, 1.0):
+            with pytest.raises(QueryError):
+                estimator.single_source(bad)
+
+    def test_numpy_integer_query(self, toy, method_name):
+        """A numpy integer is the same query as the Python int."""
+        want = make(method_name, toy).single_source(3)
+        got = make(method_name, toy).single_source(np.int64(3))
+        assert type(got.query) is int and got.query == 3
+        assert got.scores.tobytes() == want.scores.tobytes()
 
     def test_batched_equals_looped_same_seed(self, toy, method_name):
         """The single_source_many contract: fixed seed => loop equivalence."""
@@ -157,9 +173,6 @@ class TestStructuralConformance:
                 raise NotImplementedError
 
             def sync(self):
-                raise NotImplementedError
-
-            def capabilities(self):
                 raise NotImplementedError
 
         assert isinstance(Duck(), SimRankEstimator)

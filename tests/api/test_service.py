@@ -217,10 +217,6 @@ class _ExplodingEstimator(SimRankEstimator):
     def sync(self):
         """No state to rebuild."""
 
-    def capabilities(self):
-        """Advertises incremental updates so the service notifies per op."""
-        return _incremental("exploding")
-
     def apply_updates(self, updates):
         """Blow up on the configured notification."""
         for _ in updates:
@@ -335,9 +331,6 @@ class _CountingEstimator(SimRankEstimator):
 
     def sync(self):
         """Nothing to rebuild."""
-
-    def capabilities(self):
-        return _incremental("counting")
 
     def apply_updates(self, updates):
         """Incremental no-op: accept the notification instantly."""

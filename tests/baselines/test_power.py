@@ -97,6 +97,9 @@ class TestInterface:
         pm = PowerMethod(toy, c=TOY_DECAY)
         assert pm.pair(0, 0) == 1.0
         assert pm.pair(0, 3) == pytest.approx(0.131, abs=5e-4)
+        for u, v in ((-1, 0), (0, toy.num_nodes), (True, 0)):
+            with pytest.raises(QueryError):
+                pm.pair(u, v)
 
     def test_matrix_cached(self, toy):
         pm = PowerMethod(toy, c=0.6)

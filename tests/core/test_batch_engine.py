@@ -13,6 +13,7 @@ live in ``test_native_engine.py``.
 import numpy as np
 import pytest
 
+from repro.api.registry import get_entry
 from repro.core.config import ProbeSimConfig
 from repro.core.engine import ProbeSim
 from repro.core.native import fallback
@@ -127,11 +128,11 @@ class TestEngineSurface:
         vectorized."""
         native = native_engine(toy, eps_a=0.2, seed=1)
         loop = loop_engine(toy, eps_a=0.2, seed=1)
-        assert native.capabilities().vectorized
-        assert not loop.capabilities().vectorized
+        assert get_entry("probesim-native").capabilities.vectorized
+        assert not get_entry("probesim-batch").capabilities.vectorized
         assert native.single_source(0).method == "probesim-native"
         assert loop.single_source(0).method == "probesim-batch"
-        assert "vectorized" in native.capabilities().as_row()
+        assert "vectorized" in get_entry("probesim-native").capabilities.as_row()
 
     def test_batched_stats_count_shared_probes(self, tiny_wiki):
         """Both engines run one shared probe per distinct walk prefix, as

@@ -39,7 +39,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.api.registry import create
+from repro.api.registry import create, get_entry
 from repro.core import native
 from repro.core.config import ProbeSimConfig
 from repro.core.engine import ProbeSim
@@ -563,19 +563,19 @@ class TestEngineSurface:
 
     def test_label_and_capabilities(self, toy):
         engine = native_engine(toy, c=0.25, eps_a=0.2, seed=1)
-        caps = engine.capabilities()
+        caps = get_entry("probesim-native").capabilities
         assert caps.method == "probesim-native"
         assert caps.vectorized and caps.parallel_safe
         assert caps.as_row()["vectorized"] is True
         assert engine.single_source(0).method == "probesim-native"
         loop = ProbeSim(toy, strategy="batch", seed=1)
-        assert not loop.capabilities().vectorized
+        assert not get_entry("probesim-batch").capabilities.vectorized
         assert loop.single_source(0).method == "probesim-batch"
 
     def test_registry_constructs_the_native_engine(self, toy):
         est = create("probesim-native", toy, c=0.25, eps_a=0.2, seed=3)
         direct = native_engine(toy, c=0.25, eps_a=0.2, seed=3)
-        assert est.capabilities().vectorized
+        assert get_entry("probesim-native").capabilities.vectorized
         np.testing.assert_array_equal(
             est.single_source(0).scores, direct.single_source(0).scores)
 

@@ -597,13 +597,6 @@ class TestDeltaMaintenance:
             def sync(self):
                 """Nothing to rebuild."""
 
-            def capabilities(self):
-                return Capabilities(
-                    method="fragile", exact=False, index_based=True,
-                    supports_dynamic=True, incremental_updates=True,
-                    parallel_safe=True,
-                )
-
             def apply_updates(self, updates):
                 for update in updates:
                     if update.target == 150:
@@ -611,7 +604,11 @@ class TestDeltaMaintenance:
 
         name = "fragile-incremental-test"
         register(name, lambda graph: _FragileIncremental(graph),
-                 capabilities=_FragileIncremental(None).capabilities(),
+                 capabilities=Capabilities(
+                     method="fragile", exact=False, index_based=True,
+                     supports_dynamic=True, incremental_updates=True,
+                     parallel_safe=True,
+                 ),
                  replace=True)
         try:
             with ParallelSimRankService(

@@ -163,11 +163,6 @@ class TestAdmit:
             with controller.admit("nope"):
                 pass
 
-    def test_record_timeout(self):
-        controller = AdmissionController()
-        controller.record_timeout("topk")
-        assert controller.lanes["topk"].timeouts == 1
-
 
 class TestCompletedAccounting:
     def test_normal_exit_settles_as_completed(self):
@@ -195,18 +190,6 @@ class TestCompletedAccounting:
                 raise RuntimeError("handler blew up")
         lane = controller.lanes["batch"]
         assert lane.completed == 1
-        assert lane.admitted == lane.completed + lane.timeouts
-
-    def test_controller_record_timeout_moves_a_completed_request(self):
-        """Back-compat path: detecting expiry after the block exited must
-        re-classify the request, not double-count it."""
-        controller = AdmissionController()
-        with controller.admit("topk"):
-            pass
-        controller.record_timeout("topk")
-        lane = controller.lanes["topk"]
-        assert lane.completed == 0
-        assert lane.timeouts == 1
         assert lane.admitted == lane.completed + lane.timeouts
 
     def test_invariant_under_concurrent_admits_and_expiries(self):
@@ -258,11 +241,11 @@ class TestMetrics:
         controller = AdmissionController(1)
         with controller.admit("topk"):
             pass
-        with controller.admit("topk"):
+        with controller.admit("topk") as permit:
             with pytest.raises(AdmissionError):
                 with controller.admit("topk"):
                     pass
-        controller.record_timeout("topk")
+            permit.record_timeout()
         metrics = controller.metrics()
         assert metrics["admission_topk_capacity"] == 1
         assert metrics["admission_topk_admitted"] == 2
